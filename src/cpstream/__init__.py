@@ -15,9 +15,6 @@ from .critvals import (
     TableProvider,
     build_table,
     compute_critval,
-    offline_critval,
-    online_critval_ratio,
-    online_critval_standard,
     simulate_brownian_motion,
 )
 from .errors import (
@@ -25,6 +22,7 @@ from .errors import (
     CsvFormatError,
     DetectorStoppedError,
     InsufficientTrainingError,
+    NonFiniteSampleError,
     NotTabulatedError,
 )
 from .longrun import LongRunCov, autocov, bartlett_bandwidth, bartlett_lrv
@@ -77,9 +75,6 @@ __all__ = [
     "TableProvider",
     "simulate_brownian_motion",
     "compute_critval",
-    "offline_critval",
-    "online_critval_standard",
-    "online_critval_ratio",
     "build_table",
     # offline detection
     "OfflineTestResult",
@@ -118,4 +113,5 @@ __all__ = [
     "NotTabulatedError",
     "InsufficientTrainingError",
     "DetectorStoppedError",
+    "NonFiniteSampleError",
 ]

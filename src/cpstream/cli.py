@@ -15,7 +15,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,16 +25,14 @@ from .critvals import (
     DEFAULT_HORIZON_T,
     DEFAULT_REPLICATIONS,
     CritValKind,
-    CritValRequest,
     MonteCarloProvider,
     TableProvider,
-    compute_critval,
 )
 from .errors import CpstreamError, NotTabulatedError
 from .monitor import ChangeEvent, MonitorConfig, run_monitor
 from .offline import DEFAULT_MIN_SEG, offline_test, segment
 from .online import DetectorKind
-from .timeseries import TimeSeries, _is_numeric_row, load_csv
+from .timeseries import TimeSeries, iter_csv, load_csv
 from .trend import MacdParams, trend_interval, trend_point
 
 __all__ = ["dispatch", "main"]
@@ -45,105 +43,37 @@ _CRITVAL_KINDS = {
     "ratio": CritValKind.ONLINE_RATIO,
 }
 
-_DEFAULTS: dict[str, dict] = {
-    "critval": {
-        "kind": "offline",
-        "d": 1,
-        "alpha": 0.05,
-        "gamma": 0.0,
-        "grid": DEFAULT_GRID_STEPS,
-        "reps": DEFAULT_REPLICATIONS,
-        "horizon": DEFAULT_HORIZON_T,
-        "seed": 0,
-        "build_table": None,
-        "out": None,
-    },
-    "offline": {
-        "input": None,
-        "columns": None,
-        "alpha": 0.05,
-        "seed": 0,
-        "grid": DEFAULT_GRID_STEPS,
-        "reps": DEFAULT_REPLICATIONS,
-        "table": None,
-        "out": None,
-    },
-    "segment": {
-        "input": None,
-        "columns": None,
-        "alpha": 0.05,
-        "min_seg": DEFAULT_MIN_SEG,
-        "seed": 0,
-        "grid": DEFAULT_GRID_STEPS,
-        "reps": DEFAULT_REPLICATIONS,
-        "table": None,
-        "out": None,
-    },
-    "trend": {
-        "input": None,
-        "columns": None,
-        "at": None,
-        "mode": "interval",
-        "p1": 9,
-        "p2": 12,
-        "p3": 26,
-        "h": 10,
-        "dim": 1,
-        "out": None,
-    },
-    "monitor": {
-        "input": "-",
-        "columns": None,
-        "detector": "standard",
-        "alpha": 0.05,
-        "gamma": 0.0,
-        "m": 200,
-        "window": 200,
-        "quiet_gap": 25,
-        "min_seg": DEFAULT_MIN_SEG,
-        "p1": 9,
-        "p2": 12,
-        "p3": 26,
-        "h": 10,
-        "trend_dim": 1,
-        "seed": 0,
-        "grid": DEFAULT_GRID_STEPS,
-        "reps": DEFAULT_REPLICATIONS,
-        "table": None,
-        "on_scale_up": None,
-        "on_scale_down": None,
-        "out": None,
-    },
-    "simulate": {
-        "grid": "10x10",
-        "attackers": 10,
-        "seed": 0,
-        "mode": "per-node",
-        "reps": 100,
-        "alpha": 0.05,
-        "gamma": 0.0,
-        "m": 200,
-        "block": 50,
-        "start": 401,
-        "horizon": 600,
-        "injection_rate": 3.0,
-        "ticks": 1.0,
-        "baseline": 10.0,
-        "ar": 0.3,
-        "sigma": 1.0,
-        "decay": 0.4,
-        "separation": 3,
-        "cluster_block": 2,
-        "mc_grid": DEFAULT_GRID_STEPS,
-        "mc_reps": DEFAULT_REPLICATIONS,
-        "table": None,
-        "out": None,
-        "heatmap": None,
-    },
-}
+
+def _add_input(
+    p: argparse.ArgumentParser, default: str | None = None, help_text: str = "CSV file"
+) -> None:
+    p.add_argument("--input", default=default, help=help_text)
+    p.add_argument("--columns", help="1-based column list, e.g. 2,3")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_budget(p: argparse.ArgumentParser, table: bool = True) -> None:
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_STEPS,
+                   help="grid points per unit of simulated time")
+    p.add_argument("--reps", type=int, default=DEFAULT_REPLICATIONS,
+                   help="Monte Carlo replications")
+    if table:
+        p.add_argument("--table", help="critical-value table CSV to use instead of simulating")
+
+
+def _add_macd(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p1", type=int, default=9)
+    p.add_argument("--p2", type=int, default=12)
+    p.add_argument("--p3", type=int, default=26)
+    p.add_argument("--h", type=int, default=10, help="interval window length")
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser plus each subcommand's parser by name.
+
+    Every flag declares its default here, once; a ``--config`` file
+    overrides those defaults (see :func:`dispatch`).
+    """
     parser = argparse.ArgumentParser(
         prog="cpstream",
         description="Change-point detection toolkit: critical values, offline tests, "
@@ -159,109 +89,81 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("critval", "simulate a critical value (or build the full table)")
-    p.add_argument("--kind", choices=sorted(_CRITVAL_KINDS))
-    p.add_argument("--d", type=int, help="series dimension")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--grid", type=int, help="grid points per unit of simulated time")
-    p.add_argument("--reps", type=int, help="Monte Carlo replications")
-    p.add_argument("--horizon", type=float, help="ratio-statistic horizon T")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--kind", choices=sorted(_CRITVAL_KINDS), default="offline")
+    p.add_argument("--d", type=int, default=1, help="series dimension")
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--gamma", type=float, default=0.0)
+    p.add_argument("--horizon", type=float, default=DEFAULT_HORIZON_T,
+                   help="ratio-statistic horizon T")
+    _add_budget(p, table=False)
     p.add_argument("--build-table", help="write the full critical-value table to this CSV")
 
     p = add("offline", "single change-point test on a CSV series")
-    p.add_argument("--input", help="CSV file")
-    p.add_argument("--columns", help="1-based column list, e.g. 2,3")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--table", help="critical-value table CSV to use instead of simulating")
+    _add_input(p)
+    p.add_argument("--alpha", type=float, default=0.05)
+    _add_budget(p)
 
     p = add("segment", "multi change-point segmentation of a CSV series")
-    p.add_argument("--input", help="CSV file")
-    p.add_argument("--columns", help="1-based column list")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--min-seg", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--table")
+    _add_input(p)
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--min-seg", type=int, default=DEFAULT_MIN_SEG)
+    _add_budget(p)
 
     p = add("trend", "direction verdict at an index of a CSV series")
-    p.add_argument("--input", help="CSV file")
-    p.add_argument("--columns", help="1-based column list")
+    _add_input(p)
     p.add_argument("--at", type=int, help="1-based evaluation index")
-    p.add_argument("--mode", choices=["point", "interval"])
-    p.add_argument("--p1", type=int)
-    p.add_argument("--p2", type=int)
-    p.add_argument("--p3", type=int)
-    p.add_argument("--h", type=int, help="interval window length")
-    p.add_argument("--dim", type=int, help="1-based series dimension to label")
+    p.add_argument("--mode", choices=["point", "interval"], default="interval")
+    _add_macd(p)
+    p.add_argument("--dim", type=int, default=1, help="1-based series dimension to label")
 
     p = add("monitor", "sequential monitoring of a CSV stream (file or '-' stdin)")
-    p.add_argument("--input", help="CSV file or '-' for standard input")
-    p.add_argument("--columns", help="1-based column list")
-    p.add_argument("--detector", choices=["standard", "ratio"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--m", type=int, help="minimal training length")
-    p.add_argument("--window", type=int, help="monitoring window length")
-    p.add_argument("--quiet-gap", type=int, help="samples assumed change-free after an alarm")
-    p.add_argument("--min-seg", type=int)
-    p.add_argument("--p1", type=int)
-    p.add_argument("--p2", type=int)
-    p.add_argument("--p3", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--trend-dim", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--table")
+    _add_input(p, default="-", help_text="CSV file or '-' for standard input")
+    p.add_argument("--detector", choices=["standard", "ratio"], default="standard")
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--gamma", type=float, default=0.0)
+    p.add_argument("--m", type=int, default=200, help="minimal training length")
+    p.add_argument("--window", type=int, default=200, help="monitoring window length")
+    p.add_argument("--quiet-gap", type=int, default=25,
+                   help="samples assumed change-free after an alarm")
+    p.add_argument("--min-seg", type=int, default=DEFAULT_MIN_SEG)
+    _add_macd(p)
+    p.add_argument("--trend-dim", type=int, default=1)
+    _add_budget(p)
     p.add_argument("--on-scale-up", help="shell command template run per scale-up event")
     p.add_argument("--on-scale-down", help="shell command template run per scale-down event")
 
     p = add("simulate", "grid-network attack detection experiment")
-    p.add_argument("--grid", help="topology as RxC, e.g. 10x10")
-    p.add_argument("--attackers", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=["per-node", "cluster"])
-    p.add_argument("--reps", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--block", type=int, help="retraining block length")
-    p.add_argument("--start", type=int, help="attack start sample")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--injection-rate", type=float)
-    p.add_argument("--ticks", type=float)
-    p.add_argument("--baseline", type=float)
-    p.add_argument("--ar", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--decay", type=float)
-    p.add_argument("--separation", type=int, help="minimal pairwise attacker distance")
-    p.add_argument("--cluster-block", type=int)
-    p.add_argument("--mc-grid", type=int, help="critical-value simulation grid")
-    p.add_argument("--mc-reps", type=int, help="critical-value simulation replications")
+    p.add_argument("--grid", default="10x10", help="topology as RxC, e.g. 10x10")
+    p.add_argument("--attackers", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=["per-node", "cluster"], default="per-node")
+    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--gamma", type=float, default=0.0)
+    p.add_argument("--m", type=int, default=200)
+    p.add_argument("--block", type=int, default=50, help="retraining block length")
+    p.add_argument("--start", type=int, default=401, help="attack start sample")
+    p.add_argument("--horizon", type=int, default=600)
+    p.add_argument("--injection-rate", type=float, default=3.0)
+    p.add_argument("--ticks", type=float, default=1.0)
+    p.add_argument("--baseline", type=float, default=10.0)
+    p.add_argument("--ar", type=float, default=0.3)
+    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--decay", type=float, default=0.4)
+    p.add_argument("--separation", type=int, default=3, help="minimal pairwise attacker distance")
+    p.add_argument("--cluster-block", type=int, default=2)
+    p.add_argument("--mc-grid", type=int, default=DEFAULT_GRID_STEPS,
+                   help="critical-value simulation grid")
+    p.add_argument("--mc-reps", type=int, default=DEFAULT_REPLICATIONS,
+                   help="critical-value simulation replications")
     p.add_argument("--table")
     p.add_argument("--heatmap", help="write the detection-probability grid to this CSV")
 
-    return parser
+    return parser, sub.choices
 
 
-def _coerce(text: str):
-    lowered = text.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text.strip()
-
-
-def _read_config(path: str) -> dict:
+def _read_config(path: str, command: str, keys: set[str]) -> dict[str, str]:
+    """The ``key = value`` lines of a config file, checked against ``keys``."""
     values = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -270,69 +172,38 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise CpstreamError(f"{path}: line {line_no} is not 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = _coerce(value)
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise CpstreamError(f"unknown config key {key!r} for {command}")
+        values[key] = value.strip()
     return values
 
 
-def _effective(args: argparse.Namespace) -> dict:
-    defaults = _DEFAULTS[args.command]
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        for key, value in _read_config(args.config).items():
-            if key not in defaults:
-                raise CpstreamError(f"unknown config key {key!r} for {args.command}")
-            merged[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _emit(record: dict, out: str | None) -> None:
-    text = json.dumps(record, sort_keys=True)
+def _emit(out: str | None, *records: dict) -> None:
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
     if out:
-        Path(out).write_text(text + "\n")
+        Path(out).write_text(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
-def _parse_columns(raw) -> list[int] | None:
+def _parse_columns(raw: str | None) -> list[int] | None:
     if raw is None:
         return None
-    if isinstance(raw, int):
-        return [raw]
-    cols = [int(tok) for tok in str(raw).split(",") if tok.strip()]
-    if not cols:
-        raise CpstreamError(f"empty column list {raw!r}")
-    return cols
+    return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _load_series(path: str | None, columns) -> TimeSeries:
-    if not path:
+def _load_series(opts: dict) -> TimeSeries:
+    if not opts["input"]:
         raise CpstreamError("--input is required")
-    cols = _parse_columns(columns)
-    if cols is None:
-        cols = _default_columns(path)
-    return load_csv(path, cols)
-
-
-def _default_columns(path: str) -> list[int] | None:
-    # skip a leading index column named "t" (the export format) by default
-    with open(path, newline="") as fh:
-        first = next(csv.reader(fh), None)
-    if first and not _is_numeric_row(first) and first[0].strip().lower() == "t":
-        return list(range(2, len(first) + 1))
-    return None
+    return load_csv(opts["input"], _parse_columns(opts["columns"]))
 
 
 def _provider(opts: dict, grid_key: str = "grid", reps_key: str = "reps"):
     simulate = MonteCarloProvider(
-        seed=int(opts.get("seed", 0)),
-        grid_steps=int(opts[grid_key]),
-        replications=int(opts[reps_key]),
+        seed=opts["seed"], grid_steps=opts[grid_key], replications=opts[reps_key]
     )
-    if not opts.get("table"):
+    if not opts["table"]:
         return simulate
     table = TableProvider.from_file(opts["table"])
 
@@ -364,39 +235,31 @@ def _critval_record(cv, params: dict) -> dict:
 def _cmd_critval(opts: dict) -> int:
     params = {"command": "critval", **opts}
     if opts["build_table"]:
-        lines = []
+        records = []
         critvals.build_table(
             opts["build_table"],
-            grid_steps=int(opts["grid"]),
-            replications=int(opts["reps"]),
-            horizon_T=float(opts["horizon"]),
-            seed=int(opts["seed"]),
-            progress=lambda cv: lines.append(_critval_record(cv, params)),
+            grid_steps=opts["grid"],
+            replications=opts["reps"],
+            horizon_T=opts["horizon"],
+            seed=opts["seed"],
+            progress=lambda cv: records.append(_critval_record(cv, params)),
         )
-        text = "\n".join(json.dumps(line, sort_keys=True) for line in lines)
-        if opts["out"]:
-            Path(opts["out"]).write_text(text + "\n")
-        else:
-            print(text)
+        _emit(opts["out"], *records)
         return 0
-    kind = _CRITVAL_KINDS[opts["kind"]]
-    request = CritValRequest(
-        kind=kind,
-        alpha=float(opts["alpha"]),
-        d=int(opts["d"]),
-        gamma=float(opts["gamma"]) if kind.is_online else 0.0,
-        grid_steps=int(opts["grid"]),
-        replications=int(opts["reps"]),
-        horizon_T=float(opts["horizon"]) if kind is CritValKind.ONLINE_RATIO else None,
-        seed=int(opts["seed"]),
+    provider = MonteCarloProvider(
+        seed=opts["seed"],
+        grid_steps=opts["grid"],
+        replications=opts["reps"],
+        horizon_T=opts["horizon"],
     )
-    _emit(_critval_record(compute_critval(request), params), opts["out"])
+    cv = provider(_CRITVAL_KINDS[opts["kind"]], opts["d"], opts["alpha"], opts["gamma"])
+    _emit(opts["out"], _critval_record(cv, params))
     return 0
 
 
 def _cmd_offline(opts: dict) -> int:
-    series = _load_series(opts["input"], opts["columns"])
-    alpha = float(opts["alpha"])
+    series = _load_series(opts)
+    alpha = opts["alpha"]
     cv = _provider(opts)(CritValKind.OFFLINE_MAX, series.dim, alpha)
     result = offline_test(series, alpha, cv)
     record = {
@@ -408,19 +271,19 @@ def _cmd_offline(opts: dict) -> int:
         "critval": result.critval_used,
         "params": {"command": "offline", "n": result.n, "d": series.dim, **opts},
     }
-    _emit(record, opts["out"])
+    _emit(opts["out"], record)
     return 0
 
 
 def _cmd_segment(opts: dict) -> int:
-    series = _load_series(opts["input"], opts["columns"])
-    alpha = float(opts["alpha"])
+    series = _load_series(opts)
+    alpha = opts["alpha"]
     provider = _provider(opts)
 
     def offline_cv(d: int, level: float):
         return provider(CritValKind.OFFLINE_MAX, d, level)
 
-    result = segment(series, alpha, offline_cv, min_seg=int(opts["min_seg"]))
+    result = segment(series, alpha, offline_cv, min_seg=opts["min_seg"])
     full = offline_test(series, alpha, offline_cv(series.dim, alpha))
     record = {
         "statistic": full.statistic_m,
@@ -433,19 +296,19 @@ def _cmd_segment(opts: dict) -> int:
         "hit_round_cap": result.hit_round_cap,
         "params": {"command": "segment", "n": series.n_samples, "d": series.dim, **opts},
     }
-    _emit(record, opts["out"])
+    _emit(opts["out"], record)
     return 0
 
 
 def _cmd_trend(opts: dict) -> int:
-    series = _load_series(opts["input"], opts["columns"])
+    series = _load_series(opts)
     if opts["at"] is None:
         raise CpstreamError("--at is required")
-    params = MacdParams(p1=int(opts["p1"]), p2=int(opts["p2"]), p3=int(opts["p3"]), h=int(opts["h"]))
+    params = MacdParams(p1=opts["p1"], p2=opts["p2"], p3=opts["p3"], h=opts["h"])
     if opts["mode"] == "point":
-        verdict = trend_point(series, int(opts["at"]), params, dim=int(opts["dim"]))
+        verdict = trend_point(series, opts["at"], params, dim=opts["dim"])
     else:
-        verdict = trend_interval(series, int(opts["at"]), params, dim=int(opts["dim"]))
+        verdict = trend_interval(series, opts["at"], params, dim=opts["dim"])
     record = {
         "ti": verdict.value,
         "direction": verdict.direction.value,
@@ -453,25 +316,8 @@ def _cmd_trend(opts: dict) -> int:
         "at_index": verdict.at_index,
         "params": {"command": "trend", **opts},
     }
-    _emit(record, opts["out"])
+    _emit(opts["out"], record)
     return 0
-
-
-def _iter_csv_stream(fh, columns) -> Iterator[np.ndarray]:
-    reader = csv.reader(fh)
-    cols = _parse_columns(columns)
-    first = True
-    for row in reader:
-        if not row:
-            continue
-        if first:
-            first = False
-            if not _is_numeric_row(row):
-                if cols is None and row[0].strip().lower() == "t":
-                    cols = list(range(2, len(row) + 1))
-                continue
-        use = cols if cols is not None else range(1, len(row) + 1)
-        yield np.array([float(row[c - 1]) for c in use])
 
 
 def _run_hook(template: str | None, event: ChangeEvent) -> None:
@@ -490,16 +336,17 @@ def _cmd_monitor(opts: dict) -> int:
     provider = _provider(opts)
     config = MonitorConfig(
         critvals=provider,
-        alpha=float(opts["alpha"]),
-        gamma=float(opts["gamma"]),
+        alpha=opts["alpha"],
+        gamma=opts["gamma"],
         detector=DetectorKind(opts["detector"]),
-        window_k=int(opts["window"]),
-        quiet_gap_d=int(opts["quiet_gap"]),
-        macd=MacdParams(int(opts["p1"]), int(opts["p2"]), int(opts["p3"]), int(opts["h"])),
-        min_seg=int(opts["min_seg"]),
-        m_min=int(opts["m"]),
-        trend_dim=int(opts["trend_dim"]),
+        window_k=opts["window"],
+        quiet_gap_d=opts["quiet_gap"],
+        macd=MacdParams(opts["p1"], opts["p2"], opts["p3"], opts["h"]),
+        min_seg=opts["min_seg"],
+        m_min=opts["m"],
+        trend_dim=opts["trend_dim"],
     )
+    columns = _parse_columns(opts["columns"])
     sink = open(opts["out"], "w") if opts["out"] else sys.stdout
 
     def write(record: dict) -> None:
@@ -524,10 +371,10 @@ def _cmd_monitor(opts: dict) -> int:
 
     try:
         if opts["input"] == "-":
-            run_monitor(_iter_csv_stream(sys.stdin, opts["columns"]), config, on_event)
+            run_monitor(iter_csv(sys.stdin, columns), config, on_event)
         else:
             with open(opts["input"], newline="") as fh:
-                run_monitor(_iter_csv_stream(fh, opts["columns"]), config, on_event)
+                run_monitor(iter_csv(fh, columns, source=opts["input"]), config, on_event)
     finally:
         if sink is not sys.stdout:
             sink.close()
@@ -536,32 +383,32 @@ def _cmd_monitor(opts: dict) -> int:
 
 def _cmd_simulate(opts: dict) -> int:
     try:
-        rows, cols = (int(part) for part in str(opts["grid"]).lower().split("x"))
+        rows, cols = (int(part) for part in opts["grid"].lower().split("x"))
     except ValueError:
         raise CpstreamError(f"--grid must look like 10x10, got {opts['grid']!r}") from None
     mode = opts["mode"]
     topology = netsim.grid_topology(
-        rows, cols, cluster_block=int(opts["cluster_block"]) if mode == "cluster" else None
+        rows, cols, cluster_block=opts["cluster_block"] if mode == "cluster" else None
     )
     scenario = netsim.random_scenario(
         topology,
-        n_attackers=int(opts["attackers"]),
-        seed=int(opts["seed"]),
-        min_separation=int(opts["separation"]),
-        start=int(opts["start"]),
-        horizon=int(opts["horizon"]),
-        injection_rate=float(opts["injection_rate"]),
-        ticks_per_packet=float(opts["ticks"]),
-        baseline_mean=float(opts["baseline"]),
-        ar_coeff=float(opts["ar"]),
-        noise_sigma=float(opts["sigma"]),
-        hop_decay=float(opts["decay"]),
+        n_attackers=opts["attackers"],
+        seed=opts["seed"],
+        min_separation=opts["separation"],
+        start=opts["start"],
+        horizon=opts["horizon"],
+        injection_rate=opts["injection_rate"],
+        ticks_per_packet=opts["ticks"],
+        baseline_mean=opts["baseline"],
+        ar_coeff=opts["ar"],
+        noise_sigma=opts["sigma"],
+        hop_decay=opts["decay"],
     )
     settings = netsim.DetectorSettings(
-        m=int(opts["m"]),
-        retrain_block=int(opts["block"]),
-        gamma=float(opts["gamma"]),
-        alpha=float(opts["alpha"]),
+        m=opts["m"],
+        retrain_block=opts["block"],
+        gamma=opts["gamma"],
+        alpha=opts["alpha"],
     )
     cv = _provider(opts, grid_key="mc_grid", reps_key="mc_reps")(
         CritValKind.ONLINE_STANDARD, 1, settings.alpha, settings.gamma
@@ -571,8 +418,8 @@ def _cmd_simulate(opts: dict) -> int:
         scenario,
         settings,
         cv,
-        replications=int(opts["reps"]),
-        seed=int(opts["seed"]),
+        replications=opts["reps"],
+        seed=opts["seed"],
         clustered=(mode == "cluster"),
     )
     record = {
@@ -593,7 +440,7 @@ def _cmd_simulate(opts: dict) -> int:
         "sample_messages": result.sample_messages,
         "params": {"command": "simulate", **opts},
     }
-    _emit(record, opts["out"])
+    _emit(opts["out"], record)
     if opts["heatmap"]:
         grid = np.asarray(result.detection_probability).reshape(rows, cols)
         with open(opts["heatmap"], "w", newline="") as fh:
@@ -615,9 +462,17 @@ _HANDLERS = {
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and run one subcommand; returns the process exit status."""
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        opts = _effective(args)
+        if args.config:
+            # config values become the subcommand's defaults: argparse parses
+            # them with each flag's own type, and flags on the command line
+            # still override them
+            keys = set(vars(args)) - {"command", "config"}
+            commands[args.command].set_defaults(**_read_config(args.config, args.command, keys))
+            args = parser.parse_args(argv)
+        opts = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
         return _HANDLERS[args.command](opts)
     except (CpstreamError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,9 +40,6 @@ __all__ = [
     "simulate_brownian_motion",
     "replication_stat",
     "compute_critval",
-    "offline_critval",
-    "online_critval_standard",
-    "online_critval_ratio",
     "build_table",
     "CritValTable",
     "MonteCarloProvider",
@@ -224,24 +221,6 @@ def compute_critval(request: CritValRequest) -> CritVal:
         stats[rep] = replication_stat(request, rep)
     value, stderr = _quantile_and_stderr(stats, 1.0 - request.alpha)
     return CritVal(value=value, request=request, mc_stderr=stderr)
-
-
-def offline_critval(request: CritValRequest) -> CritVal:
-    if request.kind is not CritValKind.OFFLINE_MAX:
-        raise ValueError(f"expected an {CritValKind.OFFLINE_MAX.value} request")
-    return compute_critval(request)
-
-
-def online_critval_standard(request: CritValRequest) -> CritVal:
-    if request.kind is not CritValKind.ONLINE_STANDARD:
-        raise ValueError(f"expected an {CritValKind.ONLINE_STANDARD.value} request")
-    return compute_critval(request)
-
-
-def online_critval_ratio(request: CritValRequest) -> CritVal:
-    if request.kind is not CritValKind.ONLINE_RATIO:
-        raise ValueError(f"expected an {CritValKind.ONLINE_RATIO.value} request")
-    return compute_critval(request)
 
 
 def _key(kind: CritValKind, d: int, alpha: float, gamma: float) -> tuple:

@@ -19,3 +19,7 @@ class InsufficientTrainingError(CpstreamError):
 
 class DetectorStoppedError(CpstreamError):
     """Raised when a sample is fed to a sequential detector that already alarmed."""
+
+
+class NonFiniteSampleError(CpstreamError):
+    """Raised when a NaN or infinite sample is fed to a sequential detector."""

@@ -22,6 +22,7 @@ this normalisation). The first alarm freezes the detector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .critvals import CritVal, CritValKind
-from .errors import DetectorStoppedError
+from .errors import DetectorStoppedError, NonFiniteSampleError
 from .longrun import bartlett_bandwidth, bartlett_lrv, inverse, inverse_sqrt
 from .timeseries import SeriesLike, as_matrix
 
@@ -198,10 +199,17 @@ def _as_sample(state: OnlineDetectorState, x) -> np.ndarray:
 
 
 def step(state: OnlineDetectorState, x) -> Verdict:
-    """Consume one sample and evaluate the detector; absorbing on alarm."""
+    """Consume one sample and evaluate the detector; absorbing on alarm.
+
+    A NaN or infinite sample raises :class:`NonFiniteSampleError` and leaves
+    the state unchanged.
+    """
     if state.stopped:
         raise DetectorStoppedError(f"detector already alarmed at k={state.stopped_at}")
     sample = _as_sample(state, x)
+    # math.isfinite over a list costs a fraction of one numpy call
+    if not all(map(math.isfinite, sample.tolist())):
+        raise NonFiniteSampleError(f"non-finite sample {sample.tolist()} at k={state.k + 1}")
     state.k += 1
     state.cum_sum_post = state.cum_sum_post + sample
     k, m = state.k, state.m
@@ -260,6 +268,8 @@ def run_batch(
 
     Consumes samples up to the first alarm (or the window bound) and leaves
     the state exactly as the equivalent sequence of :func:`step` calls would.
+    A block holding a NaN or infinite sample raises
+    :class:`NonFiniteSampleError` and leaves the state unchanged.
     """
     if state.stopped:
         raise DetectorStoppedError(f"detector already alarmed at k={state.stopped_at}")
@@ -274,6 +284,11 @@ def run_batch(
         if window_k < 1:
             raise ValueError("window_k must be positive")
         block = block[:window_k]
+    if not np.isfinite(block).all():
+        row = int(np.argmin(np.isfinite(block).all(axis=1)))
+        raise NonFiniteSampleError(
+            f"non-finite sample {block[row].tolist()} at k={state.k + row + 1}"
+        )
 
     m = state.m
     ks = np.arange(state.k + 1, state.k + block.shape[0] + 1, dtype=float)

@@ -8,9 +8,10 @@ length ``N`` lives at ``values[n - 1]`` and corresponds to time
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "SeriesSegment",
     "SeriesLike",
     "as_matrix",
+    "iter_csv",
     "load_csv",
     "save_csv",
     "sample_mean",
@@ -115,22 +117,66 @@ def as_matrix(s: SeriesLike) -> np.ndarray:
     return arr
 
 
-def _parse_cell(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError("non-finite value")
-    return value
-
-
 def _is_numeric_row(row: list[str]) -> bool:
-    if not row:
-        return False
     for cell in row:
         try:
             float(cell)
         except ValueError:
             return False
     return True
+
+
+def iter_csv(
+    fh: Iterable[str],
+    columns: Sequence[int] | None = None,
+    source: str = "<stdin>",
+) -> Iterator[list[float]]:
+    """Yield the selected cells of each data row of a CSV stream as floats.
+
+    Rows are parsed lazily, so an unbounded stream (standard input) works.
+    Blank lines are skipped. A single header row is auto-detected: if any
+    cell of the first row fails to parse as a number, that row is skipped.
+    ``columns`` selects 1-based column indices (in the given order); ``None``
+    takes every column of the first data row, except that a header of two
+    or more cells whose first cell is ``t`` (the :func:`save_csv` index
+    column) drops column 1.
+    Missing, non-numeric and non-finite cells are rejected, never imputed.
+
+    Raises:
+        CsvFormatError: empty selection, a short row or a bad cell; the
+            message names ``source``, the physical line and the column.
+    """
+    if columns is not None and len(columns) == 0:
+        raise CsvFormatError("empty column selection")
+    reader = csv.reader(fh)
+    first = True
+    for row in reader:
+        if not row:
+            continue
+        if first:
+            first = False
+            if not _is_numeric_row(row):
+                if columns is None and len(row) > 1 and row[0].strip().lower() == "t":
+                    columns = range(2, len(row) + 1)
+                continue
+        if columns is None:
+            columns = range(1, len(row) + 1)
+        line = reader.line_num
+        point = []
+        for col in columns:
+            if not 1 <= col <= len(row):
+                raise CsvFormatError(f"{source}: row {line} has no column {col}")
+            cell = row[col - 1]
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan  # reported below, like a NaN or infinite cell
+            if not math.isfinite(value):
+                raise CsvFormatError(
+                    f"{source}: non-numeric value {cell!r} at row {line}, column {col}"
+                )
+            point.append(value)
+        yield point
 
 
 def load_csv(
@@ -141,48 +187,24 @@ def load_csv(
 ) -> TimeSeries:
     """Read a comma-separated file into a TimeSeries.
 
-    ``columns`` selects 1-based column indices (in the given order); ``None``
-    takes every column. A single header row is auto-detected: if any cell of
-    the first row fails to parse as a number, that row is skipped. Missing or
-    non-numeric cells are rejected, never imputed.
+    Rows go through :func:`iter_csv`, which owns the header detection,
+    column selection and cell validation, so ``columns=None`` skips a
+    leading ``t`` index column and a file written by :func:`save_csv` loads
+    back as its data columns only.
 
     Raises:
-        CsvFormatError: unreadable file, empty selection, or a non-numeric
-            cell (the message names the offending file row and column).
+        CsvFormatError: unreadable file, no data rows, empty selection, or a
+            short row or bad cell (the message names the file's physical
+            line and the column).
     """
     path = Path(path)
-    if columns is not None and len(columns) == 0:
-        raise CsvFormatError("empty column selection")
     try:
         with path.open(newline="") as fh:
-            raw = [row for row in csv.reader(fh) if row]
+            rows = list(iter_csv(fh, columns, source=str(path)))
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
-    if not raw:
+    if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-
-    start = 0 if _is_numeric_row(raw[0]) else 1
-    if start == 1 and len(raw) == 1:
-        raise CsvFormatError(f"{path}: header only, no data rows")
-
-    if columns is None:
-        columns = list(range(1, len(raw[start]) + 1))
-
-    rows = []
-    for file_row, record in enumerate(raw[start:], start=start + 1):
-        point = []
-        for col in columns:
-            if not 1 <= col <= len(record):
-                raise CsvFormatError(f"{path}: row {file_row} has no column {col}")
-            try:
-                point.append(_parse_cell(record[col - 1]))
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: non-numeric value {record[col - 1]!r} at row {file_row}, "
-                    f"column {col}"
-                ) from None
-        rows.append(point)
-
     return TimeSeries(np.array(rows), period=period, label=label if label is not None else path.stem)
 
 

@@ -279,3 +279,88 @@ class TestExitCodes:
         )
         assert stdout == ""
         validate(json.loads(out_path.read_text()), "offline")
+
+
+MIN_BUDGET = ["--grid", "100", "--reps", "1000"]
+BUDGET_PARAMS = {"seed": 0, "grid": 100, "reps": 1000, "table": None, "out": None}
+MACD_PARAMS = {"p1": 9, "p2": 12, "p3": 26, "h": 10}
+
+
+class TestEchoedParams:
+    """The full ``params`` echo of each subcommand run with minimal flags."""
+
+    def test_critval(self, run):
+        record = json.loads(run("critval", *MIN_BUDGET))
+        assert record["params"] == {
+            "command": "critval", "kind": "offline", "d": 1, "alpha": 0.05, "gamma": 0.0,
+            "horizon": 10.0, "seed": 0, "grid": 100, "reps": 1000, "build_table": None,
+            "out": None,
+        }
+
+    def test_offline(self, run, flat_csv):
+        record = json.loads(run("offline", "--input", flat_csv, *MIN_BUDGET))
+        assert record["params"] == {
+            "command": "offline", "n": 450, "d": 1, "input": flat_csv, "columns": None,
+            "alpha": 0.05, **BUDGET_PARAMS,
+        }
+
+    def test_segment(self, run, steps_csv):
+        record = json.loads(run("segment", "--input", steps_csv, *MIN_BUDGET))
+        assert record["params"] == {
+            "command": "segment", "n": 300, "d": 1, "input": steps_csv, "columns": None,
+            "alpha": 0.05, "min_seg": 20, **BUDGET_PARAMS,
+        }
+
+    def test_trend(self, run, one_step_csv):
+        record = json.loads(run("trend", "--input", one_step_csv, "--at", "151"))
+        assert record["params"] == {
+            "command": "trend", "input": one_step_csv, "columns": None, "at": 151,
+            "mode": "interval", **MACD_PARAMS, "dim": 1, "out": None,
+        }
+
+    def test_monitor(self, run, flat_csv):
+        out = run("monitor", "--input", flat_csv, *MIN_BUDGET)
+        assert json.loads(out.splitlines()[0])["params"] == {
+            "command": "monitor", "input": flat_csv, "columns": None, "detector": "standard",
+            "alpha": 0.05, "gamma": 0.0, "m": 200, "window": 200, "quiet_gap": 25,
+            "min_seg": 20, **MACD_PARAMS, "trend_dim": 1, **BUDGET_PARAMS,
+            "on_scale_up": None, "on_scale_down": None,
+        }
+
+    def test_simulate(self, run):
+        out = run(
+            "simulate", "--grid", "3x3", "--attackers", "1", "--reps", "1", "--separation", "1",
+            "--m", "150", "--start", "301", "--horizon", "350",
+            "--mc-grid", "100", "--mc-reps", "1000",
+        )
+        assert json.loads(out)["params"] == {
+            "command": "simulate", "grid": "3x3", "attackers": 1, "seed": 0,
+            "mode": "per-node", "reps": 1, "alpha": 0.05, "gamma": 0.0, "m": 150,
+            "block": 50, "start": 301, "horizon": 350, "injection_rate": 3.0, "ticks": 1.0,
+            "baseline": 10.0, "ar": 0.3, "sigma": 1.0, "decay": 0.4, "separation": 1,
+            "cluster_block": 2, "mc_grid": 100, "mc_reps": 1000, "table": None, "out": None,
+            "heatmap": None,
+        }
+
+
+class TestMalformedStdin:
+    @pytest.mark.parametrize(
+        "text, extra, message",
+        [
+            ("a,b\n1,2\n3\n", [], "<stdin>: row 3 has no column 2"),
+            ("value\n1\nnan\n", [], "<stdin>: non-numeric value 'nan' at row 3, column 1"),
+            ("value\n1\n\n2\nabc\n", [], "<stdin>: non-numeric value 'abc' at row 5, column 1"),
+            ("value\n1\n2\n", ["--columns", "3"], "<stdin>: row 2 has no column 3"),
+        ],
+        ids=["short-row", "nan", "abc", "column-out-of-range"],
+    )
+    def test_bad_row_exits_1_naming_row_and_column(
+        self, text, extra, message, capsys, monkeypatch
+    ):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        status = dispatch(["monitor", "--input", "-", *extra, *MIN_BUDGET])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.strip().splitlines() == [f"error: {message}"]

@@ -11,9 +11,6 @@ from cpstream.critvals import (
     TableProvider,
     build_table,
     compute_critval,
-    offline_critval,
-    online_critval_ratio,
-    online_critval_standard,
     replication_stat,
     simulate_brownian_motion,
 )
@@ -85,15 +82,6 @@ class TestRequestValidation:
         req = CritValRequest(kind=CritValKind.ONLINE_RATIO, alpha=0.05)
         assert req.horizon_T == 10.0
 
-    def test_kind_mismatch_rejected_by_wrappers(self):
-        req = CritValRequest(
-            kind=CritValKind.OFFLINE_MAX, alpha=0.05, grid_steps=100, replications=1000
-        )
-        with pytest.raises(ValueError):
-            online_critval_standard(req)
-        with pytest.raises(ValueError):
-            online_critval_ratio(req)
-
 
 class TestOfflineQuantile:
     def test_matches_analytic_bridge_quantile(self, cv_offline_d1):
@@ -150,7 +138,7 @@ class TestOnlineStandardQuantile:
             replications=2000,
             seed=7,
         )
-        assert online_critval_standard(req) == online_critval_standard(req)
+        assert compute_critval(req) == compute_critval(req)
 
 
 class TestOnlineRatioQuantile:
@@ -164,8 +152,8 @@ class TestOnlineRatioQuantile:
             replications=4000,
             horizon_T=10.0,
         )
-        a = online_critval_ratio(CritValRequest(seed=1, **base))
-        b = online_critval_ratio(CritValRequest(seed=2, **base))
+        a = compute_critval(CritValRequest(seed=1, **base))
+        b = compute_critval(CritValRequest(seed=2, **base))
         assert a.value > 0
         assert abs(a.value - b.value) <= 2 * (a.mc_stderr + b.mc_stderr)
 
@@ -179,8 +167,8 @@ class TestOnlineRatioQuantile:
             replications=4000,
             seed=5,
         )
-        t10 = online_critval_ratio(CritValRequest(horizon_T=10.0, **base))
-        t20 = online_critval_ratio(CritValRequest(horizon_T=20.0, **base))
+        t10 = compute_critval(CritValRequest(horizon_T=10.0, **base))
+        t20 = compute_critval(CritValRequest(horizon_T=20.0, **base))
         assert abs(t20.value - t10.value) < 4 * t10.mc_stderr
 
     def test_alpha_ordering(self):
@@ -193,8 +181,8 @@ class TestOnlineRatioQuantile:
             horizon_T=5.0,
             seed=6,
         )
-        v01 = online_critval_ratio(CritValRequest(alpha=0.01, **base)).value
-        v05 = online_critval_ratio(CritValRequest(alpha=0.05, **base)).value
+        v01 = compute_critval(CritValRequest(alpha=0.01, **base)).value
+        v05 = compute_critval(CritValRequest(alpha=0.05, **base)).value
         assert v01 > v05
 
 
@@ -243,7 +231,7 @@ class TestTable:
     def test_lookup_matches_direct_computation(self, tmp_path):
         path = tmp_path / "table.csv"
         table = build_table(path, **self.SMALL)
-        direct = offline_critval(
+        direct = compute_critval(
             CritValRequest(
                 kind=CritValKind.OFFLINE_MAX,
                 alpha=0.05,

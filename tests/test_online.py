@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpstream.errors import DetectorStoppedError
+from cpstream.errors import DetectorStoppedError, NonFiniteSampleError
 from cpstream.online import (
     DetectorKind,
     boundary_weight,
@@ -113,6 +113,17 @@ class TestStep:
         assert state.stopped_at == 1
         with pytest.raises(DetectorStoppedError):
             step(state, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected_without_state_change(self, cv_standard_d1, rng, bad):
+        state = train(TimeSeries(rng.normal(size=50)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
+        step(state, 0.5)
+        before = state.cum_sum_post.copy()
+        with pytest.raises(NonFiniteSampleError):
+            step(state, bad)
+        assert state.k == 1
+        assert np.array_equal(state.cum_sum_post, before)
+        assert not step(state, 0.5).alarm
 
     def test_add_constant_invariance(self, cv_standard_d1, rng):
         base = rng.normal(size=260)
@@ -264,3 +275,12 @@ class TestRunBatch:
             state = train(values[:200], DetectorKind.STANDARD, 0.0, cv_standard_d1)
             runs.append(run_batch(state, values[200:]))
         assert runs[0] == runs[1]
+
+    def test_non_finite_sample_in_block_rejected(self, cv_standard_d1, rng):
+        state = train(TimeSeries(rng.normal(size=60)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
+        block = rng.normal(size=20)
+        block[7] = np.nan
+        with pytest.raises(NonFiniteSampleError, match="k=8"):
+            run_batch(state, block)
+        assert state.k == 0
+        assert np.array_equal(state.cum_sum_post, np.zeros(1))

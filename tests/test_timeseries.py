@@ -7,6 +7,7 @@ from cpstream.errors import CsvFormatError
 from cpstream.timeseries import (
     SeriesSegment,
     TimeSeries,
+    iter_csv,
     load_csv,
     sample_mean,
     save_csv,
@@ -72,6 +73,27 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="row 1"):
             load_csv(write(tmp_path, "inf\n1\n"))
 
+    def test_error_names_physical_line(self, tmp_path):
+        # the blank line 2 is skipped but still counted
+        with pytest.raises(CsvFormatError, match="row 3, column 1"):
+            load_csv(write(tmp_path, "1\n\nabc\n"))
+        with pytest.raises(CsvFormatError, match="row 4 has no column 2"):
+            load_csv(write(tmp_path, "x,y\n1,2\n\n3\n"))
+
+    def test_leading_t_column_skipped_by_default(self, tmp_path):
+        ts = load_csv(write(tmp_path, "t,x1,x2\n1,0.5,7\n2,1.5,8\n"))
+        assert ts.values.tolist() == [[0.5, 7.0], [1.5, 8.0]]
+        ts = load_csv(write(tmp_path, "value,x1\n1,0.5\n"))
+        assert ts.values.tolist() == [[1.0, 0.5]]
+
+
+class TestIterCsv:
+    def test_streams_rows_lazily(self):
+        rows = iter_csv(iter(["t,x\n", "1,2.5\n", "2,oops\n"]))
+        assert next(rows) == [2.5]
+        with pytest.raises(CsvFormatError, match="non-numeric value 'oops' at row 3, column 2"):
+            next(rows)
+
 
 class TestRoundTrip:
     def test_save_then_load_is_bit_exact(self, tmp_path, rng):
@@ -81,6 +103,7 @@ class TestRoundTrip:
         assert out.read_text().splitlines()[0] == "t,x1,x2,x3"
         back = load_csv(out, columns=[2, 3, 4])
         assert np.array_equal(back.values, original.values)
+        assert np.array_equal(load_csv(out).values, original.values)
 
     def test_round_trippable_decimals(self, tmp_path):
         original = TimeSeries(np.array([[0.1], [1e-17], [123456.789]]))
