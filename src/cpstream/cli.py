@@ -9,6 +9,7 @@ configuration is echoed into every report under ``params``. Exit status is
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import shlex
@@ -36,6 +37,10 @@ from .timeseries import TimeSeries, iter_csv, load_csv
 from .trend import MacdParams, trend_interval, trend_point
 
 __all__ = ["dispatch", "main"]
+
+# a quantile with fewer expected simulated statistics above it than this is
+# too noisy to serve silently
+_THIN_TAIL = 10
 
 _CRITVAL_KINDS = {
     "offline": CritValKind.OFFLINE_MAX,
@@ -228,6 +233,7 @@ def _critval_record(cv, params: dict) -> dict:
         "gamma": req.gamma if req.kind.is_online else None,
         "value": cv.value,
         "mc_stderr": cv.mc_stderr,
+        "tail_count": cv.tail_count,
         "params": params,
     }
 
@@ -253,6 +259,12 @@ def _cmd_critval(opts: dict) -> int:
         horizon_T=opts["horizon"],
     )
     cv = provider(_CRITVAL_KINDS[opts["kind"]], opts["d"], opts["alpha"], opts["gamma"])
+    if opts["alpha"] * opts["reps"] < _THIN_TAIL:
+        print(
+            f"warning: thin tail: only {cv.tail_count} of {opts['reps']} simulated statistics "
+            f"lie above the critical value at alpha={opts['alpha']}; raise --reps",
+            file=sys.stderr,
+        )
     _emit(opts["out"], _critval_record(cv, params))
     return 0
 
@@ -347,37 +359,35 @@ def _cmd_monitor(opts: dict) -> int:
         trend_dim=opts["trend_dim"],
     )
     columns = _parse_columns(opts["columns"])
-    sink = open(opts["out"], "w") if opts["out"] else sys.stdout
-
-    def write(record: dict) -> None:
-        sink.write(json.dumps(record, sort_keys=True) + "\n")
-        sink.flush()
-
-    write({"type": "config", "params": {"command": "monitor", **opts}})
-
-    def on_event(event: ChangeEvent) -> None:
-        write(
-            {
-                "type": "event",
-                "index": event.detected_at,
-                "direction": event.direction.value,
-                "action": event.action.value,
-                "ti": event.trend.value,
-                "training": list(event.training_used),
-            }
-        )
-        hook = opts["on_scale_up"] if event.direction.value == "up" else opts["on_scale_down"]
-        _run_hook(hook, event)
-
-    try:
+    with contextlib.ExitStack() as stack:
+        # the input is opened before the report, so a missing file leaves no output
         if opts["input"] == "-":
-            run_monitor(iter_csv(sys.stdin, columns), config, on_event)
+            rows = iter_csv(sys.stdin, columns)
         else:
-            with open(opts["input"], newline="") as fh:
-                run_monitor(iter_csv(fh, columns, source=opts["input"]), config, on_event)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+            fh = stack.enter_context(open(opts["input"], newline=""))
+            rows = iter_csv(fh, columns, source=opts["input"])
+        sink = stack.enter_context(open(opts["out"], "w")) if opts["out"] else sys.stdout
+
+        def write(record: dict) -> None:
+            sink.write(json.dumps(record, sort_keys=True) + "\n")
+            sink.flush()
+
+        def on_event(event: ChangeEvent) -> None:
+            write(
+                {
+                    "type": "event",
+                    "index": event.detected_at,
+                    "direction": event.direction.value,
+                    "action": event.action.value,
+                    "ti": event.trend.value,
+                    "training": list(event.training_used),
+                }
+            )
+            hook = opts["on_scale_up"] if event.direction.value == "up" else opts["on_scale_down"]
+            _run_hook(hook, event)
+
+        write({"type": "config", "params": {"command": "monitor", **opts}})
+        run_monitor(rows, config, on_event)
     return 0
 
 

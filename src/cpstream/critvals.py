@@ -112,11 +112,16 @@ class CritValRequest:
 
 @dataclass(frozen=True)
 class CritVal:
-    """A simulated critical value plus the request that produced it."""
+    """A simulated critical value plus the request that produced it.
+
+    ``tail_count`` is how many simulated statistics lie above ``value``; it
+    is ``None`` for a value loaded from a table, which keeps no sample.
+    """
 
     value: float
     request: CritValRequest
     mc_stderr: float
+    tail_count: int | None = None
 
     def __post_init__(self) -> None:
         if not self.value > 0:
@@ -203,9 +208,8 @@ def replication_stat(request: CritValRequest, rep: int) -> float:
     )
 
 
-def _quantile_and_stderr(values: np.ndarray, p: float) -> tuple[float, float]:
-    """Empirical p-quantile and its order-statistic standard error."""
-    ordered = np.sort(values)
+def _quantile_and_stderr(ordered: np.ndarray, p: float) -> tuple[float, float]:
+    """Empirical p-quantile of a sorted sample and its order-statistic standard error."""
     n = ordered.size
     quantile = float(np.quantile(ordered, p))
     half_width = np.sqrt(n * p * (1.0 - p))
@@ -214,13 +218,41 @@ def _quantile_and_stderr(values: np.ndarray, p: float) -> tuple[float, float]:
     return quantile, float((ordered[hi] - ordered[lo]) / 2.0)
 
 
-def compute_critval(request: CritValRequest) -> CritVal:
-    """Simulate the limiting functional and return its (1 - alpha) quantile."""
-    stats = np.empty(request.replications)
-    for rep in range(request.replications):
-        stats[rep] = replication_stat(request, rep)
-    value, stderr = _quantile_and_stderr(stats, 1.0 - request.alpha)
-    return CritVal(value=value, request=request, mc_stderr=stderr)
+def _sample_key(request: CritValRequest) -> tuple:
+    """The request with alpha factored out: everything its simulated sample depends on."""
+    return (
+        request.kind,
+        request.d,
+        request.gamma,
+        request.grid_steps,
+        request.replications,
+        request.horizon_T,
+        request.seed,
+    )
+
+
+def compute_critval(request: CritValRequest, samples: dict | None = None) -> CritVal:
+    """Simulate the limiting functional and return its (1 - alpha) quantile.
+
+    ``samples`` stores sorted simulated statistics by alpha-free request
+    (see :func:`_sample_key`). Replication r always draws substream
+    (seed, r) and never reads alpha, so every level of one request is a
+    quantile of the same sample: a stored sample is reused, and a missing
+    one is simulated and stored.
+    """
+    key = _sample_key(request)
+    ordered = None if samples is None else samples.get(key)
+    if ordered is None:
+        stats = np.empty(request.replications)
+        for rep in range(request.replications):
+            stats[rep] = replication_stat(request, rep)
+        ordered = np.sort(stats)
+        ordered.flags.writeable = False
+        if samples is not None:
+            samples[key] = ordered
+    value, stderr = _quantile_and_stderr(ordered, 1.0 - request.alpha)
+    tail_count = ordered.size - int(np.searchsorted(ordered, value, side="right"))
+    return CritVal(value=value, request=request, mc_stderr=stderr, tail_count=tail_count)
 
 
 def _key(kind: CritValKind, d: int, alpha: float, gamma: float) -> tuple:
@@ -346,12 +378,9 @@ def build_table(
                     horizon_T=horizon_T if kind is CritValKind.ONLINE_RATIO else None,
                     seed=seed,
                 )
-                stats = np.empty(replications)
-                for rep in range(replications):
-                    stats[rep] = replication_stat(base, rep)
+                samples: dict = {}
                 for alpha in alphas:
-                    value, stderr = _quantile_and_stderr(stats, 1.0 - alpha)
-                    cv = CritVal(value, replace(base, alpha=alpha), stderr)
+                    cv = compute_critval(replace(base, alpha=alpha), samples)
                     table.add(cv)
                     if progress is not None:
                         progress(cv)
@@ -362,13 +391,18 @@ def build_table(
 
 @dataclass
 class MonteCarloProvider:
-    """Critical values computed on demand and memoised for the process lifetime."""
+    """Critical values computed on demand and memoised for the process lifetime.
+
+    Each (kind, d, gamma) is simulated once; every alpha asked for at it is
+    answered from that one stored sample.
+    """
 
     seed: int = 0
     grid_steps: int = DEFAULT_GRID_STEPS
     replications: int = DEFAULT_REPLICATIONS
     horizon_T: float = DEFAULT_HORIZON_T
     _cache: dict = field(default_factory=dict, repr=False)
+    _samples: dict = field(default_factory=dict, repr=False)
 
     def __call__(
         self, kind: CritValKind | str, d: int, alpha: float, gamma: float = 0.0
@@ -386,7 +420,7 @@ class MonteCarloProvider:
                 horizon_T=self.horizon_T if kind is CritValKind.ONLINE_RATIO else None,
                 seed=self.seed,
             )
-            self._cache[key] = compute_critval(request)
+            self._cache[key] = compute_critval(request, self._samples)
         return self._cache[key]
 
 

@@ -136,20 +136,23 @@ def iter_csv(
     Rows are parsed lazily, so an unbounded stream (standard input) works.
     Blank lines are skipped. A single header row is auto-detected: if any
     cell of the first row fails to parse as a number, that row is skipped.
-    ``columns`` selects 1-based column indices (in the given order); ``None``
-    takes every column of the first data row, except that a header of two
-    or more cells whose first cell is ``t`` (the :func:`save_csv` index
-    column) drops column 1.
+    ``columns`` selects 1-based column indices (in the given order); wider
+    rows are allowed. ``None`` takes every column of the first data row,
+    except that a header of two or more cells whose first cell is ``t``
+    (the :func:`save_csv` index column) drops column 1; every later row
+    must then be exactly as wide.
     Missing, non-numeric and non-finite cells are rejected, never imputed.
 
     Raises:
-        CsvFormatError: empty selection, a short row or a bad cell; the
-            message names ``source``, the physical line and the column.
+        CsvFormatError: empty selection, a short or (with implicit columns)
+            a wide row, or a bad cell; the message names ``source``, the
+            physical line and the column or cell count.
     """
     if columns is not None and len(columns) == 0:
         raise CsvFormatError("empty column selection")
     reader = csv.reader(fh)
     first = True
+    width = None  # the fixed row width when the columns are implicit
     for row in reader:
         if not row:
             continue
@@ -158,10 +161,14 @@ def iter_csv(
             if not _is_numeric_row(row):
                 if columns is None and len(row) > 1 and row[0].strip().lower() == "t":
                     columns = range(2, len(row) + 1)
+                    width = len(row)
                 continue
         if columns is None:
             columns = range(1, len(row) + 1)
+            width = len(row)
         line = reader.line_num
+        if width is not None and len(row) > width:
+            raise CsvFormatError(f"{source}: row {line} has {len(row)} cells, expected {width}")
         point = []
         for col in columns:
             if not 1 <= col <= len(row):

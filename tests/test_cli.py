@@ -80,6 +80,27 @@ class TestCritvalCommand:
         validate(record, "critval")
         assert record["gamma"] == 0.25
 
+    def test_tail_count_without_warning(self, capsys):
+        status = dispatch(["critval", "--alpha", "0.05", "--seed", "7", *FAST])
+        captured = capsys.readouterr()
+        assert status == 0
+        assert captured.err == ""
+        record = json.loads(captured.out)
+        validate(record, "critval")
+        # the 0.95 quantile of 2000 statistics lies between order statistics 1900 and 1901
+        assert record["tail_count"] == 100
+
+    def test_thin_tail_warns_with_its_count(self, capsys):
+        # alpha * reps = 5 < 10
+        status = dispatch(["critval", "--alpha", "0.005", "--grid", "100", "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert status == 0
+        record = json.loads(captured.out)
+        validate(record, "critval")
+        assert record["tail_count"] == 5
+        [warning] = captured.err.strip().splitlines()
+        assert warning.startswith("warning: thin tail: only 5 of 1000 simulated statistics")
+
     def test_build_table(self, run, tmp_path):
         table = tmp_path / "table.csv"
         out = run(
@@ -269,6 +290,12 @@ class TestExitCodes:
         run("offline", "--input", "/nonexistent.csv", expect=1)
         run("offline", expect=1)
 
+    def test_missing_monitor_input_writes_nothing(self, run, tmp_path):
+        out_path = tmp_path / "report.jsonl"
+        assert run("monitor", "--input", str(tmp_path / "missing.csv"), expect=1) == ""
+        run("monitor", "--input", str(tmp_path / "missing.csv"), "--out", str(out_path), expect=1)
+        assert not out_path.exists()
+
     def test_bad_column_is_domain_error(self, run, flat_csv):
         run("offline", "--input", flat_csv, "--columns", "9", expect=1)
 
@@ -351,8 +378,9 @@ class TestMalformedStdin:
             ("value\n1\nnan\n", [], "<stdin>: non-numeric value 'nan' at row 3, column 1"),
             ("value\n1\n\n2\nabc\n", [], "<stdin>: non-numeric value 'abc' at row 5, column 1"),
             ("value\n1\n2\n", ["--columns", "3"], "<stdin>: row 2 has no column 3"),
+            ("1\n2,3\n4,5,6\n", [], "<stdin>: row 2 has 2 cells, expected 1"),
         ],
-        ids=["short-row", "nan", "abc", "column-out-of-range"],
+        ids=["short-row", "nan", "abc", "column-out-of-range", "wide-row"],
     )
     def test_bad_row_exits_1_naming_row_and_column(
         self, text, extra, message, capsys, monkeypatch

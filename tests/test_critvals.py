@@ -17,14 +17,15 @@ from cpstream.critvals import (
 from cpstream.errors import NotTabulatedError
 
 
+def sup_abs_bridge_sf(x):
+    """P(sup |B(t)| > x) from the Kolmogorov series 2 sum (-1)^(k-1) exp(-2 k^2 x^2)."""
+    k = np.arange(1, 200)
+    return 2.0 * np.sum((-1.0) ** (k + 1) * np.exp(-2.0 * k**2 * x**2))
+
+
 def sup_abs_bridge_quantile(p):
     """Analytic p-quantile of sup |B(t)| from its alternating series."""
-
-    def sf(x):
-        k = np.arange(1, 200)
-        return 2.0 * np.sum((-1.0) ** (k + 1) * np.exp(-2.0 * k**2 * x**2))
-
-    return optimize.brentq(lambda v: sf(v) - (1.0 - p), 0.2, 4.0, xtol=1e-12)
+    return optimize.brentq(lambda v: sup_abs_bridge_sf(v) - (1.0 - p), 0.2, 4.0, xtol=1e-12)
 
 
 def sup_abs_wiener_quantile(p):
@@ -288,3 +289,60 @@ class TestProviders:
         assert provider(CritValKind.OFFLINE_MAX, 1, 0.05).value > 0
         with pytest.raises(NotTabulatedError):
             provider(CritValKind.OFFLINE_MAX, 1, 0.01)
+
+
+class TestSampleStore:
+    """One simulated sample per alpha-free request serves every level."""
+
+    ALPHAS = (0.10, 0.05, 0.01)
+
+    def test_one_simulation_serves_every_alpha(self, monkeypatch):
+        calls = []
+
+        def counted(request, rep):
+            calls.append(rep)
+            return replication_stat(request, rep)
+
+        monkeypatch.setattr("cpstream.critvals.replication_stat", counted)
+        provider = MonteCarloProvider(seed=5, grid_steps=200, replications=2000)
+        answers = [provider(CritValKind.ONLINE_STANDARD, 2, a, gamma=0.25) for a in self.ALPHAS]
+        assert len(calls) == 2000
+        monkeypatch.undo()
+
+        for alpha, cv in zip(self.ALPHAS, answers):
+            fresh = compute_critval(
+                CritValRequest(
+                    kind=CritValKind.ONLINE_STANDARD, alpha=alpha, d=2, gamma=0.25,
+                    grid_steps=200, replications=2000, seed=5,
+                )
+            )
+            assert cv.value == fresh.value
+            assert cv.mc_stderr == fresh.mc_stderr
+            assert cv.tail_count == fresh.tail_count
+
+    def test_levels_match_kolmogorov_series(self):
+        grid, reps = 1000, 20_000
+        provider = MonteCarloProvider(seed=3, grid_steps=grid, replications=reps)
+        for alpha in self.ALPHAS:
+            cv = provider(CritValKind.OFFLINE_MAX, 1, alpha)
+            # the grid maximum misses the continuous supremum by about
+            # 0.5826 / sqrt(grid) (Broadie, Glasserman & Kou 1997)
+            x = np.sqrt(cv.value) + 0.5826 / np.sqrt(grid)
+            assert abs(sup_abs_bridge_sf(x) - alpha) <= 3 * np.sqrt(alpha * (1 - alpha) / reps)
+            assert cv.tail_count == round(alpha * reps)
+
+    def test_table_matches_cell_by_cell_build(self, tmp_path):
+        params = dict(grid_steps=150, replications=1000, seed=12)
+        build_table(tmp_path / "stored.csv", dims=(1, 2), gammas=(0.0, 0.25), **params)
+        cells = CritValTable()
+        for kind in CritValKind:
+            for d in (1, 2):
+                for gamma in (0.0, 0.25) if kind.is_online else (0.0,):
+                    horizon = 10.0 if kind is CritValKind.ONLINE_RATIO else None
+                    for alpha in (0.01, 0.05, 0.10):
+                        request = CritValRequest(
+                            kind=kind, alpha=alpha, d=d, gamma=gamma, horizon_T=horizon, **params
+                        )
+                        cells.add(compute_critval(request))
+        cells.save(tmp_path / "cells.csv")
+        assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()

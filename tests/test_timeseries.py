@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -79,6 +81,17 @@ class TestLoadCsv:
             load_csv(write(tmp_path, "1\n\nabc\n"))
         with pytest.raises(CsvFormatError, match="row 4 has no column 2"):
             load_csv(write(tmp_path, "x,y\n1,2\n\n3\n"))
+
+    def test_wide_row_rejected_with_implicit_columns(self, tmp_path):
+        path = write(tmp_path, "1\n2,3\n4,5,6\n")
+        message = f"{path}: row 2 has 2 cells, expected 1"
+        with pytest.raises(CsvFormatError, match=re.escape(message)):
+            load_csv(path)
+        # the width of a save_csv header holds for every data row
+        with pytest.raises(CsvFormatError, match="row 3 has 3 cells, expected 2"):
+            load_csv(write(tmp_path, "t,x1\n1,0.5\n2,1.5,9\n", name="indexed.csv"))
+        # an explicit selection still takes what it names from wider rows
+        assert load_csv(path, columns=[1]).values.ravel().tolist() == [1.0, 2.0, 4.0]
 
     def test_leading_t_column_skipped_by_default(self, tmp_path):
         ts = load_csv(write(tmp_path, "t,x1,x2\n1,0.5,7\n2,1.5,8\n"))
