@@ -34,7 +34,6 @@ from .online import (
     Verdict,
     boundary_weight,
     run_batch,
-    run_window,
     step,
     train,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "boundary_weight",
     "train",
     "step",
-    "run_window",
     "run_batch",
     # trend labelling
     "MacdParams",

@@ -332,19 +332,33 @@ def _cmd_trend(opts: dict) -> int:
     return 0
 
 
+def _hook_argv(template: str, index: int, direction: str, action: str, ti: float) -> list[str]:
+    return shlex.split(template.format(index=index, direction=direction, action=action, ti=ti))
+
+
+def _check_hooks(opts: dict) -> None:
+    """Reject a hook template that cannot be formatted or split, before any output."""
+    for flag in ("on_scale_up", "on_scale_down"):
+        where = f"--{flag.replace('_', '-')} {opts[flag]!r}"
+        try:
+            if opts[flag]:
+                _hook_argv(opts[flag], 1, "up", "scale-up", 0.0)
+        except KeyError as exc:
+            fields = "index, direction, action and ti"
+            raise CpstreamError(f"{where}: unknown field {exc}; the fields are {fields}") from None
+        except (IndexError, ValueError) as exc:
+            raise CpstreamError(f"{where}: {exc}") from None
+
+
 def _run_hook(template: str | None, event: ChangeEvent) -> None:
-    if not template:
-        return
-    command = template.format(
-        index=event.detected_at,
-        direction=event.direction.value,
-        action=event.action.value,
-        ti=event.trend.value,
-    )
-    subprocess.run(shlex.split(command), check=False)
+    if template:
+        direction, action = event.direction.value, event.action.value
+        argv = _hook_argv(template, event.detected_at, direction, action, event.trend.value)
+        subprocess.run(argv, check=False)
 
 
 def _cmd_monitor(opts: dict) -> int:
+    _check_hooks(opts)
     provider = _provider(opts)
     config = MonitorConfig(
         critvals=provider,
@@ -396,6 +410,9 @@ def _cmd_simulate(opts: dict) -> int:
         rows, cols = (int(part) for part in opts["grid"].lower().split("x"))
     except ValueError:
         raise CpstreamError(f"--grid must look like 10x10, got {opts['grid']!r}") from None
+    if opts["reps"] < 1:
+        # before the critical value is simulated, which can take a while
+        raise CpstreamError(f"--reps must be at least 1, got {opts['reps']}")
     mode = opts["mode"]
     topology = netsim.grid_topology(
         rows, cols, cluster_block=opts["cluster_block"] if mode == "cluster" else None

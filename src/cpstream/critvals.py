@@ -142,11 +142,8 @@ def simulate_brownian_motion(grid_steps: int, seed: int) -> np.ndarray:
     """
     if grid_steps < 1:
         raise ValueError("grid_steps must be at least 1")
-    rng = substream(seed, 0)
-    path = np.empty(grid_steps + 1)
-    path[0] = 0.0
-    np.cumsum(rng.standard_normal(grid_steps) / np.sqrt(grid_steps), out=path[1:])
-    return path
+    w = _wiener_paths(substream(seed, 0), 1, grid_steps, 1.0 / grid_steps)
+    return np.concatenate(([0.0], w[0]))
 
 
 def _wiener_paths(rng: np.random.Generator, d: int, steps: int, step_var: float) -> np.ndarray:

@@ -516,6 +516,8 @@ def run_experiment(
     after the attack start; earlier alarms are false alarms and show up in
     ``alarm_fraction`` instead.
     """
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications}")
     n = topology.n_nodes
     detect_counts = np.zeros(n)
     alarm_counts = np.zeros(n)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "ratio_boundary_weight",
     "train",
     "step",
-    "run_window",
     "run_batch",
 ]
 
@@ -111,17 +109,28 @@ class OnlineDetectorState:
         return self.stopped_at is not None
 
 
-def boundary_weight(m: int, k: int | np.ndarray, gamma: float) -> float | np.ndarray:
-    """Threshold weight g(m, k) = sqrt(m) (1 + k/m) (k / (k + m))^gamma."""
+def _boundary(kind: DetectorKind, m: int, k, gamma: float):
+    """Unchecked boundary at count(s) k: g(m, k), or g(m, k)^2 / m for the ratio detector."""
+    # np.power rather than **: a scalar k then rounds exactly like one
+    # element of an array of ks
+    g = math.sqrt(m) * (1.0 + k / m) * np.power(k / (k + m), gamma)
+    return g if kind is DetectorKind.STANDARD else g * g / m
+
+
+def _checked_boundary(kind: DetectorKind, m: int, k, gamma: float) -> float | np.ndarray:
     if m < 1:
         raise ValueError("training length m must be at least 1")
     if np.any(np.asarray(k) < 1):
         raise ValueError("monitored count k must be at least 1")
     if not 0.0 <= gamma < 0.5:
         raise ValueError(f"gamma must lie in [0, 0.5), got {gamma}")
-    k = np.asarray(k, dtype=float)
-    out = np.sqrt(m) * (1.0 + k / m) * (k / (k + m)) ** gamma
-    return float(out) if out.ndim == 0 else out
+    out = _boundary(kind, m, np.asarray(k, dtype=float), gamma)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def boundary_weight(m: int, k: int | np.ndarray, gamma: float) -> float | np.ndarray:
+    """Threshold weight g(m, k) = sqrt(m) (1 + k/m) (k / (k + m))^gamma."""
+    return _checked_boundary(DetectorKind.STANDARD, m, k, gamma)
 
 
 def ratio_boundary_weight(m: int, k: int | np.ndarray, gamma: float) -> float | np.ndarray:
@@ -130,8 +139,7 @@ def ratio_boundary_weight(m: int, k: int | np.ndarray, gamma: float) -> float | 
     The ratio statistic is self-normalised and does not grow with m, so the
     sqrt(m) factor of the standard weight drops out of its boundary.
     """
-    g = boundary_weight(m, k, gamma)
-    return g * g / m
+    return _checked_boundary(DetectorKind.RATIO, m, k, gamma)
 
 
 def train(
@@ -191,11 +199,42 @@ def train(
     )
 
 
-def _as_sample(state: OnlineDetectorState, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float).reshape(-1)
-    if arr.shape[0] != state.dim:
-        raise ValueError(f"sample has dimension {arr.shape[0]}, detector expects {state.dim}")
-    return arr
+def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrix @ v for every v along the last axis of ``vectors``."""
+    # products and one reduction, not matmul: BLAS sums one vector and a
+    # block of them in different orders, and step and run_batch must agree
+    return (vectors[..., None, :] * matrix).sum(axis=-1)
+
+
+def _evaluate(state: OnlineDetectorState, ks, running: np.ndarray):
+    """Detector values and thresholds after ``ks`` monitored samples summing to ``running``.
+
+    The one place both statistics are written. A count k with a (d,) running
+    sum gives scalars; an (n,) vector of counts with an (n, d) block of
+    running sums gives (n,) arrays. Training already validated m and gamma.
+    """
+    m = state.m
+    thresholds = state.critval.value * _boundary(state.kind, m, ks, state.gamma)
+    if state.kind is DetectorKind.STANDARD:
+        # (k * sum) / m rather than (k / m) * sum: cancels exactly when the
+        # monitored stream sits at the training mean
+        numerators = running - np.multiply.outer(ks, state.training_sum) / m
+        values = np.abs(_apply(state.omega_inv_sqrt, numerators)).sum(axis=-1)
+    else:
+        deviations = running / np.asarray(ks)[..., None] - state.training_mean
+        quad = (_apply(state.ratio_denominator_inv, deviations) * deviations).sum(axis=-1)
+        values = ks**2 / m * quad
+    return values, thresholds
+
+
+def _verdict(state: OnlineDetectorState, value, threshold) -> Verdict:
+    """The verdict at the state's current k; an alarm stops the detector."""
+    alarm = bool(value >= threshold)
+    if alarm:
+        state.stopped_at = state.k
+    return Verdict(
+        alarm=alarm, detector_value=float(value), threshold=float(threshold), k_at_eval=state.k
+    )
 
 
 def step(state: OnlineDetectorState, x) -> Verdict:
@@ -206,57 +245,15 @@ def step(state: OnlineDetectorState, x) -> Verdict:
     """
     if state.stopped:
         raise DetectorStoppedError(f"detector already alarmed at k={state.stopped_at}")
-    sample = _as_sample(state, x)
+    sample = np.asarray(x, dtype=float).reshape(-1)
+    if sample.shape[0] != state.dim:
+        raise ValueError(f"sample has dimension {sample.shape[0]}, detector expects {state.dim}")
     # math.isfinite over a list costs a fraction of one numpy call
     if not all(map(math.isfinite, sample.tolist())):
         raise NonFiniteSampleError(f"non-finite sample {sample.tolist()} at k={state.k + 1}")
     state.k += 1
     state.cum_sum_post = state.cum_sum_post + sample
-    k, m = state.k, state.m
-    if state.kind is DetectorKind.STANDARD:
-        # (k * sum) / m rather than (k / m) * sum: cancels exactly when the
-        # monitored stream sits at the training mean
-        numerator = state.cum_sum_post - (k * state.training_sum) / m
-        value = float(np.sum(np.abs(state.omega_inv_sqrt @ numerator)))
-        threshold = state.critval.value * boundary_weight(m, k, state.gamma)
-    else:
-        deviation = state.cum_sum_post / k - state.training_mean
-        value = float(k**2 / m * (deviation @ state.ratio_denominator_inv @ deviation))
-        threshold = state.critval.value * ratio_boundary_weight(m, k, state.gamma)
-    alarm = value >= threshold
-    if alarm:
-        state.stopped_at = k
-    return Verdict(alarm=alarm, detector_value=value, threshold=threshold, k_at_eval=k)
-
-
-def run_window(
-    state: OnlineDetectorState,
-    stream: Iterable,
-    window_k: int | None,
-) -> tuple[Verdict, int]:
-    """Drive :func:`step` over at most window_k samples, stopping on alarm.
-
-    ``window_k = None`` monitors until the stream ends. Returns the last
-    verdict and the number of samples consumed; a stream that yields nothing
-    is an error.
-    """
-    if window_k is not None and window_k < 1:
-        raise ValueError("window_k must be positive")
-    verdict: Verdict | None = None
-    consumed = 0
-    iterator: Iterator = iter(stream)
-    while window_k is None or consumed < window_k:
-        try:
-            x = next(iterator)
-        except StopIteration:
-            break
-        verdict = step(state, x)
-        consumed += 1
-        if verdict.alarm:
-            break
-    if verdict is None:
-        raise ValueError("stream yielded no samples")
-    return verdict, consumed
+    return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
 
 
 def run_batch(
@@ -264,12 +261,14 @@ def run_batch(
     samples: np.ndarray,
     window_k: int | None = None,
 ) -> tuple[Verdict, int]:
-    """Vectorised equivalent of :func:`run_window` over a sample block.
+    """Feed a block of samples to the detector, stopping at the first alarm.
 
-    Consumes samples up to the first alarm (or the window bound) and leaves
-    the state exactly as the equivalent sequence of :func:`step` calls would.
-    A block holding a NaN or infinite sample raises
-    :class:`NonFiniteSampleError` and leaves the state unchanged.
+    Consumes samples up to the first alarm, or at most ``window_k`` of them
+    (``None``: the whole block), and returns the last verdict with the
+    number consumed. The state ends exactly as the same sequence of
+    :func:`step` calls would leave it. An empty block is an error; a block
+    holding a NaN or infinite sample raises :class:`NonFiniteSampleError`
+    and leaves the state unchanged.
     """
     if state.stopped:
         raise DetectorStoppedError(f"detector already alarmed at k={state.stopped_at}")
@@ -290,31 +289,12 @@ def run_batch(
             f"non-finite sample {block[row].tolist()} at k={state.k + row + 1}"
         )
 
-    m = state.m
     ks = np.arange(state.k + 1, state.k + block.shape[0] + 1, dtype=float)
     # prepend the running sum so the cumulative addition order matches step
     running = np.cumsum(np.vstack([state.cum_sum_post, block]), axis=0)[1:]
-    if state.kind is DetectorKind.STANDARD:
-        numerators = running - np.outer(ks, state.training_sum) / m
-        values = np.sum(np.abs(numerators @ state.omega_inv_sqrt), axis=1)
-        thresholds = state.critval.value * boundary_weight(m, ks, state.gamma)
-    else:
-        deviations = running / ks.reshape(-1, 1) - state.training_mean
-        quad = np.einsum("ij,jk,ik->i", deviations, state.ratio_denominator_inv, deviations)
-        values = ks**2 / m * quad
-        thresholds = state.critval.value * ratio_boundary_weight(m, ks, state.gamma)
-
+    values, thresholds = _evaluate(state, ks, running)
     alarms = values >= thresholds
-    hit = int(np.argmax(alarms)) if alarms.any() else None
-    consumed = hit + 1 if hit is not None else block.shape[0]
+    consumed = int(np.argmax(alarms)) + 1 if alarms.any() else block.shape[0]
     state.k += consumed
     state.cum_sum_post = running[consumed - 1]
-    if hit is not None:
-        state.stopped_at = state.k
-    verdict = Verdict(
-        alarm=hit is not None,
-        detector_value=float(values[consumed - 1]),
-        threshold=float(thresholds[consumed - 1]),
-        k_at_eval=state.k,
-    )
-    return verdict, consumed
+    return _verdict(state, values[consumed - 1], thresholds[consumed - 1]), consumed

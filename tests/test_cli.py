@@ -222,6 +222,16 @@ class TestMonitorCommand:
         assert params["alpha"] == 0.05  # flag wins
         assert params["window"] == 100
 
+    @pytest.mark.parametrize("flag", ["--on-scale-up", "--on-scale-down"])
+    @pytest.mark.parametrize("template", ["echo {nope}", "echo 'unbalanced"])
+    def test_bad_hook_template_fails_before_output(self, capsys, flat_csv, flag, template):
+        status = dispatch(["monitor", "--input", flat_csv, flag, template, *FAST])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_unknown_config_key_rejected(self, run, flat_csv, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")
@@ -262,6 +272,15 @@ class TestSimulateCommand:
 
     def test_bad_grid_spec(self, run):
         run("simulate", "--grid", "10by10", expect=1)
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_nonpositive_reps_rejected(self, capsys, reps):
+        argv = ["simulate", "--grid", "3x3", "--attackers", "1", "--reps", reps,
+                "--mc-grid", "300", "--mc-reps", "2000"]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --reps must be at least 1")
 
 
 class TestExitCodes:

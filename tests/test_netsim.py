@@ -262,3 +262,8 @@ class TestDeterminism:
         a = run_experiment(topo10, scenario10, SETTINGS, cv_standard_d1, replications=3, seed=9)
         b = run_experiment(topo10, scenario10, SETTINGS, cv_standard_d1, replications=3, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("reps", [0, -2])
+    def test_nonpositive_replications_rejected(self, topo10, scenario10, cv_standard_d1, reps):
+        with pytest.raises(ValueError, match="replications must be at least 1"):
+            run_experiment(topo10, scenario10, SETTINGS, cv_standard_d1, replications=reps)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from cpstream.critvals import CritValKind, CritValRequest, compute_critval
 from cpstream.errors import DetectorStoppedError, NonFiniteSampleError
 from cpstream.online import (
     DetectorKind,
     boundary_weight,
     ratio_boundary_weight,
     run_batch,
-    run_window,
     step,
     train,
 )
@@ -145,7 +145,6 @@ class TestStep:
             assert v2.detector_value == pytest.approx(v1.detector_value, rel=1e-8)
 
     def test_multivariate_value_is_l1_aggregate(self, rng):
-        from cpstream.critvals import CritValKind, CritValRequest, compute_critval
         from cpstream.longrun import bartlett_bandwidth, bartlett_lrv, inverse_sqrt
 
         cv = compute_critval(
@@ -180,11 +179,11 @@ class TestStep:
             assert running == pytest.approx(brute, rel=1e-12, abs=1e-12)
 
 
-class TestRunWindow:
+class TestRunBatch:
     def test_early_stop_consumed_count(self, cv_standard_d1, rng):
         state = train(TimeSeries(rng.normal(size=100)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
         stream = [0.0] * 9 + [1e6] + [0.0] * 40
-        verdict, consumed = run_window(state, stream, 50)
+        verdict, consumed = run_batch(state, stream, 50)
         assert verdict.alarm
         assert consumed == 10
         assert state.stopped_at == 10
@@ -192,14 +191,14 @@ class TestRunWindow:
     def test_quiet_window_consumes_all(self, cv_standard_d1):
         prefix = TimeSeries(np.tile([0.0, 2.0], 10))
         state = train(prefix, DetectorKind.STANDARD, 0.0, cv_standard_d1)
-        verdict, consumed = run_window(state, iter([1.0] * 80), 50)
+        verdict, consumed = run_batch(state, np.full(80, 1.0), 50)
         assert consumed == 50
         assert not verdict.alarm
 
     def test_empty_stream_rejected(self, cv_standard_d1, rng):
         state = train(TimeSeries(rng.normal(size=20)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
         with pytest.raises(ValueError, match="no samples"):
-            run_window(state, iter([]), 10)
+            run_batch(state, np.array([]), 10)
 
     def test_power_smoke(self, cv_standard_d1):
         # 5-sigma shift right after training alarms within a few samples
@@ -208,12 +207,10 @@ class TestRunWindow:
             x = gen.standard_normal(240)
             x[200:] += 5.0
             state = train(x[:200], DetectorKind.STANDARD, 0.0, cv_standard_d1)
-            verdict, consumed = run_window(state, x[200:], 40)
+            verdict, consumed = run_batch(state, x[200:], 40)
             assert verdict.alarm
             assert consumed <= 40
 
-
-class TestRunBatch:
     def test_matches_step_by_step_standard(self, cv_standard_d1, rng):
         values = rng.normal(size=300)
         values[250:] += 2.0
@@ -233,8 +230,6 @@ class TestRunBatch:
         assert np.array_equal(bat_state.cum_sum_post, seq_state.cum_sum_post)
 
     def test_matches_step_by_step_ratio_multidim(self, cv_ratio_d1, rng):
-        from cpstream.critvals import CritValKind, CritValRequest, compute_critval
-
         cv = compute_critval(
             CritValRequest(
                 kind=CritValKind.ONLINE_RATIO,
@@ -259,8 +254,8 @@ class TestRunBatch:
                 break
         verdict, consumed = run_batch(bat_state, values[100:])
         assert consumed == len(seq)
-        assert verdict.alarm == seq[-1].alarm
-        assert verdict.detector_value == pytest.approx(seq[-1].detector_value, rel=1e-12)
+        assert verdict == seq[-1]
+        assert np.array_equal(bat_state.cum_sum_post, seq_state.cum_sum_post)
 
     def test_window_bound_respected(self, cv_standard_d1, rng):
         state = train(TimeSeries(rng.normal(size=60)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
@@ -284,3 +279,41 @@ class TestRunBatch:
             run_batch(state, block)
         assert state.k == 0
         assert np.array_equal(state.cum_sum_post, np.zeros(1))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.25])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(DetectorKind))
+def test_step_and_run_batch_agree_exactly(kind, d, gamma):
+    """step and run_batch evaluate one kernel, so they agree bit for bit."""
+    cv = compute_critval(
+        CritValRequest(
+            kind=kind.critval_kind,
+            alpha=0.05,
+            d=d,
+            gamma=gamma,
+            grid_steps=100,
+            replications=1000,
+            seed=0,
+        )
+    )
+    values = substream(d, 12).standard_normal((200, d))
+    values[140:] += 3.0
+    prefix, monitored = values[:100], values[100:]
+
+    seq_state = train(prefix, kind, gamma, cv)
+    seq = []
+    for x in monitored:
+        seq.append(step(seq_state, x))
+        if seq[-1].alarm:
+            break
+    assert seq[-1].alarm
+
+    bat_state = train(prefix, kind, gamma, cv)
+    verdict, consumed = run_batch(bat_state, monitored)
+    assert (verdict, consumed) == (seq[-1], len(seq))
+    assert (bat_state.k, bat_state.stopped_at) == (seq_state.k, seq_state.stopped_at)
+    assert np.array_equal(bat_state.cum_sum_post, seq_state.cum_sum_post)
+    # every intermediate verdict is the last row of a block ending there
+    for n, expected in enumerate(seq[:-1], start=1):
+        assert run_batch(train(prefix, kind, gamma, cv), monitored[:n]) == (expected, n)
