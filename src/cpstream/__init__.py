@@ -10,9 +10,7 @@ from .critvals import (
     CritVal,
     CritValKind,
     CritValRequest,
-    CritValTable,
     MonteCarloProvider,
-    TableProvider,
     build_table,
     compute_critval,
     simulate_brownian_motion,
@@ -23,7 +21,6 @@ from .errors import (
     DetectorStoppedError,
     InsufficientTrainingError,
     NonFiniteSampleError,
-    NotTabulatedError,
 )
 from .longrun import LongRunCov, autocov, bartlett_bandwidth, bartlett_lrv
 from .monitor import Action, ChangeEvent, MonitorConfig, run_monitor, select_training
@@ -69,9 +66,7 @@ __all__ = [
     "CritValKind",
     "CritValRequest",
     "CritVal",
-    "CritValTable",
     "MonteCarloProvider",
-    "TableProvider",
     "simulate_brownian_motion",
     "compute_critval",
     "build_table",
@@ -108,7 +103,6 @@ __all__ = [
     # errors
     "CpstreamError",
     "CsvFormatError",
-    "NotTabulatedError",
     "InsufficientTrainingError",
     "DetectorStoppedError",
     "NonFiniteSampleError",

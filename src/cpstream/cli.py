@@ -27,9 +27,8 @@ from .critvals import (
     DEFAULT_REPLICATIONS,
     CritValKind,
     MonteCarloProvider,
-    TableProvider,
 )
-from .errors import CpstreamError, NotTabulatedError
+from .errors import CpstreamError
 from .monitor import ChangeEvent, MonitorConfig, run_monitor
 from .offline import DEFAULT_MIN_SEG, offline_test, segment
 from .online import DetectorKind
@@ -63,7 +62,7 @@ def _add_budget(p: argparse.ArgumentParser, table: bool = True) -> None:
     p.add_argument("--reps", type=int, default=DEFAULT_REPLICATIONS,
                    help="Monte Carlo replications")
     if table:
-        p.add_argument("--table", help="critical-value table CSV to use instead of simulating")
+        p.add_argument("--table", help="critical-value table CSV; keys not in it are simulated")
 
 
 def _add_macd(p: argparse.ArgumentParser) -> None:
@@ -161,7 +160,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="critical-value simulation grid")
     p.add_argument("--mc-reps", type=int, default=DEFAULT_REPLICATIONS,
                    help="critical-value simulation replications")
-    p.add_argument("--table")
+    p.add_argument("--table", help="critical-value table CSV; keys not in it are simulated")
     p.add_argument("--heatmap", help="write the detection-probability grid to this CSV")
 
     return parser, sub.choices
@@ -204,24 +203,26 @@ def _load_series(opts: dict) -> TimeSeries:
     return load_csv(opts["input"], _parse_columns(opts["columns"]))
 
 
-def _provider(opts: dict, grid_key: str = "grid", reps_key: str = "reps"):
-    simulate = MonteCarloProvider(
-        seed=opts["seed"], grid_steps=opts[grid_key], replications=opts[reps_key]
+def _provider(
+    opts: dict,
+    grid_key: str = "grid",
+    reps_key: str = "reps",
+    horizon_T: float = DEFAULT_HORIZON_T,
+) -> MonteCarloProvider:
+    """The command's critical-value provider.
+
+    Keys tabulated in ``--table`` are served as stored; every other key (for
+    example segmentation's length-dependent validation level) is simulated
+    at the command's budget. ``horizon_T`` is the ratio horizon T, which
+    only ``critval --horizon`` sets: ``simulate --horizon`` is a trace length.
+    """
+    return MonteCarloProvider(
+        seed=opts["seed"],
+        grid_steps=opts[grid_key],
+        replications=opts[reps_key],
+        horizon_T=horizon_T,
+        table=opts.get("table"),
     )
-    if not opts["table"]:
-        return simulate
-    table = TableProvider.from_file(opts["table"])
-
-    # serve tabulated keys from the file; simulate the rest (segmentation
-    # validation levels depend on the series length and cannot be tabulated
-    # ahead of time)
-    def provide(kind, d, alpha, gamma=0.0):
-        try:
-            return table(kind, d, alpha, gamma)
-        except NotTabulatedError:
-            return simulate(kind, d, alpha, gamma)
-
-    return provide
 
 
 def _critval_record(cv, params: dict) -> dict:
@@ -252,12 +253,7 @@ def _cmd_critval(opts: dict) -> int:
         )
         _emit(opts["out"], *records)
         return 0
-    provider = MonteCarloProvider(
-        seed=opts["seed"],
-        grid_steps=opts["grid"],
-        replications=opts["reps"],
-        horizon_T=opts["horizon"],
-    )
+    provider = _provider(opts, horizon_T=opts["horizon"])
     cv = provider(_CRITVAL_KINDS[opts["kind"]], opts["d"], opts["alpha"], opts["gamma"])
     if opts["alpha"] * opts["reps"] < _THIN_TAIL:
         print(
@@ -291,12 +287,8 @@ def _cmd_segment(opts: dict) -> int:
     series = _load_series(opts)
     alpha = opts["alpha"]
     provider = _provider(opts)
-
-    def offline_cv(d: int, level: float):
-        return provider(CritValKind.OFFLINE_MAX, d, level)
-
-    result = segment(series, alpha, offline_cv, min_seg=opts["min_seg"])
-    full = offline_test(series, alpha, offline_cv(series.dim, alpha))
+    result = segment(series, alpha, provider, min_seg=opts["min_seg"])
+    full = offline_test(series, alpha, provider(CritValKind.OFFLINE_MAX, series.dim, alpha))
     record = {
         "statistic": full.statistic_m,
         "cps": list(result.cps),
@@ -359,9 +351,8 @@ def _run_hook(template: str | None, event: ChangeEvent) -> None:
 
 def _cmd_monitor(opts: dict) -> int:
     _check_hooks(opts)
-    provider = _provider(opts)
     config = MonitorConfig(
-        critvals=provider,
+        critvals=_provider(opts),
         alpha=opts["alpha"],
         gamma=opts["gamma"],
         detector=DetectorKind(opts["detector"]),

@@ -21,14 +21,14 @@ replications are scheduled or parallelised.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NotTabulatedError
+from .errors import CsvFormatError
 from .longrun import inverse as _reg_inverse
 from .rng import substream
 
@@ -41,9 +41,7 @@ __all__ = [
     "replication_stat",
     "compute_critval",
     "build_table",
-    "CritValTable",
     "MonteCarloProvider",
-    "TableProvider",
     "DEFAULT_GRID_STEPS",
     "DEFAULT_REPLICATIONS",
     "DEFAULT_HORIZON_T",
@@ -128,8 +126,8 @@ class CritVal:
             raise ValueError("critical value must be positive")
 
 
-# A provider maps (kind, d, alpha, gamma) to a critical value; both the
-# Monte-Carlo and the table-backed implementations below satisfy it.
+# A provider maps (kind, d, alpha, gamma) to a critical value;
+# MonteCarloProvider below is the package's one implementation.
 CritValProvider = Callable[..., CritVal]
 
 
@@ -258,139 +256,71 @@ def _key(kind: CritValKind, d: int, alpha: float, gamma: float) -> tuple:
     return (CritValKind(kind).value, int(d), g, float(alpha))
 
 
-class CritValTable:
-    """Exact-key store of precomputed critical values.
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise ValueError("critical value must be positive")
+    return value
 
-    Lookups never interpolate: a key that was not simulated raises
-    :class:`NotTabulatedError`.
+
+# a table file's columns in file order, each with the parser of its cells
+_TABLE_COLUMNS = {
+    "kind": CritValKind,
+    "d": int,
+    "gamma": lambda text: float(text) if text else 0.0,
+    "alpha": float,
+    "grid_steps": int,
+    "replications": int,
+    "horizon_T": lambda text: float(text) if text else None,
+    "seed": int,
+    "value": _positive,
+    "mc_stderr": float,
+}
+
+
+def _read_table(path: str | Path) -> Iterator[CritVal]:
+    """The critical values stored in a table file, one per row.
+
+    Raises:
+        CsvFormatError: a missing column or a cell that does not parse; the
+            message names the file, the row (the physical line number) and
+            the column.
     """
-
-    _COLUMNS = (
-        "kind",
-        "d",
-        "gamma",
-        "alpha",
-        "grid_steps",
-        "replications",
-        "horizon_T",
-        "seed",
-        "value",
-        "mc_stderr",
-    )
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, CritVal] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def add(self, critval: CritVal) -> None:
-        req = critval.request
-        self._entries[_key(req.kind, req.d, req.alpha, req.gamma)] = critval
-
-    def lookup(self, kind: CritValKind | str, d: int, alpha: float, gamma: float = 0.0) -> CritVal:
-        key = _key(CritValKind(kind), d, alpha, gamma)
-        try:
-            return self._entries[key]
-        except KeyError:
-            raise NotTabulatedError(
-                f"critical value not tabulated for kind={key[0]} d={d} "
-                f"alpha={alpha} gamma={gamma}"
-            ) from None
-
-    def save(self, path: str | Path) -> None:
-        rows = sorted(self._entries.items())
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self._COLUMNS)
-            for _, cv in rows:
-                req = cv.request
-                offline = req.kind is CritValKind.OFFLINE_MAX
-                writer.writerow(
-                    [
-                        req.kind.value,
-                        req.d,
-                        "" if offline else repr(req.gamma),
-                        repr(req.alpha),
-                        req.grid_steps,
-                        req.replications,
-                        "" if req.horizon_T is None else repr(req.horizon_T),
-                        req.seed,
-                        repr(cv.value),
-                        repr(cv.mc_stderr),
-                    ]
-                )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CritValTable":
-        table = cls()
-        with Path(path).open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                kind = CritValKind(row["kind"])
-                request = CritValRequest(
-                    kind=kind,
-                    alpha=float(row["alpha"]),
-                    d=int(row["d"]),
-                    gamma=float(row["gamma"]) if row["gamma"] else 0.0,
-                    grid_steps=int(row["grid_steps"]),
-                    replications=int(row["replications"]),
-                    horizon_T=float(row["horizon_T"]) if row["horizon_T"] else None,
-                    seed=int(row["seed"]),
-                )
-                table.add(CritVal(float(row["value"]), request, float(row["mc_stderr"])))
-        return table
-
-
-def build_table(
-    path: str | Path | None = None,
-    kinds: Iterable[CritValKind | str] = tuple(CritValKind),
-    dims: Sequence[int] = TABLE_DIMS,
-    alphas: Sequence[float] = TABLE_ALPHAS,
-    gammas: Sequence[float] = TABLE_GAMMAS,
-    grid_steps: int = DEFAULT_GRID_STEPS,
-    replications: int = DEFAULT_REPLICATIONS,
-    horizon_T: float = DEFAULT_HORIZON_T,
-    seed: int = 0,
-    progress: Callable[[CritVal], None] | None = None,
-) -> CritValTable:
-    """Simulate every (kind, d, gamma, alpha) cell and optionally persist the table.
-
-    Cells that differ only in alpha share the same simulated sample, so the
-    tabulated quantiles are monotone in alpha by construction. Rebuilding
-    with the same arguments writes a byte-identical file.
-    """
-    table = CritValTable()
-    for kind in (CritValKind(k) for k in kinds):
-        kind_gammas = gammas if kind.is_online else (0.0,)
-        for d in dims:
-            for gamma in kind_gammas:
-                base = CritValRequest(
-                    kind=kind,
-                    alpha=alphas[0],
-                    d=d,
-                    gamma=gamma,
-                    grid_steps=grid_steps,
-                    replications=replications,
-                    horizon_T=horizon_T if kind is CritValKind.ONLINE_RATIO else None,
-                    seed=seed,
-                )
-                samples: dict = {}
-                for alpha in alphas:
-                    cv = compute_critval(replace(base, alpha=alpha), samples)
-                    table.add(cv)
-                    if progress is not None:
-                        progress(cv)
-    if path is not None:
-        table.save(path)
-    return table
+    with Path(path).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise CsvFormatError(f"{path}: empty table file")
+        for name in _TABLE_COLUMNS:
+            if name not in reader.fieldnames:
+                raise CsvFormatError(f"{path}: row {reader.line_num} has no column {name!r}")
+        for row in reader:
+            line = reader.line_num
+            cells = {}
+            for name, parse in _TABLE_COLUMNS.items():
+                if row[name] is None:
+                    raise CsvFormatError(f"{path}: row {line} has no column {name!r}")
+                try:
+                    cells[name] = parse(row[name])
+                except ValueError as exc:
+                    raise CsvFormatError(f"{path}: row {line}, column {name!r}: {exc}") from None
+            value, stderr = cells.pop("value"), cells.pop("mc_stderr")
+            try:
+                request = CritValRequest(**cells)
+            except ValueError as exc:
+                raise CsvFormatError(f"{path}: row {line}: {exc}") from None
+            yield CritVal(value, request, stderr)
 
 
 @dataclass
 class MonteCarloProvider:
     """Critical values computed on demand and memoised for the process lifetime.
 
-    Each (kind, d, gamma) is simulated once; every alpha asked for at it is
+    The memo ``_cache`` holds one critical value per (kind, d, gamma, alpha)
+    key, and a table file is that memo on disk: :meth:`save` writes it, and
+    ``table`` loads such a file into it before anything is simulated. A key
+    found there is served as stored, at the budget and seed it was built
+    with; every other key is simulated at this provider's budget. Each
+    (kind, d, gamma) is simulated once; every alpha asked for at it is
     answered from that one stored sample.
     """
 
@@ -398,8 +328,15 @@ class MonteCarloProvider:
     grid_steps: int = DEFAULT_GRID_STEPS
     replications: int = DEFAULT_REPLICATIONS
     horizon_T: float = DEFAULT_HORIZON_T
+    table: InitVar[str | Path | None] = None
     _cache: dict = field(default_factory=dict, repr=False)
     _samples: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self, table: str | Path | None) -> None:
+        if table is not None:
+            for cv in _read_table(table):
+                req = cv.request
+                self._cache[_key(req.kind, req.d, req.alpha, req.gamma)] = cv
 
     def __call__(
         self, kind: CritValKind | str, d: int, alpha: float, gamma: float = 0.0
@@ -420,18 +357,59 @@ class MonteCarloProvider:
             self._cache[key] = compute_critval(request, self._samples)
         return self._cache[key]
 
+    def save(self, path: str | Path) -> None:
+        """Write the memo as a table file, one row per key in key order."""
+        with Path(path).open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(_TABLE_COLUMNS)
+            for _, cv in sorted(self._cache.items()):
+                req = cv.request
+                writer.writerow(
+                    [
+                        req.kind.value,
+                        req.d,
+                        repr(req.gamma) if req.kind.is_online else "",
+                        repr(req.alpha),
+                        req.grid_steps,
+                        req.replications,
+                        "" if req.horizon_T is None else repr(req.horizon_T),
+                        req.seed,
+                        repr(cv.value),
+                        repr(cv.mc_stderr),
+                    ]
+                )
 
-@dataclass
-class TableProvider:
-    """Critical values served from a precomputed table; never simulates."""
 
-    table: CritValTable
+def build_table(
+    path: str | Path | None = None,
+    kinds: Iterable[CritValKind | str] = tuple(CritValKind),
+    dims: Sequence[int] = TABLE_DIMS,
+    alphas: Sequence[float] = TABLE_ALPHAS,
+    gammas: Sequence[float] = TABLE_GAMMAS,
+    grid_steps: int = DEFAULT_GRID_STEPS,
+    replications: int = DEFAULT_REPLICATIONS,
+    horizon_T: float = DEFAULT_HORIZON_T,
+    seed: int = 0,
+    progress: Callable[[CritVal], None] | None = None,
+) -> MonteCarloProvider:
+    """Fill one provider with every (kind, d, gamma, alpha) cell and optionally save it.
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "TableProvider":
-        return cls(CritValTable.load(path))
-
-    def __call__(
-        self, kind: CritValKind | str, d: int, alpha: float, gamma: float = 0.0
-    ) -> CritVal:
-        return self.table.lookup(kind, d, alpha, gamma)
+    Cells that differ only in alpha share one simulated sample, so the
+    tabulated quantiles are monotone in alpha by construction. That sample
+    is dropped once its alphas are served, so one is alive at a time.
+    Rebuilding with the same arguments writes a byte-identical file.
+    """
+    provider = MonteCarloProvider(
+        seed=seed, grid_steps=grid_steps, replications=replications, horizon_T=horizon_T
+    )
+    for kind in (CritValKind(k) for k in kinds):
+        for d in dims:
+            for gamma in gammas if kind.is_online else (0.0,):
+                for alpha in alphas:
+                    cv = provider(kind, d, alpha, gamma)
+                    if progress is not None:
+                        progress(cv)
+                provider._samples.clear()
+    if path is not None:
+        provider.save(path)
+    return provider

@@ -9,10 +9,6 @@ class CsvFormatError(CpstreamError):
     """Raised when a delimited input file cannot be parsed."""
 
 
-class NotTabulatedError(CpstreamError, KeyError):
-    """Raised on a critical-value table lookup for a key that was never simulated."""
-
-
 class InsufficientTrainingError(CpstreamError):
     """Raised when the change-point-free suffix of the history is too short to train on."""
 

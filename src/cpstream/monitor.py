@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .critvals import CritValKind, CritValProvider
+from .critvals import CritValProvider
 from .errors import InsufficientTrainingError
 from .offline import DEFAULT_MIN_SEG, segment
 from .online import DetectorKind, step, train
@@ -101,10 +101,7 @@ def select_training(history: TimeSeries, config: MonitorConfig) -> SeriesSegment
     if n < config.m_min:
         raise ValueError(f"history of length {n} shorter than minimal training {config.m_min}")
     if n >= 2 * config.min_seg:
-        def offline_cv(d: int, level: float):
-            return config.critvals(CritValKind.OFFLINE_MAX, d, level)
-
-        cps = segment(history, config.alpha, offline_cv, config.min_seg).cps
+        cps = segment(history, config.alpha, config.critvals, config.min_seg).cps
     else:
         cps = ()
     if not cps:
@@ -129,9 +126,10 @@ def run_monitor(
     """Run the monitoring loop over a sample stream until it is exhausted.
 
     ``stream`` yields scalars or d-vectors; at least ``m_min`` samples must
-    arrive before the first window. Events are returned in stream order (and
-    pushed to ``on_event`` as they happen). A window whose training selection
-    fails is logged and skipped, advancing the origin by one window.
+    arrive before the first window, and a shorter stream is logged and
+    yields no events. Events are returned in stream order (and pushed to
+    ``on_event`` as they happen). A window whose training selection fails is
+    logged and skipped, advancing the origin by one window.
     """
     iterator = iter(stream)
     history: list[np.ndarray] = []
@@ -144,6 +142,15 @@ def run_monitor(
                 return False
             history.append(np.atleast_1d(np.asarray(x, dtype=float)))
         return True
+
+    if not ensure(config.m_min):
+        logger.warning(
+            "stream ended after %d samples, before the %d needed to train (m_min): "
+            "nothing was monitored",
+            len(history),
+            config.m_min,
+        )
+        return []
 
     events: list[ChangeEvent] = []
     origin = config.m_min

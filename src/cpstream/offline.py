@@ -11,11 +11,10 @@ until the set is stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
-from .critvals import CritVal, CritValKind
+from .critvals import CritVal, CritValKind, CritValProvider
 from .longrun import bartlett_bandwidth, bartlett_lrv, inverse
 from .timeseries import SeriesLike, SeriesSegment, TimeSeries, as_matrix
 
@@ -129,19 +128,10 @@ def offline_test(s: SeriesLike, alpha: float, critval: CritVal) -> OfflineTestRe
     )
 
 
-CritValSource = Union[CritVal, Callable[[int, float], CritVal]]
-
-
-def _resolve_critval(source: CritValSource, d: int, alpha: float) -> CritVal:
-    if isinstance(source, CritVal):
-        return source
-    return source(d, alpha)
-
-
 def segment(
     s: TimeSeries | SeriesSegment,
     alpha: float,
-    critval_provider: CritValSource,
+    critvals: CritValProvider,
     min_seg: int = DEFAULT_MIN_SEG,
     max_validation_rounds: int = MAX_VALIDATION_ROUNDS,
 ) -> ChangePointSet:
@@ -163,9 +153,8 @@ def segment(
     alpha; the divided level caps the chance of ANY spurious split across
     the whole series.
 
-    ``critval_provider`` is normally a callable ``(d, alpha) -> CritVal``
-    used to resolve both levels. Passing a ready CritVal applies it to
-    every window of both phases as-is (single-level expert mode).
+    ``critvals`` resolves both levels as
+    ``critvals(CritValKind.OFFLINE_MAX, d, level)``.
     """
     if min_seg < 2:
         raise ValueError("min_seg must be at least 2")
@@ -175,8 +164,8 @@ def segment(
     if s.n_samples < 2 * min_seg:
         raise ValueError(f"series of length {s.n_samples} too short to segment (need {2 * min_seg})")
     max_windows = max(1, s.n_samples // (2 * min_seg))
-    search_cv = _resolve_critval(critval_provider, s.dim, alpha)
-    validation_cv = _resolve_critval(critval_provider, s.dim, alpha / max_windows)
+    search_cv = critvals(CritValKind.OFFLINE_MAX, s.dim, alpha)
+    validation_cv = critvals(CritValKind.OFFLINE_MAX, s.dim, alpha / max_windows)
 
     def test(w_lo: int, w_hi: int, critval: CritVal) -> OfflineTestResult:
         return offline_test(parent.segment(w_lo, w_hi), critval.request.alpha, critval)

@@ -155,7 +155,7 @@ def test_criterion_6_segmentation(full_cv_offline):
     cv_search, _ = full_cv_offline
     cache = {0.05: cv_search}
 
-    def provider(d, alpha):
+    def provider(kind, d, alpha, gamma=0.0):
         if alpha not in cache:
             cache[alpha] = compute_critval(
                 CritValRequest(

@@ -1,10 +1,15 @@
 import json
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import cpstream
 from cpstream.cli import dispatch
+from cpstream.critvals import CritValKind, build_table
 from cpstream.rng import substream
 from cpstream.timeseries import TimeSeries, save_csv
 
@@ -211,6 +216,22 @@ class TestMonitorCommand:
         out = capsys.readouterr().out
         assert json.loads(out.splitlines()[0])["type"] == "config"
 
+    def test_stream_shorter_than_training_is_reported(self):
+        # in a fresh interpreter, where the warning reaches stderr through
+        # logging's last-resort handler
+        src = str(Path(cpstream.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpstream.cli", "monitor", "--input", "-", *FAST],
+            input="value\n1.0\n2.0\n", capture_output=True, text=True,
+            env={"PYTHONPATH": src}, check=False,
+        )
+        assert proc.returncode == 0
+        assert [json.loads(line)["type"] for line in proc.stdout.splitlines()] == ["config"]
+        assert proc.stderr.splitlines() == [
+            "stream ended after 2 samples, before the 200 needed to train (m_min): "
+            "nothing was monitored"
+        ]
+
     def test_config_file_precedence(self, run, flat_csv, tmp_path):
         cfg = tmp_path / "monitor.cfg"
         cfg.write_text("m = 120\nwindow = 100\nalpha = 0.1\n")
@@ -411,3 +432,79 @@ class TestMalformedStdin:
         err = capsys.readouterr().err
         assert status == 1
         assert err.strip().splitlines() == [f"error: {message}"]
+
+
+@pytest.fixture(scope="module")
+def table_csv(tmp_path_factory):
+    """The full critical-value table at the MIN_BUDGET budget and seed 0."""
+    folder = tmp_path_factory.mktemp("table")
+    path = folder / "table.csv"
+    argv = ["critval", "--build-table", str(path), "--seed", "0", *MIN_BUDGET]
+    assert dispatch([*argv, "--out", str(folder / "records.jsonl")]) == 0
+    return str(path)
+
+
+class TestTableFlag:
+    """``--table`` serves the keys it holds as stored and simulates the rest."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["offline", "--input", "one_step_csv"],
+            ["segment", "--input", "steps_csv"],
+            ["monitor", "--input", "one_step_csv", "--m", "100", "--window", "100"],
+            ["simulate", "--grid", "3x3", "--attackers", "1", "--reps", "1",
+             "--separation", "1", "--m", "150", "--start", "301", "--horizon", "350"],
+        ],
+        ids=["offline", "segment", "monitor", "simulate"],
+    )
+    def test_same_report_as_simulating(self, run, request, table_csv, argv):
+        # a table built at the command's own seed and budget holds exactly
+        # what the command would simulate for its keys
+        argv = [request.getfixturevalue(a) if a.endswith("_csv") else a for a in argv]
+        budget = ["--mc-grid", "100", "--mc-reps", "1000"] if argv[0] == "simulate" else MIN_BUDGET
+        plain = run(*argv, *budget)
+        tabled = run(*argv, *budget, "--table", table_csv)
+        assert f'"table": {json.dumps(table_csv)}' in tabled
+        assert tabled.replace(f'"table": {json.dumps(table_csv)}', '"table": null') == plain
+        if argv[0] == "monitor":
+            assert '"type": "event"' in plain
+
+    def test_tabulated_value_is_served(self, run, one_step_csv, tmp_path):
+        path = tmp_path / "seed1.csv"
+        stored = build_table(
+            path, kinds=[CritValKind.OFFLINE_MAX], dims=(1,), alphas=(0.05,),
+            grid_steps=100, replications=1000, seed=1,
+        )(CritValKind.OFFLINE_MAX, 1, 0.05)
+        argv = ["offline", "--input", one_step_csv, *MIN_BUDGET]
+        simulated = json.loads(run(*argv))["critval"]
+        served = json.loads(run(*argv, "--table", str(path)))["critval"]
+        assert served == stored.value
+        assert served != simulated
+
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            ("abc", "row 3, column 'value': could not convert string to float: 'abc'"),
+            ("-1", "row 3, column 'value': critical value must be positive"),
+            (None, "row 1 has no column 'kind'"),
+        ],
+        ids=["non-numeric", "non-positive", "missing-column"],
+    )
+    def test_malformed_table_exits_1_naming_row_and_column(
+        self, capsys, table_csv, flat_csv, tmp_path, value, problem
+    ):
+        if value is None:
+            path = flat_csv  # a data CSV, not a table
+        else:
+            lines = open(table_csv).read().splitlines(keepends=True)
+            cells = lines[2].split(",")
+            cells[8] = value
+            lines[2] = ",".join(cells)
+            path = tmp_path / "bad.csv"
+            path.write_text("".join(lines))
+        status = dispatch(["offline", "--input", flat_csv, *MIN_BUDGET, "--table", str(path)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {path}: {problem}"]

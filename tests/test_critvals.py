@@ -6,15 +6,12 @@ from cpstream.critvals import (
     CritVal,
     CritValKind,
     CritValRequest,
-    CritValTable,
     MonteCarloProvider,
-    TableProvider,
     build_table,
     compute_critval,
     replication_stat,
     simulate_brownian_motion,
 )
-from cpstream.errors import NotTabulatedError
 
 
 def sup_abs_bridge_sf(x):
@@ -102,7 +99,7 @@ class TestOfflineQuantile:
         )
         values = []
         for alpha in (0.01, 0.05, 0.10):
-            cv = table.lookup(CritValKind.OFFLINE_MAX, 1, alpha)
+            cv = table(CritValKind.OFFLINE_MAX, 1, alpha)
             values.append(cv.value)
             target = sup_abs_bridge_quantile(1.0 - alpha) ** 2
             assert abs(cv.value - target) <= 3 * cv.mc_stderr + 0.03
@@ -242,18 +239,9 @@ class TestTable:
                 seed=11,
             )
         )
-        assert table.lookup(CritValKind.OFFLINE_MAX, 1, 0.05).value == direct.value
-        loaded = CritValTable.load(path)
-        assert loaded.lookup(CritValKind.OFFLINE_MAX, 1, 0.05).value == direct.value
-
-    def test_absent_key_raises(self, tmp_path):
-        table = build_table(tmp_path / "t.csv", **self.SMALL)
-        with pytest.raises(NotTabulatedError, match="not tabulated"):
-            table.lookup(CritValKind.OFFLINE_MAX, 3, 0.05)
-        with pytest.raises(NotTabulatedError):
-            table.lookup(CritValKind.ONLINE_STANDARD, 1, 0.025)
-        with pytest.raises(NotTabulatedError):
-            table.lookup(CritValKind.ONLINE_RATIO, 1, 0.05)
+        assert table(CritValKind.OFFLINE_MAX, 1, 0.05).value == direct.value
+        loaded = MonteCarloProvider(grid_steps=100, replications=1000, table=path)
+        assert loaded(CritValKind.OFFLINE_MAX, 1, 0.05).value == direct.value
 
     def test_quantiles_monotone_in_alpha_across_table(self, tmp_path):
         table = build_table(tmp_path / "t.csv", **self.SMALL)
@@ -261,8 +249,8 @@ class TestTable:
             gammas = (0.0, 0.25) if kind.is_online else (0.0,)
             for d in (1, 2):
                 for gamma in gammas:
-                    v5 = table.lookup(kind, d, 0.05, gamma).value
-                    v10 = table.lookup(kind, d, 0.10, gamma).value
+                    v5 = table(kind, d, 0.05, gamma).value
+                    v10 = table(kind, d, 0.10, gamma).value
                     assert v5 > v10
 
 
@@ -274,9 +262,9 @@ class TestProviders:
         assert a is b
         assert isinstance(a, CritVal)
 
-    def test_table_provider(self, tmp_path):
+    def test_table_serves_stored_keys_and_simulates_the_rest(self, tmp_path, monkeypatch):
         path = tmp_path / "t.csv"
-        build_table(
+        built = build_table(
             path,
             kinds=[CritValKind.OFFLINE_MAX],
             dims=(1,),
@@ -285,10 +273,31 @@ class TestProviders:
             replications=2000,
             seed=0,
         )
-        provider = TableProvider.from_file(path)
-        assert provider(CritValKind.OFFLINE_MAX, 1, 0.05).value > 0
-        with pytest.raises(NotTabulatedError):
-            provider(CritValKind.OFFLINE_MAX, 1, 0.01)
+        stored = built(CritValKind.OFFLINE_MAX, 1, 0.05)
+        reps = []
+
+        def counted(request, rep):
+            reps.append(rep)
+            return replication_stat(request, rep)
+
+        monkeypatch.setattr("cpstream.critvals.replication_stat", counted)
+        provider = MonteCarloProvider(seed=4, grid_steps=150, replications=1000, table=path)
+
+        # a tabulated key: the stored value at the file's budget, no replication
+        tabulated = provider(CritValKind.OFFLINE_MAX, 1, 0.05)
+        assert reps == []
+        assert (tabulated.value, tabulated.mc_stderr) == (stored.value, stored.mc_stderr)
+        assert tabulated.request == stored.request
+        assert (tabulated.request.grid_steps, tabulated.request.replications) == (200, 2000)
+        assert tabulated.tail_count is None
+
+        # an untabulated alpha: simulated once at the provider's own budget
+        simulated = provider(CritValKind.OFFLINE_MAX, 1, 0.01)
+        assert len(reps) == 1000
+        assert (simulated.request.grid_steps, simulated.request.replications) == (150, 1000)
+        assert simulated.request.seed == 4
+        assert provider(CritValKind.OFFLINE_MAX, 1, 0.01) is simulated
+        assert len(reps) == 1000
 
 
 class TestSampleStore:
@@ -334,7 +343,11 @@ class TestSampleStore:
     def test_table_matches_cell_by_cell_build(self, tmp_path):
         params = dict(grid_steps=150, replications=1000, seed=12)
         build_table(tmp_path / "stored.csv", dims=(1, 2), gammas=(0.0, 0.25), **params)
-        cells = CritValTable()
+        # every row holds what an independent simulation of its cell gives; a
+        # key missing from the file would be simulated at the provider's
+        # 100 x 1000 budget and fail the request check
+        loaded = MonteCarloProvider(grid_steps=100, replications=1000, table=tmp_path / "stored.csv")
+        rows = 0
         for kind in CritValKind:
             for d in (1, 2):
                 for gamma in (0.0, 0.25) if kind.is_online else (0.0,):
@@ -343,6 +356,12 @@ class TestSampleStore:
                         request = CritValRequest(
                             kind=kind, alpha=alpha, d=d, gamma=gamma, horizon_T=horizon, **params
                         )
-                        cells.add(compute_critval(request))
-        cells.save(tmp_path / "cells.csv")
+                        cell = compute_critval(request)
+                        stored = loaded(kind, d, alpha, gamma)
+                        assert stored.request == request
+                        assert (stored.value, stored.mc_stderr) == (cell.value, cell.mc_stderr)
+                        rows += 1
+        assert len((tmp_path / "stored.csv").read_text().splitlines()) == 1 + rows
+        # and the file is the loaded memo, byte for byte
+        loaded.save(tmp_path / "cells.csv")
         assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()

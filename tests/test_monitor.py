@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -45,8 +47,8 @@ class TestSelectTraining:
         assert seg.hi == 400
         assert abs(seg.lo - 151) <= 3
         # cross-check: the training window itself is change-free
-        assert segment(TimeSeries(x).segment(seg.lo, seg.hi), 0.05,
-                       config.critvals("offline-max", 1, 0.05), 20).cps == ()
+        cv = config.critvals("offline-max", 1, 0.05)
+        assert segment(TimeSeries(x).segment(seg.lo, seg.hi), 0.05, lambda *_: cv, 20).cps == ()
 
     def test_late_cp_leaves_too_little_training(self, config):
         # change 50 samples before the end: detectable, but the remaining
@@ -141,7 +143,8 @@ class TestRunMonitor:
                 if hi - lo + 1 >= 2 * config.min_seg:
                     window = TimeSeries(x[lo - 1 : hi])
                     cv = config.critvals("offline-max", 1, config.alpha)
-                    violations += bool(segment(window, config.alpha, cv, config.min_seg).cps)
+                    found = segment(window, config.alpha, lambda *_: cv, config.min_seg).cps
+                    violations += bool(found)
         assert total >= 20
         # each check fails with probability <= alpha; allow mean + 3 sigma
         allowance = 0.05 * total + 3 * np.sqrt(total * 0.05 * 0.95)
@@ -149,6 +152,16 @@ class TestRunMonitor:
 
     def test_stream_shorter_than_training_gives_no_events(self, config):
         assert run_monitor(stationary(0, 50), config) == []
+
+    def test_stream_shorter_than_training_is_logged(self, config, caplog):
+        with caplog.at_level(logging.WARNING, logger="cpstream.monitor"):
+            assert run_monitor(stationary(0, 50), config) == []
+        [record] = caplog.records
+        assert record.name == "cpstream.monitor"
+        assert record.getMessage() == (
+            f"stream ended after 50 samples, before the {config.m_min} needed to train "
+            "(m_min): nothing was monitored"
+        )
 
     def test_two_dimensional_stream(self, cheap_provider):
         config = MonitorConfig(

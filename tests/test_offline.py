@@ -23,14 +23,6 @@ def step_series(gen, n, cp, shift, sigma=1.0):
     return TimeSeries(x)
 
 
-@pytest.fixture(scope="module")
-def offline_provider(cheap_provider):
-    def provide(d, alpha):
-        return cheap_provider("offline-max", d, alpha)
-
-    return provide
-
-
 class TestCusumPath:
     def test_constant_series_all_zero(self):
         assert np.all(cusum_path(TimeSeries(np.full(10, 4.0))) == 0.0)
@@ -115,86 +107,86 @@ class TestOfflineTest:
 
 
 class TestSegment:
-    def test_constant_series_empty(self, offline_provider):
-        result = segment(TimeSeries(np.full(300, 1.0)), 0.05, offline_provider)
+    def test_constant_series_empty(self, cheap_provider):
+        result = segment(TimeSeries(np.full(300, 1.0)), 0.05, cheap_provider)
         assert result.cps == ()
         assert len(result) == 0
 
-    def test_two_change_points_recovered(self, offline_provider):
+    def test_two_change_points_recovered(self, cheap_provider):
         hits = 0
         for seed in range(200):
             gen = substream(seed, 5)
             x = gen.normal(size=300)
             x[100:200] += 5.0
-            result = segment(TimeSeries(x), 0.05, offline_provider)
+            result = segment(TimeSeries(x), 0.05, cheap_provider)
             if len(result.cps) == 2 and abs(result.cps[0] - 100) <= 10 and abs(result.cps[1] - 200) <= 10:
                 hits += 1
         assert hits >= 0.95 * 200
 
-    def test_agrees_with_single_test_on_one_cp(self, offline_provider, cv_offline_d1):
+    def test_agrees_with_single_test_on_one_cp(self, cheap_provider, cv_offline_d1):
         for seed in range(20):
             series = step_series(substream(seed, 6), 200, 100, 5.0)
             single = offline_test(series, 0.05, cv_offline_d1)
-            multi = segment(series, 0.05, offline_provider)
+            multi = segment(series, 0.05, cheap_provider)
             assert single.reject
             assert len(multi.cps) == 1
             assert abs(multi.cps[0] - single.cp_index) <= 1
 
-    def test_reverse_symmetry(self, offline_provider):
+    def test_reverse_symmetry(self, cheap_provider):
         for seed in range(10):
             gen = substream(seed, 7)
             x = gen.normal(size=300)
             x[100:200] += 5.0
             n = len(x)
-            forward = segment(TimeSeries(x), 0.05, offline_provider).cps
-            backward = segment(TimeSeries(x[::-1].copy()), 0.05, offline_provider).cps
+            forward = segment(TimeSeries(x), 0.05, cheap_provider).cps
+            backward = segment(TimeSeries(x[::-1].copy()), 0.05, cheap_provider).cps
             mapped = sorted(n - cp for cp in backward)
             assert len(forward) == len(mapped)
             assert all(abs(a - b) <= 1 for a, b in zip(forward, mapped))
 
-    def test_every_cp_revalidates(self, offline_provider):
+    def test_every_cp_revalidates(self, cheap_provider):
         gen = substream(3, 8)
         x = gen.normal(size=400)
         x[150:260] += 5.0
         series = TimeSeries(x)
-        result = segment(series, 0.05, offline_provider)
+        result = segment(series, 0.05, cheap_provider)
         assert result.cps
         assert all(stat.reject for stat in result.per_cp_stats)
         # re-test each CP on its validation window at the validation level
         validation_alpha = 0.05 / (400 // 40)
-        validation_cv = offline_provider(1, validation_alpha)
+        validation_cv = cheap_provider("offline-max", 1, validation_alpha)
         bounds = [0] + list(result.cps) + [400]
         for i, cp in enumerate(result.cps):
             window = series.segment(bounds[i] + 1, bounds[i + 2])
             assert offline_test(window, validation_alpha, validation_cv).reject
 
-    def test_provider_resolves_both_levels(self, offline_provider):
+    def test_provider_resolves_both_levels(self, cheap_provider):
         calls = []
 
-        def provider(d, alpha):
-            calls.append((d, alpha))
-            return offline_provider(d, alpha)
+        def provider(kind, d, alpha, gamma=0.0):
+            calls.append((kind, d, alpha))
+            return cheap_provider(kind, d, alpha, gamma)
 
         series = step_series(substream(0, 9), 200, 100, 5.0)
         result = segment(series, 0.05, provider)
-        assert calls == [(1, 0.05), (1, 0.05 / 5)]
+        assert calls == [("offline-max", 1, 0.05), ("offline-max", 1, 0.05 / 5)]
         assert len(result.cps) == 1
 
     def test_single_critval_expert_mode(self, cv_offline_d1):
         series = step_series(substream(0, 9), 200, 100, 5.0)
-        result = segment(series, 0.05, cv_offline_d1)
+        result = segment(series, 0.05, lambda *_: cv_offline_d1)
         assert len(result.cps) == 1
 
-    def test_too_short_rejected(self, offline_provider):
+    def test_too_short_rejected(self, cheap_provider):
         with pytest.raises(ValueError, match="too short"):
-            segment(TimeSeries(np.zeros(30)), 0.05, offline_provider, min_seg=20)
+            segment(TimeSeries(np.zeros(30)), 0.05, cheap_provider, min_seg=20)
 
-    def test_segment_of_segment_uses_parent_indices(self, offline_provider):
+    def test_segment_of_segment_uses_parent_indices(self, cheap_provider):
         gen = substream(5, 10)
         x = gen.normal(size=500)
         x[300:] += 5.0  # change at parent index 300
         window = TimeSeries(x).segment(101, 500)
-        result = segment(window, 0.05, offline_provider)
+        result = segment(window, 0.05, cheap_provider)
         assert len(result.cps) == 1
         assert abs(result.cps[0] - 300) <= 3
 
