@@ -22,7 +22,7 @@ from .errors import (
     InsufficientTrainingError,
     NonFiniteSampleError,
 )
-from .longrun import LongRunCov, autocov, bartlett_bandwidth, bartlett_lrv
+from .longrun import autocov, bartlett_bandwidth, bartlett_lrv
 from .monitor import Action, ChangeEvent, MonitorConfig, run_monitor, select_training
 from .offline import ChangePointSet, OfflineTestResult, cusum_path, offline_test, segment
 from .online import (
@@ -58,7 +58,6 @@ __all__ = [
     "save_csv",
     "sample_mean",
     # long-run covariance
-    "LongRunCov",
     "autocov",
     "bartlett_bandwidth",
     "bartlett_lrv",

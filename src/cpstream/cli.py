@@ -194,7 +194,18 @@ def _emit(out: str | None, *records: dict) -> None:
 def _parse_columns(raw: str | None) -> list[int] | None:
     if raw is None:
         return None
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+    columns = []
+    for tok in raw.split(","):
+        if not tok.strip():
+            continue
+        try:
+            col = int(tok)
+        except ValueError:
+            col = 0
+        if col < 1:
+            raise CpstreamError(f"--columns: {tok.strip()!r} is not a 1-based column number")
+        columns.append(col)
+    return columns
 
 
 def _load_series(opts: dict) -> TimeSeries:
@@ -351,6 +362,7 @@ def _run_hook(template: str | None, event: ChangeEvent) -> None:
 
 def _cmd_monitor(opts: dict) -> int:
     _check_hooks(opts)
+    columns = _parse_columns(opts["columns"])
     config = MonitorConfig(
         critvals=_provider(opts),
         alpha=opts["alpha"],
@@ -363,7 +375,6 @@ def _cmd_monitor(opts: dict) -> int:
         m_min=opts["m"],
         trend_dim=opts["trend_dim"],
     )
-    columns = _parse_columns(opts["columns"])
     with contextlib.ExitStack() as stack:
         # the input is opened before the report, so a missing file leaves no output
         if opts["input"] == "-":

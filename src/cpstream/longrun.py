@@ -8,19 +8,20 @@ kernel-truncated sum
     Omega_hat = S_0 + sum_{l=1..L} w(l / (L + 1)) * (S_l + S_l^T)
 
 with triangular (Bartlett) weights w(x) = 1 - |x|, which keeps the result
-symmetric positive semidefinite by construction.
+symmetric positive semidefinite by construction (Newey & West 1987).
+:func:`bartlett_lrv` returns that symmetric matrix as a plain ndarray; the
+inversion sites (:func:`inverse`, :func:`inverse_sqrt`) regularize it via
+:func:`regularize_spd`, the one place that handles a near-singular estimate
+or one whose smallest eigenvalue rounding pushed below zero.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .timeseries import SeriesLike, as_matrix
 
 __all__ = [
-    "LongRunCov",
     "autocov",
     "bartlett_bandwidth",
     "bartlett_weight",
@@ -37,31 +38,6 @@ __all__ = [
 SINGULAR_RTOL = 1e-10
 RIDGE_RTOL = 1e-8
 ZERO_TRACE_RIDGE = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class LongRunCov:
-    """Estimated long-run covariance with the bandwidth it was built from."""
-
-    omega: np.ndarray
-    bandwidth_L: int
-    n_used: int
-
-    def __post_init__(self) -> None:
-        omega = np.asarray(self.omega, dtype=float)
-        scale = np.max(np.abs(omega))
-        if scale > 0 and np.max(np.abs(omega - omega.T)) > 1e-10 * scale:
-            raise ValueError("long-run covariance estimate is not symmetric")
-        trace = float(np.trace(omega))
-        if np.linalg.eigvalsh(omega).min() < -1e-10 * max(trace, 0.0):
-            raise ValueError("long-run covariance estimate is not positive semidefinite")
-        omega = omega.copy()
-        omega.flags.writeable = False
-        object.__setattr__(self, "omega", omega)
-
-    @property
-    def dim(self) -> int:
-        return self.omega.shape[0]
 
 
 def autocov(s: SeriesLike, lag: int) -> np.ndarray:
@@ -96,12 +72,13 @@ def bartlett_weight(x: float) -> float:
     return max(0.0, 1.0 - abs(x))
 
 
-def bartlett_lrv(s: SeriesLike, bandwidth: int | None = None) -> LongRunCov:
-    """Bartlett estimate of the long-run covariance of a series.
+def bartlett_lrv(s: SeriesLike, bandwidth: int | None = None) -> np.ndarray:
+    """Bartlett estimate of the long-run covariance of a series, as a (d, d) matrix.
 
     ``bandwidth`` is the truncation lag L; when omitted it defaults to
-    ``bartlett_bandwidth(N)``. A (near-)singular result is not an error here;
-    inversion sites regularize via :func:`regularize_spd`.
+    ``bartlett_bandwidth(N)``. The result is symmetric and positive
+    semidefinite up to rounding. A (near-)singular estimate is not an error
+    here; inversion sites regularize via :func:`regularize_spd`.
     """
     mat = as_matrix(s)
     n = mat.shape[0]
@@ -111,16 +88,13 @@ def bartlett_lrv(s: SeriesLike, bandwidth: int | None = None) -> LongRunCov:
         raise ValueError("bandwidth must be non-negative")
     if bandwidth >= n:
         raise ValueError(f"bandwidth {bandwidth} must be smaller than the sample count {n}")
-    omega = autocov(s, 0)
+    # the same centred products as autocov, from one centring of the sample
+    centered = mat - mat.mean(axis=0)
+    omega = centered.T @ centered / n
     for lag in range(1, bandwidth + 1):
-        gamma = autocov(s, lag)
+        gamma = centered[lag:].T @ centered[: n - lag] / n
         omega = omega + bartlett_weight(lag / (bandwidth + 1)) * (gamma + gamma.T)
-    # symmetrize away rounding drift before the PSD check
-    omega = (omega + omega.T) / 2.0
-    eigvals = np.linalg.eigvalsh(omega)
-    if eigvals.min() < 0:
-        omega = omega - min(eigvals.min(), 0.0) * np.eye(omega.shape[0])
-    return LongRunCov(omega=omega, bandwidth_L=bandwidth, n_used=n)
+    return (omega + omega.T) / 2.0
 
 
 def regularize_spd(matrix: np.ndarray) -> np.ndarray:
@@ -128,7 +102,8 @@ def regularize_spd(matrix: np.ndarray) -> np.ndarray:
 
     Leaves well-conditioned input untouched. Near-singular input (smallest
     eigenvalue below SINGULAR_RTOL * trace) gains RIDGE_RTOL * trace / d on
-    the diagonal; an exactly zero matrix gains the absolute floor
+    the diagonal, plus the magnitude of a smallest eigenvalue that rounding
+    left negative; an exactly zero matrix gains the absolute floor
     ZERO_TRACE_RIDGE so that quadratic forms over zero vectors stay zero
     instead of dividing by zero.
     """
@@ -146,17 +121,13 @@ def regularize_spd(matrix: np.ndarray) -> np.ndarray:
     return matrix + ridge * np.eye(d)
 
 
-def inverse(matrix: np.ndarray | LongRunCov) -> np.ndarray:
+def inverse(matrix: np.ndarray) -> np.ndarray:
     """Regularized inverse of a symmetric PSD matrix."""
-    if isinstance(matrix, LongRunCov):
-        matrix = matrix.omega
     return np.linalg.inv(regularize_spd(matrix))
 
 
-def inverse_sqrt(matrix: np.ndarray | LongRunCov) -> np.ndarray:
+def inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Regularized inverse square root via symmetric eigendecomposition."""
-    if isinstance(matrix, LongRunCov):
-        matrix = matrix.omega
     safe = regularize_spd(matrix)
     eigvals, eigvecs = np.linalg.eigh(safe)
     return (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.T

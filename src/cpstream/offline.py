@@ -133,7 +133,6 @@ def segment(
     alpha: float,
     critvals: CritValProvider,
     min_seg: int = DEFAULT_MIN_SEG,
-    max_validation_rounds: int = MAX_VALIDATION_ROUNDS,
 ) -> ChangePointSet:
     """Find every mean change in a series.
 
@@ -143,7 +142,7 @@ def segment(
     its neighbouring candidates: unconfirmed candidates are dropped, and a
     candidate whose window argmax moved by more than min_seg is replaced by
     that argmax. Phase 2 repeats until the candidate set is stable or
-    ``max_validation_rounds`` is hit (reported via ``hit_round_cap``).
+    ``MAX_VALIDATION_ROUNDS`` is hit (reported via ``hit_round_cap``).
 
     Validation re-tests run at the familywise level alpha / B, where B is
     the largest number of disjoint testable windows (series length over
@@ -188,7 +187,7 @@ def segment(
 
     hit_cap = False
     if candidates:
-        for _ in range(max_validation_rounds):
+        for _ in range(MAX_VALIDATION_ROUNDS):
             bounds = [lo - 1] + candidates + [hi]
             survivors: set[int] = set()
             for i, cp in enumerate(candidates):

@@ -256,19 +256,14 @@ def step(state: OnlineDetectorState, x) -> Verdict:
     return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
 
 
-def run_batch(
-    state: OnlineDetectorState,
-    samples: np.ndarray,
-    window_k: int | None = None,
-) -> tuple[Verdict, int]:
+def run_batch(state: OnlineDetectorState, samples: np.ndarray) -> tuple[Verdict, int]:
     """Feed a block of samples to the detector, stopping at the first alarm.
 
-    Consumes samples up to the first alarm, or at most ``window_k`` of them
-    (``None``: the whole block), and returns the last verdict with the
-    number consumed. The state ends exactly as the same sequence of
-    :func:`step` calls would leave it. An empty block is an error; a block
-    holding a NaN or infinite sample raises :class:`NonFiniteSampleError`
-    and leaves the state unchanged.
+    Consumes samples up to the first alarm, or the whole block, and returns
+    the last verdict with the number consumed. The state ends exactly as the
+    same sequence of :func:`step` calls would leave it. An empty block is an
+    error; a block holding a NaN or infinite sample raises
+    :class:`NonFiniteSampleError` and leaves the state unchanged.
     """
     if state.stopped:
         raise DetectorStoppedError(f"detector already alarmed at k={state.stopped_at}")
@@ -279,10 +274,6 @@ def run_batch(
         raise ValueError("stream yielded no samples")
     if block.shape[1] != state.dim:
         raise ValueError(f"samples have dimension {block.shape[1]}, detector expects {state.dim}")
-    if window_k is not None:
-        if window_k < 1:
-            raise ValueError("window_k must be positive")
-        block = block[:window_k]
     if not np.isfinite(block).all():
         row = int(np.argmin(np.isfinite(block).all(axis=1)))
         raise NonFiniteSampleError(

@@ -115,7 +115,7 @@ def test_criterion_3_online_size_control(full_cv_standard):
     for rep in range(reps):
         x = substream(0, 50, rep).standard_normal(1200)
         state = train(x[:200], DetectorKind.STANDARD, 0.0, cv)
-        verdict, _ = run_batch(state, x[200:], window_k=1000)
+        verdict, _ = run_batch(state, x[200:])
         false_alarms += verdict.alarm
     elapsed = time.perf_counter() - start
     rate = false_alarms / reps
@@ -132,7 +132,7 @@ def test_criterion_4_power_and_delay(full_cv_standard):
         x = substream(0, 51, rep).standard_normal(225)
         x[200:] += 5.0
         state = train(x[:200], DetectorKind.STANDARD, 0.0, cv)
-        verdict, consumed = run_batch(state, x[200:], window_k=25)
+        verdict, consumed = run_batch(state, x[200:])
         hits += verdict.alarm and consumed <= 25
     ok = hits >= 0.99 * reps
     report(4, ok, f"alarm within 25 samples in {hits}/{reps} runs (need >= {int(0.99 * reps)})")
@@ -256,7 +256,7 @@ class TestCriterion9Properties:
             values[0] = eps[0]
             for t in range(1, n):
                 values[t] = phi * values[t - 1] + eps[t]
-            omega = bartlett_lrv(TimeSeries(values)).omega
+            omega = bartlett_lrv(TimeSeries(values))
             scale = max(np.max(np.abs(omega)), 1e-30)
             psd_ok &= np.max(np.abs(omega - omega.T)) <= 1e-10 * scale
             psd_ok &= np.linalg.eigvalsh(omega).min() >= -1e-10 * max(np.trace(omega), 0.0)

@@ -339,6 +339,17 @@ class TestExitCodes:
     def test_bad_column_is_domain_error(self, run, flat_csv):
         run("offline", "--input", flat_csv, "--columns", "9", expect=1)
 
+    @pytest.mark.parametrize("columns, token", [("2,x", "x"), ("0", "0"), ("1,-2", "-2")])
+    def test_bad_columns_flag_named_before_input_is_read(self, columns, token, capsys, tmp_path):
+        # the input file is missing, so an error naming the flag shows it was checked first
+        argv = ["offline", "--input", str(tmp_path / "missing.csv"), "--columns", columns]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: --columns: {token!r} is not a 1-based column number"
+        ]
+
     def test_output_file(self, run, flat_csv, tmp_path):
         out_path = tmp_path / "report.json"
         stdout = run(
@@ -432,6 +443,21 @@ class TestMalformedStdin:
         err = capsys.readouterr().err
         assert status == 1
         assert err.strip().splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("columns, token", [("2,x", "x"), ("0", "0")])
+    def test_bad_columns_flag_exits_before_config_line(self, columns, token, capsys, monkeypatch):
+        import io
+
+        stdin = io.StringIO("a,b\n1,2\n3,4\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        status = dispatch(["monitor", "--input", "-", "--columns", columns, *MIN_BUDGET])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: --columns: {token!r} is not a 1-based column number"
+        ]
+        assert stdin.tell() == 0
 
 
 @pytest.fixture(scope="module")

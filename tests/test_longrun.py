@@ -14,6 +14,9 @@ from cpstream.longrun import (
     inverse_sqrt,
     regularize_spd,
 )
+from cpstream.critvals import CritValKind, CritValRequest, compute_critval
+from cpstream.offline import offline_test
+from cpstream.online import DetectorKind, train
 from cpstream.rng import substream
 from cpstream.timeseries import TimeSeries
 
@@ -80,27 +83,25 @@ class TestBartlettWeights:
 class TestBartlettLrv:
     def test_bandwidth_zero_equals_lag0_autocov(self, rng):
         ts = TimeSeries(rng.normal(size=(25, 2)))
-        est = bartlett_lrv(ts, 0)
-        assert np.array_equal(est.omega, autocov(ts, 0))
+        assert np.array_equal(bartlett_lrv(ts, 0), autocov(ts, 0))
 
     def test_constant_series_zero_matrix(self):
-        est = bartlett_lrv(TimeSeries(np.full(50, 2.0)), 3)
-        assert np.all(est.omega == 0.0)
+        assert np.all(bartlett_lrv(TimeSeries(np.full(50, 2.0)), 3) == 0.0)
 
     def test_iid_unit_variance_recovered(self):
         series = TimeSeries(substream(99, 0).standard_normal(100_000))
-        est = bartlett_lrv(series, 5)
-        assert 0.9 <= est.omega[0, 0] <= 1.1
+        assert 0.9 <= bartlett_lrv(series, 5)[0, 0] <= 1.1
 
-    def test_scalar_formula_equivalence(self, rng):
-        # for d=1 the symmetrisation collapses to S0 + 2 sum w_l S_l
-        values = rng.normal(size=60).reshape(-1, 1)
-        ts = TimeSeries(values)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scalar_formula_equivalence(self, rng, d):
+        # S0 + sum w_l (S_l + S_l^T); for d=1 it collapses to S0 + 2 sum w_l S_l
+        ts = TimeSeries(rng.normal(size=(60, d)))
         L = 4
-        scalar = autocov(ts, 0)[0, 0] + 2 * sum(
-            bartlett_weight(l / (L + 1)) * autocov(ts, l)[0, 0] for l in range(1, L + 1)
+        reference = autocov(ts, 0) + sum(
+            bartlett_weight(l / (L + 1)) * (autocov(ts, l) + autocov(ts, l).T)
+            for l in range(1, L + 1)
         )
-        assert bartlett_lrv(ts, L).omega[0, 0] == pytest.approx(scalar, rel=1e-12)
+        assert np.allclose(bartlett_lrv(ts, L), reference, rtol=1e-12, atol=0.0)
 
     def test_bandwidth_bounds(self):
         ts = TimeSeries(np.arange(5.0))
@@ -109,7 +110,7 @@ class TestBartlettLrv:
 
     def test_default_bandwidth_used(self, rng):
         ts = TimeSeries(rng.normal(size=200))
-        assert bartlett_lrv(ts).bandwidth_L == 2
+        assert np.array_equal(bartlett_lrv(ts), bartlett_lrv(ts, 2))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -125,8 +126,7 @@ class TestBartlettLrv:
         values[0] = eps[0]
         for t in range(1, n):
             values[t] = phi * values[t - 1] + eps[t]
-        est = bartlett_lrv(TimeSeries(values))
-        omega = est.omega
+        omega = bartlett_lrv(TimeSeries(values))
         scale = max(np.max(np.abs(omega)), 1e-30)
         assert np.max(np.abs(omega - omega.T)) <= 1e-10 * scale
         trace = np.trace(omega)
@@ -155,3 +155,40 @@ class TestRegularization:
         half = inverse_sqrt(m)
         assert np.allclose(half @ m @ half, np.eye(3), atol=1e-10)
         assert np.allclose(half, half.T, atol=1e-12)
+
+    def test_rounding_negative_eigenvalue_absorbed(self):
+        # symmetric, smallest eigenvalue about -5e-14: the case rounding can
+        # leave in a Bartlett estimate of a rank-deficient series
+        m = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-13]])
+        assert np.linalg.eigvalsh(m).min() < 0
+        assert np.linalg.eigvalsh(regularize_spd(m)).min() > 0
+        assert np.all(np.isfinite(inverse(m)))
+        assert np.all(np.isfinite(inverse_sqrt(m)))
+
+
+class TestRankDeficientSeries:
+    """Column 2 = 3 x column 1: the estimate is singular and only regularize_spd guards it."""
+
+    @pytest.fixture()
+    def series(self):
+        x = substream(5, 70).standard_normal(300)
+        return TimeSeries(np.column_stack([x, 3.0 * x]))
+
+    def test_offline_statistic_finite(self, series, cv_offline_d2):
+        result = offline_test(series, 0.05, cv_offline_d2)
+        assert np.isfinite(result.statistic_m)
+
+    def test_standard_training_finite(self, series):
+        cv = compute_critval(
+            CritValRequest(
+                kind=CritValKind.ONLINE_STANDARD,
+                alpha=0.05,
+                d=2,
+                gamma=0.0,
+                grid_steps=100,
+                replications=1000,
+                seed=0,
+            )
+        )
+        state = train(series.segment(1, 200), DetectorKind.STANDARD, 0.0, cv)
+        assert np.all(np.isfinite(state.omega_inv_sqrt))

@@ -183,7 +183,7 @@ class TestRunBatch:
     def test_early_stop_consumed_count(self, cv_standard_d1, rng):
         state = train(TimeSeries(rng.normal(size=100)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
         stream = [0.0] * 9 + [1e6] + [0.0] * 40
-        verdict, consumed = run_batch(state, stream, 50)
+        verdict, consumed = run_batch(state, stream[:50])
         assert verdict.alarm
         assert consumed == 10
         assert state.stopped_at == 10
@@ -191,14 +191,14 @@ class TestRunBatch:
     def test_quiet_window_consumes_all(self, cv_standard_d1):
         prefix = TimeSeries(np.tile([0.0, 2.0], 10))
         state = train(prefix, DetectorKind.STANDARD, 0.0, cv_standard_d1)
-        verdict, consumed = run_batch(state, np.full(80, 1.0), 50)
+        verdict, consumed = run_batch(state, np.full(80, 1.0)[:50])
         assert consumed == 50
         assert not verdict.alarm
 
     def test_empty_stream_rejected(self, cv_standard_d1, rng):
         state = train(TimeSeries(rng.normal(size=20)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
         with pytest.raises(ValueError, match="no samples"):
-            run_batch(state, np.array([]), 10)
+            run_batch(state, np.array([]))
 
     def test_power_smoke(self, cv_standard_d1):
         # 5-sigma shift right after training alarms within a few samples
@@ -207,7 +207,7 @@ class TestRunBatch:
             x = gen.standard_normal(240)
             x[200:] += 5.0
             state = train(x[:200], DetectorKind.STANDARD, 0.0, cv_standard_d1)
-            verdict, consumed = run_batch(state, x[200:], 40)
+            verdict, consumed = run_batch(state, x[200:240])
             assert verdict.alarm
             assert consumed <= 40
 
@@ -256,12 +256,6 @@ class TestRunBatch:
         assert consumed == len(seq)
         assert verdict == seq[-1]
         assert np.array_equal(bat_state.cum_sum_post, seq_state.cum_sum_post)
-
-    def test_window_bound_respected(self, cv_standard_d1, rng):
-        state = train(TimeSeries(rng.normal(size=60)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
-        verdict, consumed = run_batch(state, rng.normal(size=100), window_k=30)
-        assert consumed <= 30
-        assert state.k == consumed
 
     def test_determinism(self, cv_standard_d1, rng):
         values = rng.normal(size=400)
