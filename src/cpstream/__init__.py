@@ -29,6 +29,7 @@ from .online import (
     DetectorKind,
     OnlineDetectorState,
     Verdict,
+    Verdicts,
     boundary_weight,
     run_batch,
     step,
@@ -79,6 +80,7 @@ __all__ = [
     "DetectorKind",
     "OnlineDetectorState",
     "Verdict",
+    "Verdicts",
     "boundary_weight",
     "train",
     "step",

@@ -415,6 +415,10 @@ def _cmd_simulate(opts: dict) -> int:
     if opts["reps"] < 1:
         # before the critical value is simulated, which can take a while
         raise CpstreamError(f"--reps must be at least 1, got {opts['reps']}")
+    if opts["m"] >= opts["horizon"]:
+        raise CpstreamError(
+            f"--horizon {opts['horizon']} leaves nothing to monitor after --m {opts['m']}"
+        )
     mode = opts["mode"]
     topology = netsim.grid_topology(
         rows, cols, cluster_block=opts["cluster_block"] if mode == "cluster" else None

@@ -79,22 +79,27 @@ def bartlett_lrv(s: SeriesLike, bandwidth: int | None = None) -> np.ndarray:
     ``bartlett_bandwidth(N)``. The result is symmetric and positive
     semidefinite up to rounding. A (near-)singular estimate is not an error
     here; inversion sites regularize via :func:`regularize_spd`.
+
+    An (S, N, d) stack of equal-length series gives an (S, d, d) stack whose
+    slice i equals, bit for bit, the estimate of series i alone.
     """
     mat = as_matrix(s)
-    n = mat.shape[0]
+    n = mat.shape[-2]
     if bandwidth is None:
         bandwidth = bartlett_bandwidth(n)
     if bandwidth < 0:
         raise ValueError("bandwidth must be non-negative")
     if bandwidth >= n:
         raise ValueError(f"bandwidth {bandwidth} must be smaller than the sample count {n}")
-    # the same centred products as autocov, from one centring of the sample
-    centered = mat - mat.mean(axis=0)
-    omega = centered.T @ centered / n
+    # the same centred products as autocov, from one centring of the sample;
+    # matmul over a stack makes the per-slice product of a single series
+    centered = mat - mat.mean(axis=-2, keepdims=True)
+    transposed = centered.swapaxes(-1, -2)
+    omega = np.matmul(transposed, centered) / n
     for lag in range(1, bandwidth + 1):
-        gamma = centered[lag:].T @ centered[: n - lag] / n
-        omega = omega + bartlett_weight(lag / (bandwidth + 1)) * (gamma + gamma.T)
-    return (omega + omega.T) / 2.0
+        gamma = np.matmul(transposed[..., lag:], centered[..., : n - lag, :]) / n
+        omega = omega + bartlett_weight(lag / (bandwidth + 1)) * (gamma + gamma.swapaxes(-1, -2))
+    return (omega + omega.swapaxes(-1, -2)) / 2.0
 
 
 def regularize_spd(matrix: np.ndarray) -> np.ndarray:
@@ -105,29 +110,30 @@ def regularize_spd(matrix: np.ndarray) -> np.ndarray:
     the diagonal, plus the magnitude of a smallest eigenvalue that rounding
     left negative; an exactly zero matrix gains the absolute floor
     ZERO_TRACE_RIDGE so that quadratic forms over zero vectors stay zero
-    instead of dividing by zero.
+    instead of dividing by zero. A (..., d, d) stack is decided matrix by
+    matrix, each slice exactly as on its own.
     """
     matrix = np.asarray(matrix, dtype=float)
-    d = matrix.shape[0]
-    trace = float(np.trace(matrix))
-    smallest = float(np.linalg.eigvalsh(matrix).min())
-    if trace > 0 and smallest >= SINGULAR_RTOL * trace:
+    d = matrix.shape[-1]
+    trace = np.trace(matrix, axis1=-2, axis2=-1)
+    smallest = np.linalg.eigvalsh(matrix).min(axis=-1)
+    untouched = (trace > 0) & (smallest >= SINGULAR_RTOL * trace)
+    if untouched.all():
         return matrix
     ridge = RIDGE_RTOL * trace / d
-    if ridge <= 0:
-        ridge = ZERO_TRACE_RIDGE
-    if smallest < 0:
-        ridge += -smallest
-    return matrix + ridge * np.eye(d)
+    ridge = np.where(ridge > 0, ridge, ZERO_TRACE_RIDGE)
+    ridge = np.where(smallest < 0, ridge + -smallest, ridge)
+    ridged = matrix + ridge[..., None, None] * np.eye(d)
+    return np.where(untouched[..., None, None], matrix, ridged)
 
 
 def inverse(matrix: np.ndarray) -> np.ndarray:
-    """Regularized inverse of a symmetric PSD matrix."""
+    """Regularized inverse of a symmetric PSD matrix, or of each in a stack."""
     return np.linalg.inv(regularize_spd(matrix))
 
 
 def inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Regularized inverse square root via symmetric eigendecomposition."""
+    """Regularized inverse square root via symmetric eigendecomposition, matrix by matrix."""
     safe = regularize_spd(matrix)
     eigvals, eigvecs = np.linalg.eigh(safe)
-    return (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.T
+    return np.matmul(eigvecs * (1.0 / np.sqrt(eigvals))[..., None, :], eigvecs.swapaxes(-1, -2))

@@ -17,7 +17,10 @@ Neighbours also log the sender of every unknown-flow packet they receive.
 Every node runs the standard sequential detector on its own series with
 periodic retraining; a node that alarms accuses the most frequent sender
 among the last ten logged, and a suspect accused by every one of its
-neighbours is declared an attacker.
+neighbours is declared an attacker. All node detectors of a replication (and
+all cluster-head detectors) are trained and run as one stack: each retrain
+round is one ``train`` and one ``run_batch`` call over the series that have
+not alarmed yet.
 
 Everything is a pure function of (topology, scenario, seed, settings):
 per-node and per-replication RNG substreams make runs reproducible at any
@@ -154,7 +157,7 @@ def block_clusters(rows: int, cols: int, block: int = 2) -> tuple[int, ...]:
 def grid_topology(
     rows: int, cols: int, controller: int = 0, cluster_block: int | None = None
 ) -> Topology:
-    clusters = block_clusters(rows, cols, cluster_block) if cluster_block else None
+    clusters = block_clusters(rows, cols, cluster_block) if cluster_block is not None else None
     return Topology(rows=rows, cols=cols, controller=controller, clusters=clusters)
 
 
@@ -345,25 +348,35 @@ class DetectorSettings:
             raise ValueError("retrain block must be positive")
 
 
-def _first_alarm(values: np.ndarray, settings: DetectorSettings, critval: CritVal) -> int | None:
-    """Run the retraining loop on one series; absolute 1-based alarm index or None.
+def _check_horizon(horizon: int, m: int) -> None:
+    if horizon <= m:
+        raise ValueError(f"horizon {horizon} leaves nothing to monitor after m={m}")
+
+
+def _first_alarms(
+    series: np.ndarray, settings: DetectorSettings, critval: CritVal
+) -> list[int | None]:
+    """Run the retraining loop on an (S, horizon, 1) stack; each absolute 1-based alarm or None.
 
     Training starts on the first m samples; every quiet block of
     ``retrain_block`` samples is absorbed into the training prefix and the
-    statistics recomputed.
+    statistics recomputed. Each round trains and runs the series still quiet
+    as one stack, which gives every series the alarm its own loop would.
     """
-    horizon = values.shape[0]
+    horizon = series.shape[1]
     m = settings.m
-    if horizon <= m:
-        raise ValueError(f"horizon {horizon} leaves nothing to monitor after m={m}")
-    while m < horizon:
-        state = train(values[:m], DetectorKind.STANDARD, settings.gamma, critval)
+    _check_horizon(horizon, m)
+    alarms: list[int | None] = [None] * series.shape[0]
+    quiet = np.arange(series.shape[0])
+    while m < horizon and quiet.size:
+        state = train(series[quiet, :m], DetectorKind.STANDARD, settings.gamma, critval)
         block = min(settings.retrain_block, horizon - m)
-        verdict, consumed = run_batch(state, values[m : m + block])
-        if verdict.alarm:
-            return m + consumed
+        verdicts, consumed = run_batch(state, series[quiet, m : m + block])
+        for i, used in zip(quiet[verdicts.alarm].tolist(), consumed[verdicts.alarm].tolist()):
+            alarms[i] = m + used
+        quiet = quiet[~verdicts.alarm]
         m += block
-    return None
+    return alarms
 
 
 @dataclass(frozen=True)
@@ -385,10 +398,9 @@ def detect_per_node(
     traces: TraceSet, settings: DetectorSettings, critval: CritVal
 ) -> dict[int, int | None]:
     """First alarm index of every node's own detector (None when quiet)."""
-    return {
-        trace.node: _first_alarm(trace.series.values, settings, critval)
-        for trace in traces.traces
-    }
+    stack = np.stack([trace.series.values for trace in traces.traces])
+    alarms = _first_alarms(stack, settings, critval)
+    return {trace.node: alarm for trace, alarm in zip(traces.traces, alarms)}
 
 
 def detect_clustered(
@@ -401,10 +413,10 @@ def detect_clustered(
     per-cluster alarms and that overhead count.
     """
     members = traces.topology.cluster_members()
-    alarms: dict[int, int | None] = {}
-    for cid, nodes in members.items():
-        summed = np.sum([traces[n].series.values for n in nodes], axis=0)
-        alarms[cid] = _first_alarm(summed, settings, critval)
+    stack = np.stack(
+        [np.sum([traces[n].series.values for n in nodes], axis=0) for nodes in members.values()]
+    )
+    alarms = dict(zip(members, _first_alarms(stack, settings, critval)))
     overhead = sum(len(nodes) - 1 for nodes in members.values()) * traces.scenario.horizon
     return alarms, overhead
 
@@ -518,6 +530,7 @@ def run_experiment(
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
+    _check_horizon(scenario.horizon, settings.m)
     n = topology.n_nodes
     detect_counts = np.zeros(n)
     alarm_counts = np.zeros(n)

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 import cpstream
+from cpstream import critvals
 from cpstream.cli import dispatch
 from cpstream.critvals import CritValKind, build_table
 from cpstream.rng import substream
@@ -302,6 +303,32 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --reps must be at least 1")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--mode", "cluster", "--cluster-block", "0"], "error: block must be at least 1"),
+            (["--m", "600", "--horizon", "600"],
+             "error: --horizon 600 leaves nothing to monitor after --m 600"),
+        ],
+        ids=["cluster-block-0", "m-equals-horizon"],
+    )
+    def test_bad_setting_rejected_before_simulating(self, capsys, monkeypatch, argv, message):
+        replications = []
+        real = critvals.replication_stat
+
+        def counted(request, rep):
+            replications.append(rep)
+            return real(request, rep)
+
+        monkeypatch.setattr(critvals, "replication_stat", counted)
+        status = dispatch(["simulate", "--grid", "4x4", "--attackers", "1", "--reps", "1",
+                           "--mc-grid", "300", "--mc-reps", "2000", *argv])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.strip() == message
+        assert replications == []
 
 
 class TestExitCodes:

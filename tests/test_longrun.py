@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpstream.longrun import (
+    RIDGE_RTOL,
     autocov,
     bartlett_bandwidth,
     bartlett_lrv,
@@ -164,6 +165,58 @@ class TestRegularization:
         assert np.linalg.eigvalsh(regularize_spd(m)).min() > 0
         assert np.all(np.isfinite(inverse(m)))
         assert np.all(np.isfinite(inverse_sqrt(m)))
+
+    def test_negative_eigenvalue_beyond_ridge_lifted(self):
+        # -1e-3 dwarfs the relative ridge RIDGE_RTOL * trace / d (about 5e-9),
+        # so only adding its magnitude makes the result positive definite
+        m = np.diag([1.0, -1e-3])
+        relative_ridge = RIDGE_RTOL * np.trace(m) / 2
+        assert -np.linalg.eigvalsh(m).min() > relative_ridge
+        smallest = np.linalg.eigvalsh(regularize_spd(m)).min()
+        assert smallest >= relative_ridge * (1 - 1e-6)
+
+
+def mixed_stack():
+    """Well-conditioned, near-singular, beyond-ridge negative and all-zero 2 x 2 matrices."""
+    return np.array([
+        [[2.0, 0.3], [0.3, 1.0]],
+        [[1.0, 1.0], [1.0, 1.0]],
+        np.diag([1.0, -1e-3]),
+        np.zeros((2, 2)),
+    ])
+
+
+class TestStacks:
+    """A (..., d, d) or (S, n, d) stack gives, slice for slice, the single-matrix result."""
+
+    @pytest.mark.parametrize("fn", [regularize_spd, inverse, inverse_sqrt])
+    def test_mixed_stack_matches_slices(self, fn):
+        stack = mixed_stack()
+        out = fn(stack)
+        assert out.shape == stack.shape
+        for i, matrix in enumerate(stack):
+            assert np.array_equal(out[i], fn(matrix))
+
+    def test_well_conditioned_stack_untouched(self):
+        stack = mixed_stack()[:1].repeat(3, axis=0)
+        assert np.array_equal(regularize_spd(stack), stack)
+
+    @pytest.mark.parametrize("bandwidth", [None, 0, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bartlett_stack_matches_slices(self, d, bandwidth):
+        gen = substream(d, 71)
+        # a slow random walk on top of noise: serially dependent series
+        walk = gen.standard_normal((6, 150, d)).cumsum(axis=1)
+        stack = 0.1 * walk + gen.standard_normal((6, 150, d))
+        stack[1] = 4.0  # constant series
+        if d > 1:
+            stack[2, :, 1] = 3.0 * stack[2, :, 0]  # rank-deficient series
+        omega = bartlett_lrv(stack, bandwidth)
+        half = inverse_sqrt(omega)
+        assert omega.shape == half.shape == (6, d, d)
+        for i, series in enumerate(stack):
+            assert np.array_equal(omega[i], bartlett_lrv(series, bandwidth))
+            assert np.array_equal(half[i], inverse_sqrt(bartlett_lrv(series, bandwidth)))
 
 
 class TestRankDeficientSeries:

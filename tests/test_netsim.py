@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpstream import netsim
 from cpstream.netsim import (
     AttackScenario,
     DetectorSettings,
@@ -15,6 +16,7 @@ from cpstream.netsim import (
     run_experiment,
     simulate_once,
 )
+from cpstream.online import DetectorKind, run_batch, train
 
 SETTINGS = DetectorSettings(m=200, retrain_block=50, gamma=0.0, alpha=0.05)
 
@@ -267,3 +269,68 @@ class TestDeterminism:
     def test_nonpositive_replications_rejected(self, topo10, scenario10, cv_standard_d1, reps):
         with pytest.raises(ValueError, match="replications must be at least 1"):
             run_experiment(topo10, scenario10, SETTINGS, cv_standard_d1, replications=reps)
+
+
+def reference_first_alarm(values, settings, critval):
+    """One series through its own train/run_batch retraining loop."""
+    m, horizon = settings.m, values.shape[0]
+    while m < horizon:
+        state = train(values[:m], DetectorKind.STANDARD, settings.gamma, critval)
+        block = min(settings.retrain_block, horizon - m)
+        verdict, consumed = run_batch(state, values[m : m + block])
+        if verdict.alarm:
+            return m + consumed
+        m += block
+    return None
+
+
+def reference_per_node(traces, settings, critval):
+    return {
+        t.node: reference_first_alarm(t.series.values, settings, critval) for t in traces.traces
+    }
+
+
+def reference_clustered(traces, settings, critval):
+    members = traces.topology.cluster_members()
+    alarms = {
+        cid: reference_first_alarm(
+            np.sum([traces[n].series.values for n in nodes], axis=0), settings, critval
+        )
+        for cid, nodes in members.items()
+    }
+    return alarms, sum(len(nodes) - 1 for nodes in members.values()) * traces.scenario.horizon
+
+
+class TestStackedDetection:
+    """Every detector of a replication runs as one stack, alarm for alarm like its own loop."""
+
+    @pytest.mark.parametrize("block", [50, 70])  # 70: the last block of 400 is short
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_matches_per_series_loop(self, monkeypatch, cv_standard_d1, clustered, block):
+        topo = grid_topology(10, 10, cluster_block=2)
+        scenario = random_scenario(topo, n_attackers=10, seed=2, start=401, horizon=600)
+        settings = DetectorSettings(m=200, retrain_block=block)
+
+        def outcome():
+            experiment = run_experiment(
+                topo, scenario, settings, cv_standard_d1,
+                replications=3, seed=5, clustered=clustered,
+            )
+            reports = [
+                simulate_once(topo, scenario, settings, cv_standard_d1, seed=s, clustered=clustered)
+                for s in range(3)
+            ]
+            return experiment, reports
+
+        stacked = outcome()
+        monkeypatch.setattr(netsim, "detect_per_node", reference_per_node)
+        monkeypatch.setattr(netsim, "detect_clustered", reference_clustered)
+        assert stacked == outcome()
+
+    def test_experiment_rejects_short_horizon_before_any_replication(
+        self, monkeypatch, topo10, cv_standard_d1
+    ):
+        scenario = AttackScenario(attackers=(55,), start=150, horizon=200)
+        monkeypatch.setattr(netsim, "generate_traces", pytest.fail)
+        with pytest.raises(ValueError, match="horizon 200 leaves nothing to monitor after m=200"):
+            run_experiment(topo10, scenario, SETTINGS, cv_standard_d1, replications=2)

@@ -311,3 +311,127 @@ def test_step_and_run_batch_agree_exactly(kind, d, gamma):
     # every intermediate verdict is the last row of a block ending there
     for n, expected in enumerate(seq[:-1], start=1):
         assert run_batch(train(prefix, kind, gamma, cv), monitored[:n]) == (expected, n)
+
+
+def stream_stack(d, n_prefix=100, n_block=60):
+    """Streams that cover the stacked kernel's cases, as an (S, m + b, d) array.
+
+    0: constant, monitored at its training mean (never alarms)
+    1: rank-deficient (column 2 = 3 x column 1 when d > 1)
+    2: alarms at its first monitored sample
+    3: quiet noise
+    4: a +3 step partway through the block
+    """
+    gen = substream(d, 13)
+    n = n_prefix + n_block
+    stack = gen.standard_normal((5, n, d))
+    stack[0] = 5.0
+    if d > 1:
+        stack[1, :, 1] = 3.0 * stack[1, :, 0]
+    stack[2, n_prefix] += 1e3
+    stack[3, n_prefix:] *= 0.1
+    stack[4, n_prefix + 25 :] += 3.0
+    return stack
+
+
+def small_critval(kind, d, gamma=0.0):
+    return compute_critval(
+        CritValRequest(
+            kind=kind.critval_kind, alpha=0.05, d=d, gamma=gamma,
+            grid_steps=100, replications=1000, seed=0,
+        )
+    )
+
+
+def assert_stream_state_equal(stacked, i, single):
+    """Stream i of a stacked state holds exactly the single-stream state."""
+    for name in ("training_mean", "training_sum", "omega_inv_sqrt",
+                 "ratio_denominator", "ratio_denominator_inv", "cum_sum_post"):
+        field_stack, field_single = getattr(stacked, name), getattr(single, name)
+        if field_single is None:
+            assert field_stack is None
+        else:
+            assert np.array_equal(field_stack[i], field_single), name
+    assert stacked.k[i] == single.k
+    assert stacked.stopped_at[i] == single.stopped_at
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(DetectorKind))
+class TestStacked:
+    """train and run_batch on (S, ·, d) stacks match the per-stream calls bit for bit."""
+
+    def test_train_matches_streams(self, kind, d):
+        cv = small_critval(kind, d)
+        stack = stream_stack(d)[:, :100]
+        state = train(stack, kind, 0.0, cv)
+        assert state.stacked and state.dim == d
+        assert state.training_mean.shape == (5, d)
+        for i, series in enumerate(stack):
+            assert_stream_state_equal(state, i, train(series, kind, 0.0, cv))
+
+    def test_run_batch_matches_streams(self, kind, d):
+        cv = small_critval(kind, d, gamma=0.25)
+        stack = stream_stack(d)
+        prefix, block = stack[:, :100], stack[:, 100:]
+        state = train(prefix, kind, 0.25, cv)
+        verdicts, consumed = run_batch(state, block)
+        assert consumed.shape == verdicts.alarm.shape == (5,)
+        assert verdicts.alarm[2] and consumed[2] == 1
+        assert not verdicts.alarm[0] and consumed[0] == 60
+        assert not verdicts.alarm[3]
+        for i in range(5):
+            single = train(prefix[i], kind, 0.25, cv)
+            assert (verdicts[i], consumed[i]) == run_batch(single, block[i])
+            assert_stream_state_equal(state, i, single)
+
+    def test_second_block_continues_each_count(self, kind, d):
+        cv = small_critval(kind, d)
+        stack = stream_stack(d, n_block=80)[[0, 1, 3, 4]]
+        prefix, first, second = stack[:, :100], stack[:, 100:120], stack[:, 120:]
+        state = train(prefix, kind, 0.0, cv)
+        verdicts, _ = run_batch(state, first)
+        assert not verdicts.alarm.any()
+        verdicts, consumed = run_batch(state, second)
+        for i in range(4):
+            single = train(prefix[i], kind, 0.0, cv)
+            run_batch(single, first[i])
+            assert (verdicts[i], consumed[i]) == run_batch(single, second[i])
+            assert_stream_state_equal(state, i, single)
+
+    def test_non_finite_sample_names_stream(self, kind, d):
+        cv = small_critval(kind, d)
+        stack = stream_stack(d)
+        state = train(stack[:, :100], kind, 0.0, cv)
+        block = stack[:, 100:].copy()
+        block[3, 5, d - 1] = np.nan
+        block[4, 9, 0] = np.inf
+        with pytest.raises(NonFiniteSampleError, match="in stream 3 at k=6"):
+            run_batch(state, block)
+        assert np.array_equal(state.k, np.zeros(5, dtype=int))
+        assert np.array_equal(state.cum_sum_post, np.zeros((5, d)))
+        assert not state.stopped
+
+
+class TestStackedGuards:
+    def test_step_rejects_stack(self, cv_standard_d1):
+        state = train(np.zeros((3, 20, 1)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
+        with pytest.raises(ValueError, match="run_batch"):
+            step(state, [0.0])
+
+    def test_stopped_stream_refuses_stack(self, cv_standard_d1, rng):
+        state = train(rng.normal(size=(3, 50, 1)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
+        block = np.zeros((3, 10, 1))
+        block[1, 0] = 1e6
+        verdicts, consumed = run_batch(state, block)
+        assert list(verdicts.alarm) == [False, True, False]
+        assert list(state.stopped_at) == [None, 1, None]
+        with pytest.raises(DetectorStoppedError, match="stream 1"):
+            run_batch(state, block)
+
+    def test_block_must_hold_every_stream(self, cv_standard_d1, rng):
+        state = train(rng.normal(size=(3, 50, 1)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
+        with pytest.raises(ValueError, match=r"is not \(3, b, d\)"):
+            run_batch(state, np.zeros((2, 10, 1)))
+        with pytest.raises(ValueError, match=r"is not \(3, b, d\)"):
+            run_batch(state, np.zeros((10, 1)))

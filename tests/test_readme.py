@@ -21,3 +21,4 @@ def test_library_quick_start_runs():
     assert abs(namespace["result"].cp_index - 300) <= 10
     assert namespace["verdict"].alarm
     assert namespace["consumed"] <= 20
+    assert list(namespace["verdicts"].alarm) == [False, True, False]
