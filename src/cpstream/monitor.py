@@ -11,6 +11,12 @@ Each round works on the stream history up to the current origin m_s:
    restart monitoring at a + quiet_gap_d;
 4. on a quiet window, advance the origin to the window end and continue.
 
+The history is one (capacity, d) float64 buffer with a fill count: each
+sample is written into it once, as it is read, and the capacity doubles when
+the buffer fills. A round copies the first m_s rows into the series it
+segments, and a label copies every row read so far. The buffer is not
+trimmed, so it grows with the stream.
+
 The loop ends when the stream does. Replaying a recorded stream with the
 same configuration reproduces the identical event list.
 """
@@ -40,6 +46,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# rows of the first sample buffer; it doubles whenever it fills
+_FIRST_CAPACITY = 1024
 
 
 class Action(str, Enum):
@@ -125,29 +134,44 @@ def run_monitor(
 ) -> list[ChangeEvent]:
     """Run the monitoring loop over a sample stream until it is exhausted.
 
-    ``stream`` yields scalars or d-vectors; at least ``m_min`` samples must
-    arrive before the first window, and a shorter stream is logged and
-    yields no events. Events are returned in stream order (and pushed to
-    ``on_event`` as they happen). A window whose training selection fails is
-    logged and skipped, advancing the origin by one window.
+    ``stream`` yields scalars or d-vectors, each as wide as the first (a
+    sample of another width raises ``ValueError``); at least ``m_min``
+    samples must arrive before the first window, and a shorter stream is
+    logged and yields no events. Events are returned in stream order (and
+    pushed to ``on_event`` as they happen). A window whose training
+    selection fails is logged and skipped, advancing the origin by one
+    window.
     """
     iterator = iter(stream)
-    history: list[np.ndarray] = []
+    buf = np.empty((0, 0))  # sample n is row n - 1; rows from size on are unfilled
+    size = 0
 
     def ensure(count: int) -> bool:
-        while len(history) < count:
+        nonlocal buf, size
+        while size < count:
             try:
                 x = next(iterator)
             except StopIteration:
                 return False
-            history.append(np.atleast_1d(np.asarray(x, dtype=float)))
+            row = np.asarray(x, dtype=float).reshape(-1)
+            if size == 0:
+                buf = np.empty((_FIRST_CAPACITY, row.shape[0]))
+            elif row.shape[0] != buf.shape[1]:
+                raise ValueError(
+                    f"sample {size + 1} has width {row.shape[0]}, "
+                    f"but the stream's width is {buf.shape[1]} (set by sample 1)"
+                )
+            elif size == buf.shape[0]:
+                buf = np.concatenate((buf, np.empty_like(buf)))
+            buf[size] = row
+            size += 1
         return True
 
     if not ensure(config.m_min):
         logger.warning(
             "stream ended after %d samples, before the %d needed to train (m_min): "
             "nothing was monitored",
-            len(history),
+            size,
             config.m_min,
         )
         return []
@@ -157,7 +181,7 @@ def run_monitor(
     while True:
         if not ensure(origin):
             break
-        past = TimeSeries(np.vstack(history[:origin]))
+        past = TimeSeries(buf[:origin].copy())
         try:
             training = select_training(past, config)
         except InsufficientTrainingError as exc:
@@ -174,7 +198,7 @@ def run_monitor(
         while consumed < config.window_k:
             if not ensure(origin + consumed + 1):
                 break
-            verdict = step(state, history[origin + consumed])
+            verdict = step(state, buf[origin + consumed])
             consumed += 1
             if verdict.alarm:
                 alarm_at = origin + consumed
@@ -189,9 +213,9 @@ def run_monitor(
         # pull up to h post-alarm samples for the interval label; the stream
         # end clamps the window instead of blocking the loop
         ensure(alarm_at + config.macd.h)
-        reachable_h = min(config.macd.h, len(history) - alarm_at)
+        reachable_h = min(config.macd.h, size - alarm_at)
         verdict_trend = trend_interval(
-            TimeSeries(np.vstack(history)),
+            TimeSeries(buf[:size].copy()),
             alarm_at,
             replace(config.macd, h=reachable_h),
             dim=config.trend_dim,

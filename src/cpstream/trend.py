@@ -94,11 +94,13 @@ def ema(s: SeriesLike, p: int, dim: int = 1) -> np.ndarray:
     x = _as_1d(s, dim)
     gain = 2.0 / (p + 1)
     keep = (p - 1.0) / (p + 1)
-    out = np.empty_like(x)
-    out[0] = x[0]
-    for n in range(1, x.shape[0]):
-        out[n] = gain * x[n] + keep * out[n - 1]
-    return out
+    # over Python floats: the same IEEE operations as over numpy scalars,
+    # without the cost of indexing one numpy scalar per step
+    values = x.tolist()
+    out = [values[0]]
+    for v in values[1:]:
+        out.append(gain * v + keep * out[-1])
+    return np.array(out)
 
 
 def macd(s: SeriesLike, p2: int, p3: int, dim: int = 1) -> np.ndarray:

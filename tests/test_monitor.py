@@ -113,6 +113,35 @@ class TestRunMonitor:
         x = one_step(9, 400, 150, 4.0)
         assert run_monitor(list(x), config) == run_monitor(list(x), config)
 
+    def test_golden_events(self, config):
+        # events recorded from the loop that kept the history as a list of
+        # per-sample arrays; 3 200 samples cross the sample buffer's first
+        # growth, and the stream has three mean steps
+        x = stationary(40, 3200)
+        x[1100:2200] += 4.0
+        x[2700:] -= 3.0
+        events = run_monitor(x, config)
+        assert [
+            (e.detected_at, e.direction.value, repr(e.trend.value), e.training_used)
+            for e in events
+        ] == [
+            (1121, "down", "-1.42758100870799", (1, 1100)),
+            (2217, "up", "2.052318527270475", (1101, 2146)),
+            (2722, "up", "1.0053659777535677", (2201, 2642)),
+        ]
+        assert run_monitor(x.tolist(), config) == events
+        assert run_monitor([[v] for v in x.tolist()], config) == events
+
+    @pytest.mark.parametrize("bad", [7.0, [1.0, 2.0, 3.0]], ids=["scalar", "3-vector"])
+    def test_sample_of_another_width_rejected(self, config, bad):
+        rows = substream(13, 31).standard_normal((400, 2)).tolist()
+        rows[249] = bad
+        width = np.size(bad)
+        with pytest.raises(
+            ValueError, match=f"sample 250 has width {width}, but the stream's width is 2"
+        ):
+            run_monitor(rows, config)
+
     def test_event_callback_invoked(self, config):
         x = one_step(7, 400, 150, 5.0)
         seen = []

@@ -39,8 +39,13 @@ class TestEma:
         assert ema(np.array([0.0, 1.0]), 3)[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_brute_force(self, rng):
-        x = rng.normal(size=40)
-        assert np.allclose(ema(x, 12), brute_ema(x, 12), rtol=1e-12)
+        # the same IEEE operations in the same order: equal to the last bit
+        x = rng.normal(size=2000)
+        assert np.array_equal(ema(x, 12), brute_ema(x, 12))
+        assert ema(x, 12).tobytes() == brute_ema(x, 12).tobytes()
+        xy = rng.normal(size=(2000, 2))
+        assert np.array_equal(ema(xy, 12, dim=2), brute_ema(xy[:, 1], 12))
+        assert ema(xy, 12, dim=2).tobytes() == brute_ema(xy[:, 1], 12).tobytes()
 
     def test_rejects_bad_lag(self):
         with pytest.raises(ValueError):
