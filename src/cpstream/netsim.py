@@ -13,7 +13,10 @@ is:
 * nodes relaying those rule requests toward the controller rise by
   rate * ticks * decay^hops along the (deterministic) shortest path.
 
-Neighbours also log the sender of every unknown-flow packet they receive.
+A replication's traces are one read-only (n_nodes, horizon) matrix whose
+row i is node i's series. Neighbours also log the sender of every
+unknown-flow packet they receive; that log is a function of the scenario
+alone, so it is derived when asked (:meth:`TraceSet.log`) instead of stored.
 Every node runs the standard sequential detector on its own series with
 periodic retraining; a node that alarms accuses the most frequent sender
 among the last ten logged, and a suspect accused by every one of its
@@ -38,7 +41,6 @@ import numpy as np
 from .critvals import CritVal
 from .online import DetectorKind, run_batch, train
 from .rng import substream
-from .timeseries import TimeSeries
 
 __all__ = [
     "Topology",
@@ -46,7 +48,6 @@ __all__ = [
     "block_clusters",
     "AttackScenario",
     "random_scenario",
-    "NodeTrace",
     "TraceSet",
     "DetectorSettings",
     "DetectionReport",
@@ -210,6 +211,8 @@ def random_scenario(
     """
     if n_attackers is None:
         n_attackers = max(1, topology.n_nodes // 10)
+    if n_attackers < 1:
+        raise ValueError(f"n_attackers must be at least 1, got {n_attackers}")
     rng = substream(seed, 11)
     for _ in range(max_tries):
         chosen: list[int] = []
@@ -227,36 +230,38 @@ def random_scenario(
 
 
 @dataclass(frozen=True, eq=False)
-class NodeTrace:
-    """One node's transmit-time series plus its unknown-flow sender log.
-
-    ``log_times``/``log_senders`` are parallel arrays: entry i says that at
-    sample ``log_times[i]`` an unknown-flow packet from neighbour
-    ``log_senders[i]`` arrived. Times are non-decreasing.
-    """
-
-    node: int
-    series: TimeSeries
-    log_times: np.ndarray
-    log_senders: np.ndarray
-
-    def senders_up_to(self, t: int, last: int = 10) -> np.ndarray:
-        """The most recent ``last`` sender entries at or before sample t."""
-        cut = int(np.searchsorted(self.log_times, t, side="right"))
-        return self.log_senders[max(0, cut - last) : cut]
-
-
-@dataclass(frozen=True, eq=False)
 class TraceSet:
-    """All node traces of one replication, with their generating context."""
+    """All node series of one replication, with their generating context.
+
+    ``values`` is the read-only, C-contiguous (n_nodes, horizon) matrix whose
+    row i is node i's transmit-time series.
+    """
 
     topology: Topology
     scenario: AttackScenario
-    traces: tuple[NodeTrace, ...]
+    values: np.ndarray
     seed: int
 
-    def __getitem__(self, node: int) -> NodeTrace:
-        return self.traces[node]
+    def log(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        """Unknown-flow log of ``node`` as parallel (times, senders) arrays.
+
+        Entry i says that at sample ``times[i]`` a packet from neighbour
+        ``senders[i]`` arrived; entries are sorted by time, then by sender.
+        """
+        scenario = self.scenario
+        senders = np.array(
+            sorted(set(self.topology.neighbors(node)) & set(scenario.attackers)), dtype=int
+        )
+        periods = np.arange(scenario.start, scenario.horizon + 1)
+        counts = _packets_per_period(scenario.injection_rate, periods.size)
+        times = np.repeat(periods, counts * senders.size)
+        return times, np.repeat(np.tile(senders, periods.size), np.repeat(counts, senders.size))
+
+    def senders_up_to(self, node: int, t: int) -> np.ndarray:
+        """The last ten sender entries of ``node``'s log at or before sample t."""
+        times, senders = self.log(node)
+        cut = int(np.searchsorted(times, t, side="right"))
+        return senders[max(0, cut - 10) : cut]
 
 
 def attack_lift(topology: Topology, scenario: AttackScenario) -> np.ndarray:
@@ -281,7 +286,7 @@ def _packets_per_period(rate: float, periods: int) -> np.ndarray:
 
 
 def generate_traces(topology: Topology, scenario: AttackScenario, seed: int = 0) -> TraceSet:
-    """Simulate every node's series and sender log for one replication."""
+    """Simulate every node's series for one replication."""
     n = topology.n_nodes
     horizon = scenario.horizon
     if any(not 0 <= a < n for a in scenario.attackers):
@@ -290,46 +295,21 @@ def generate_traces(topology: Topology, scenario: AttackScenario, seed: int = 0)
     base = np.broadcast_to(np.asarray(scenario.baseline_mean, dtype=float), (n,))
     lift = attack_lift(topology, scenario)
 
-    # AR(1) noise, one substream per node, recursion vectorised across nodes
-    eps = np.empty((horizon, n))
+    # AR(1) noise, one substream per node (row), recursion vectorised across nodes
+    eps = np.empty((n, horizon))
     for node in range(n):
-        eps[:, node] = substream(seed, _TRACE_STREAM, node).standard_normal(horizon)
+        eps[node] = substream(seed, _TRACE_STREAM, node).standard_normal(horizon)
     eps *= scenario.noise_sigma
     phi = scenario.ar_coeff
-    noise = np.empty_like(eps)
-    noise[0] = eps[0] / np.sqrt(1.0 - phi**2) if phi > 0 else eps[0]
+    values = np.empty_like(eps)
+    values[:, 0] = eps[:, 0] / np.sqrt(1.0 - phi**2) if phi > 0 else eps[:, 0]
     for t in range(1, horizon):
-        noise[t] = phi * noise[t - 1] + eps[t]
+        values[:, t] = phi * values[:, t - 1] + eps[:, t]
 
-    values = base + noise
-    attacked = np.arange(1, horizon + 1) >= scenario.start
-    values[attacked] += lift
-
-    # sender logs: neighbours record each injected packet's sender
-    log_times: list[list[int]] = [[] for _ in range(n)]
-    log_senders: list[list[int]] = [[] for _ in range(n)]
-    periods = np.arange(scenario.start, horizon + 1)
-    counts = _packets_per_period(scenario.injection_rate, periods.size)
-    for attacker in scenario.attackers:
-        times = np.repeat(periods, counts)
-        for victim in topology.neighbors(attacker):
-            log_times[victim].extend(times.tolist())
-            log_senders[victim].extend([attacker] * times.size)
-
-    traces = []
-    for node in range(n):
-        times = np.asarray(log_times[node], dtype=int)
-        senders = np.asarray(log_senders[node], dtype=int)
-        order = np.lexsort((senders, times))
-        traces.append(
-            NodeTrace(
-                node=node,
-                series=TimeSeries(values[:, node].reshape(-1, 1), label=f"node-{node}"),
-                log_times=times[order],
-                log_senders=senders[order],
-            )
-        )
-    return TraceSet(topology=topology, scenario=scenario, traces=tuple(traces), seed=seed)
+    values += base[:, None]
+    values[:, scenario.start - 1 :] += lift[:, None]
+    values.flags.writeable = False
+    return TraceSet(topology=topology, scenario=scenario, values=values, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -398,9 +378,7 @@ def detect_per_node(
     traces: TraceSet, settings: DetectorSettings, critval: CritVal
 ) -> dict[int, int | None]:
     """First alarm index of every node's own detector (None when quiet)."""
-    stack = np.stack([trace.series.values for trace in traces.traces])
-    alarms = _first_alarms(stack, settings, critval)
-    return {trace.node: alarm for trace, alarm in zip(traces.traces, alarms)}
+    return dict(enumerate(_first_alarms(traces.values[:, :, None], settings, critval)))
 
 
 def detect_clustered(
@@ -413,18 +391,14 @@ def detect_clustered(
     per-cluster alarms and that overhead count.
     """
     members = traces.topology.cluster_members()
-    stack = np.stack(
-        [np.sum([traces[n].series.values for n in nodes], axis=0) for nodes in members.values()]
-    )
-    alarms = dict(zip(members, _first_alarms(stack, settings, critval)))
+    stack = np.stack([traces.values[list(nodes)].sum(axis=0) for nodes in members.values()])
+    alarms = dict(zip(members, _first_alarms(stack[:, :, None], settings, critval)))
     overhead = sum(len(nodes) - 1 for nodes in members.values()) * traces.scenario.horizon
     return alarms, overhead
 
 
 def identify_attackers(
-    traces: TraceSet,
-    per_node_alarm: Mapping[int, int | None],
-    topology: Topology | None = None,
+    traces: TraceSet, per_node_alarm: Mapping[int, int | None]
 ) -> frozenset[int]:
     """Central tally of suspect accusations from alarming nodes.
 
@@ -433,22 +407,19 @@ def identify_attackers(
     accuse nobody. A suspect is declared an attacker exactly when its
     accusation count equals its neighbour count.
     """
-    topology = topology if topology is not None else traces.topology
     accusations: Counter[int] = Counter()
     for node in sorted(per_node_alarm):
         alarm = per_node_alarm[node]
         if alarm is None:
             continue
-        recent = traces[node].senders_up_to(alarm, last=10)
+        recent = traces.senders_up_to(node, alarm)
         if recent.size == 0:
             continue
         counts = Counter(recent.tolist())
         top = max(counts.values())
         suspect = min(s for s, c in counts.items() if c == top)
         accusations[suspect] += 1
-    return frozenset(
-        s for s, c in accusations.items() if c == topology.degree(s)
-    )
+    return frozenset(s for s, c in accusations.items() if c == traces.topology.degree(s))
 
 
 def simulate_once(

@@ -310,8 +310,10 @@ class TestSimulateCommand:
             (["--mode", "cluster", "--cluster-block", "0"], "error: block must be at least 1"),
             (["--m", "600", "--horizon", "600"],
              "error: --horizon 600 leaves nothing to monitor after --m 600"),
+            (["--attackers", "0"], "error: n_attackers must be at least 1, got 0"),
+            (["--attackers", "-1"], "error: n_attackers must be at least 1, got -1"),
         ],
-        ids=["cluster-block-0", "m-equals-horizon"],
+        ids=["cluster-block-0", "m-equals-horizon", "attackers-0", "attackers-negative"],
     )
     def test_bad_setting_rejected_before_simulating(self, capsys, monkeypatch, argv, message):
         replications = []

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,12 @@ class TestScenario:
             for b in attackers[i + 1 :]:
                 assert topo10.hop_distance(a, b) >= 3
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_attackers_rejected_before_placement(self, monkeypatch, topo10, n):
+        monkeypatch.setattr(netsim, "substream", pytest.fail)
+        with pytest.raises(ValueError, match=f"n_attackers must be at least 1, got {n}"):
+            random_scenario(topo10, n_attackers=n)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="horizon"):
             AttackScenario(attackers=(1,), start=600, horizon=600)
@@ -106,28 +114,28 @@ class TestTrafficModel:
         victim = topo10.node_id(1, 9)
         scenario = AttackScenario(attackers=(attacker,), start=10_001, horizon=20_000)
         traces = generate_traces(topo10, scenario, seed=1)
-        series = traces[victim].series.values[:, 0]
+        series = traces.values[victim]
         observed = series[10_000:].mean() - series[:10_000].mean()
         assert observed == pytest.approx(3.0, rel=0.05)
 
     def test_same_seed_identical_traces(self, topo10, scenario10):
         a = generate_traces(topo10, scenario10, seed=3)
         b = generate_traces(topo10, scenario10, seed=3)
-        for ta, tb in zip(a.traces, b.traces):
-            assert np.array_equal(ta.series.values, tb.series.values)
-            assert np.array_equal(ta.log_times, tb.log_times)
-            assert np.array_equal(ta.log_senders, tb.log_senders)
+        assert np.array_equal(a.values, b.values)
+        for node in range(topo10.n_nodes):
+            for la, lb in zip(a.log(node), b.log(node)):
+                assert np.array_equal(la, lb)
 
     def test_attack_free_traces_have_empty_logs(self, topo10):
         scenario = AttackScenario(attackers=(), start=100, horizon=250)
         traces = generate_traces(topo10, scenario, seed=0)
-        assert all(trace.log_times.size == 0 for trace in traces.traces)
+        assert all(traces.log(node)[0].size == 0 for node in range(topo10.n_nodes))
 
     def test_logs_only_from_neighbors(self, topo10, scenario10):
         traces = generate_traces(topo10, scenario10, seed=2)
-        for trace in traces.traces:
-            senders = set(trace.log_senders.tolist())
-            assert senders <= set(topo10.neighbors(trace.node))
+        for node in range(topo10.n_nodes):
+            senders = set(traces.log(node)[1].tolist())
+            assert senders <= set(topo10.neighbors(node))
 
     def test_log_counts_follow_rate(self, topo10):
         attacker = topo10.node_id(0, 9)
@@ -135,7 +143,7 @@ class TestTrafficModel:
         traces = generate_traces(topo10, scenario, seed=0)
         victim = topo10.node_id(1, 9)
         # 200 attacked periods at 2.5 packets each
-        assert traces[victim].log_times.size == 500
+        assert traces.log(victim)[0].size == 500
 
 
 class TestDetection:
@@ -242,7 +250,7 @@ class TestIdentification:
         far_node = next(
             node
             for node in range(topo10.n_nodes)
-            if traces[node].log_times.size == 0
+            if traces.log(node)[0].size == 0
         )
         alarms = {node: None for node in range(topo10.n_nodes)}
         alarms[far_node] = 450
@@ -286,7 +294,8 @@ def reference_first_alarm(values, settings, critval):
 
 def reference_per_node(traces, settings, critval):
     return {
-        t.node: reference_first_alarm(t.series.values, settings, critval) for t in traces.traces
+        node: reference_first_alarm(row[:, None], settings, critval)
+        for node, row in enumerate(traces.values)
     }
 
 
@@ -294,7 +303,7 @@ def reference_clustered(traces, settings, critval):
     members = traces.topology.cluster_members()
     alarms = {
         cid: reference_first_alarm(
-            np.sum([traces[n].series.values for n in nodes], axis=0), settings, critval
+            np.sum([traces.values[n] for n in nodes], axis=0)[:, None], settings, critval
         )
         for cid, nodes in members.items()
     }
@@ -334,3 +343,95 @@ class TestStackedDetection:
         monkeypatch.setattr(netsim, "generate_traces", pytest.fail)
         with pytest.raises(ValueError, match="horizon 200 leaves nothing to monitor after m=200"):
             run_experiment(topo10, scenario, SETTINGS, cv_standard_d1, replications=2)
+
+
+class TestGolden:
+    """Traces and one full report pinned, so a rewrite of the trace path cannot drift."""
+
+    def test_trace_matrix_10x10(self, topo10, scenario10):
+        values = generate_traces(topo10, scenario10, seed=3).values
+        assert values.shape == (100, 600)
+        assert values.flags.c_contiguous and not values.flags.writeable
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "a040ba590586b06d3dcddf0d8e40190fcafeb5442bf74870b13a0c5555e2d177"
+        )
+
+    def test_trace_matrix_30x30(self):
+        topo = grid_topology(30, 30, cluster_block=2)
+        values = generate_traces(topo, random_scenario(topo, seed=1), seed=1).values
+        assert values.shape == (900, 600)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "dbc2ab3b078306cc7b2fd43aaa946c875e038ba1345fc29e796fe3ff8060105f"
+        )
+
+    def test_clustered_report_10x10(self, cv_standard_d1):
+        topo = grid_topology(10, 10, cluster_block=2)
+        scenario = random_scenario(topo, n_attackers=10, seed=0, start=401, horizon=600)
+        report = simulate_once(topo, scenario, SETTINGS, cv_standard_d1, seed=3, clustered=True)
+        node_alarms = {
+            0: 413, 1: 405, 2: 412, 3: 415, 4: 405, 5: 411, 6: 414, 7: 419, 8: 416, 9: 409,
+            11: 418, 14: 421, 15: 420, 16: 405, 17: 416, 19: 422, 22: 430, 26: 418, 31: 436,
+            32: 415, 36: 446, 40: 416, 41: 413, 42: 405, 43: 419, 45: 444, 46: 422, 47: 441,
+            50: 406, 51: 413, 52: 415, 54: 443, 55: 418, 56: 405, 57: 416, 60: 417, 61: 422,
+            62: 444, 63: 496, 64: 418, 65: 449, 66: 421, 68: 445, 70: 420, 71: 404, 72: 419,
+            73: 427, 74: 405, 75: 419, 77: 495, 78: 419, 79: 437, 81: 419, 84: 420, 87: 422,
+            88: 404, 89: 418, 98: 428,
+        }
+        cluster_alarms = {
+            0: 406, 1: 413, 2: 405, 3: 405, 4: 409, 5: 424, 6: 418, 8: 426, 10: 406, 11: 406,
+            12: 419, 13: 406, 15: 406, 16: 415, 17: 406, 18: 429, 19: 417, 20: 446, 22: 440,
+            23: 448, 24: 406,
+        }
+        assert report == netsim.DetectionReport(
+            per_node_alarm={node: node_alarms.get(node) for node in range(100)},
+            per_cluster_alarm={cid: cluster_alarms.get(cid) for cid in range(25)},
+            identified=frozenset({1, 4, 9, 16, 42, 50, 56, 71, 74, 88}),
+            false_positives=frozenset(),
+            sample_messages=45_000,
+        )
+
+
+class TestSharedVictim:
+    """Two attackers two hops apart flood one common neighbour."""
+
+    # 3 x 5 grid: attackers (1,1) and (1,3) share the victim (1,2)
+    topo = grid_topology(3, 5)
+    low, victim, high = 6, 7, 8
+
+    def traces(self, rate):
+        scenario = AttackScenario(
+            attackers=(self.low, self.high), start=11, horizon=20, injection_rate=rate
+        )
+        return generate_traces(self.topo, scenario, seed=0)
+
+    def test_log_orders_senders_within_a_time(self):
+        log_times, log_senders = self.traces(2.5).log(self.victim)
+        # 2.5 packets per period: 2, 3, 2, 3, ... from each attacker
+        counts = [2, 3] * 5
+        times = [t for t, c in zip(range(11, 21), counts) for _ in range(2 * c)]
+        senders = [s for c in counts for s in [self.low] * c + [self.high] * c]
+        assert log_times.tolist() == times
+        assert log_senders.tolist() == senders
+        assert log_senders[:10].tolist() == [6, 6, 8, 8, 6, 6, 6, 8, 8, 8]
+
+    def test_last_ten_cut_inside_a_time_group(self):
+        # at 2.5 the groups hold 4 and 6 entries and tile ten exactly; at 3.0
+        # each holds 6, so the window up to t = 12 starts inside t = 11's group
+        traces = self.traces(3.0)
+        assert traces.senders_up_to(self.victim, 10).tolist() == []
+        assert traces.senders_up_to(self.victim, 11).tolist() == [6, 6, 6, 8, 8, 8]
+        assert traces.senders_up_to(self.victim, 12).tolist() == [6, 8, 8, 8, 6, 6, 6, 8, 8, 8]
+
+    def test_tie_accuses_the_lower_id(self):
+        traces = self.traces(2.5)
+        # up to t = 12 the victim logged five packets from each attacker
+        assert sorted(traces.senders_up_to(self.victim, 12).tolist()) == [6] * 5 + [8] * 5
+        alarms = {node: None for node in range(self.topo.n_nodes)}
+        for node in self.topo.neighbors(self.low):
+            alarms[node] = 12
+        assert identify_attackers(traces, alarms) == frozenset({self.low})
+        # the same tie for the higher attacker's neighbours still accuses the lower one
+        alarms = {node: None for node in range(self.topo.n_nodes)}
+        for node in self.topo.neighbors(self.high):
+            alarms[node] = 12
+        assert identify_attackers(traces, alarms) == frozenset()
