@@ -15,7 +15,12 @@ The history is one (capacity, d) float64 buffer with a fill count: each
 sample is written into it once, as it is read, and the capacity doubles when
 the buffer fills. A round copies the first m_s rows into the series it
 segments, and a label copies every row read so far. The buffer is not
-trimmed, so it grows with the stream.
+trimmed, so it grows with the stream. A NaN or infinite sample is refused
+when it is read.
+
+The rounds share one :func:`~cpstream.offline.segment` window memo, so no
+window is tested twice in a stream; it grows by one entry per distinct
+window and is dropped when the loop returns.
 
 The loop ends when the stream does. Replaying a recorded stream with the
 same configuration reproduces the identical event list.
@@ -24,6 +29,7 @@ same configuration reproduces the identical event list.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable
@@ -31,8 +37,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .critvals import CritValProvider
-from .errors import InsufficientTrainingError
-from .offline import DEFAULT_MIN_SEG, segment
+from .errors import InsufficientTrainingError, NonFiniteSampleError
+from .offline import DEFAULT_MIN_SEG, OfflineTestResult, segment
 from .online import DetectorKind, step, train
 from .timeseries import SeriesSegment, TimeSeries
 from .trend import Direction, MacdParams, TrendVerdict, trend_interval
@@ -97,7 +103,11 @@ class ChangeEvent:
             raise ValueError("action must follow the change direction")
 
 
-def select_training(history: TimeSeries, config: MonitorConfig) -> SeriesSegment:
+def select_training(
+    history: TimeSeries,
+    config: MonitorConfig,
+    memo: dict[tuple[int, int], OfflineTestResult] | None = None,
+) -> SeriesSegment:
     """Longest change-free suffix of the history, as the training window.
 
     Segments the whole history (histories shorter than one segmentable
@@ -105,12 +115,14 @@ def select_training(history: TimeSeries, config: MonitorConfig) -> SeriesSegment
     is the full history; otherwise it starts right after the last change
     point. A window shorter than ``m_min`` is extended leftward only when
     that crosses no change point; otherwise training is impossible here.
+    ``memo`` is passed to :func:`~cpstream.offline.segment`; share one only
+    between histories that hold the same samples at the same indices.
     """
     n = history.n_samples
     if n < config.m_min:
         raise ValueError(f"history of length {n} shorter than minimal training {config.m_min}")
     if n >= 2 * config.min_seg:
-        cps = segment(history, config.alpha, config.critvals, config.min_seg).cps
+        cps = segment(history, config.alpha, config.critvals, config.min_seg, memo).cps
     else:
         cps = ()
     if not cps:
@@ -134,8 +146,10 @@ def run_monitor(
 ) -> list[ChangeEvent]:
     """Run the monitoring loop over a sample stream until it is exhausted.
 
-    ``stream`` yields scalars or d-vectors, each as wide as the first (a
-    sample of another width raises ``ValueError``); at least ``m_min``
+    ``stream`` yields finite scalars or d-vectors, each as wide as the
+    first. A sample of another width raises ``ValueError`` and a NaN or
+    infinite one :class:`NonFiniteSampleError`, both naming the sample's
+    1-based stream index, as soon as it is read. At least ``m_min``
     samples must arrive before the first window, and a shorter stream is
     logged and yields no events. Events are returned in stream order (and
     pushed to ``on_event`` as they happen). A window whose training
@@ -163,6 +177,9 @@ def run_monitor(
                 )
             elif size == buf.shape[0]:
                 buf = np.concatenate((buf, np.empty_like(buf)))
+            # math.isfinite over a list costs a fraction of one numpy call
+            if not all(map(math.isfinite, row.tolist())):
+                raise NonFiniteSampleError(f"sample {size + 1} is not finite: {row.tolist()}")
             buf[size] = row
             size += 1
         return True
@@ -177,13 +194,16 @@ def run_monitor(
         return []
 
     events: list[ChangeEvent] = []
+    # every round segments a prefix of the same buffer from sample 1, so a
+    # window (w_lo, w_hi) names the same samples in every round
+    memo: dict[tuple[int, int], OfflineTestResult] = {}
     origin = config.m_min
     while True:
         if not ensure(origin):
             break
         past = TimeSeries(buf[:origin].copy())
         try:
-            training = select_training(past, config)
+            training = select_training(past, config, memo)
         except InsufficientTrainingError as exc:
             logger.warning("skipping window at origin %d: %s", origin, exc)
             origin += config.window_k

@@ -213,6 +213,11 @@ def random_scenario(
         n_attackers = max(1, topology.n_nodes // 10)
     if n_attackers < 1:
         raise ValueError(f"n_attackers must be at least 1, got {n_attackers}")
+    if n_attackers > topology.n_nodes - 1:
+        raise ValueError(
+            f"n_attackers must be at most {topology.n_nodes - 1} (every node but the "
+            f"controller), got {n_attackers}"
+        )
     rng = substream(seed, 11)
     for _ in range(max_tries):
         chosen: list[int] = []
@@ -247,11 +252,14 @@ class TraceSet:
 
         Entry i says that at sample ``times[i]`` a packet from neighbour
         ``senders[i]`` arrived; entries are sorted by time, then by sender.
+        A node with no attacking neighbour has an empty log.
         """
         scenario = self.scenario
         senders = np.array(
             sorted(set(self.topology.neighbors(node)) & set(scenario.attackers)), dtype=int
         )
+        if not senders.size:
+            return np.empty(0, dtype=int), senders
         periods = np.arange(scenario.start, scenario.horizon + 1)
         counts = _packets_per_period(scenario.injection_rate, periods.size)
         times = np.repeat(periods, counts * senders.size)

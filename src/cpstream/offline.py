@@ -5,7 +5,8 @@ critical value, where C_n is the CUSUM path of the series. Multiple change
 points are found by binary segmentation (recursive splitting at each
 rejection) followed by pairwise re-validation: each candidate is re-tested
 on the window bounded by its neighbouring candidates and dropped or moved
-until the set is stable.
+until the set is stable. Each window's statistic is computed once and every
+later request for the window is decided from it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ MAX_VALIDATION_ROUNDS = 10
 class OfflineTestResult:
     """Outcome of the single change-point test on one window.
 
-    ``cp_index`` is the 1-based argmax of the quadratic form (first index on
-    ties), present exactly when the test rejects. ``cp_fraction`` rescales it
-    to (0, 1] by the window length.
+    ``argmax`` is the 1-based argmax of the quadratic form (first index on
+    ties), recorded whether or not the test rejects. ``cp_index`` is that
+    argmax, present exactly when the test rejects. ``cp_fraction`` rescales
+    it to (0, 1] by the window length.
     """
 
     statistic_m: float
@@ -46,12 +48,13 @@ class OfflineTestResult:
     reject: bool
     critval_used: float
     n: int
+    argmax: int
 
     def __post_init__(self) -> None:
         if self.reject != (self.statistic_m >= self.critval_used):
             raise ValueError("reject flag inconsistent with statistic and critical value")
-        if self.reject != (self.cp_index is not None):
-            raise ValueError("cp_index must be present exactly when the test rejects")
+        if self.cp_index != (self.argmax if self.reject else None):
+            raise ValueError("cp_index must be the argmax, present exactly when the test rejects")
 
     @property
     def cp_fraction(self) -> float | None:
@@ -117,14 +120,19 @@ def offline_test(s: SeriesLike, alpha: float, critval: CritVal) -> OfflineTestRe
     omega_inv = inverse(bartlett_lrv(mat, bartlett_bandwidth(n)))
     quad = np.einsum("nj,jk,nk->n", path, omega_inv, path)
     best = int(np.argmax(quad))
-    statistic = float(quad[best])
+    return _decide(float(quad[best]), best + 1, n, critval)
+
+
+def _decide(statistic: float, argmax: int, n: int, critval: CritVal) -> OfflineTestResult:
+    """The test's verdict on a window from its statistic and 1-based argmax."""
     reject = statistic >= critval.value
     return OfflineTestResult(
         statistic_m=statistic,
-        cp_index=best + 1 if reject else None,
+        cp_index=argmax if reject else None,
         reject=reject,
         critval_used=critval.value,
         n=n,
+        argmax=argmax,
     )
 
 
@@ -133,6 +141,7 @@ def segment(
     alpha: float,
     critvals: CritValProvider,
     min_seg: int = DEFAULT_MIN_SEG,
+    memo: dict[tuple[int, int], OfflineTestResult] | None = None,
 ) -> ChangePointSet:
     """Find every mean change in a series.
 
@@ -154,6 +163,14 @@ def segment(
 
     ``critvals`` resolves both levels as
     ``critvals(CritValKind.OFFLINE_MAX, d, level)``.
+
+    Each window [w_lo, w_hi] (1-based indices into the series behind ``s``)
+    is tested by :func:`offline_test` at most once: ``memo`` maps a window
+    to its result, and every later request for that window, at either
+    level, is decided from the stored statistic and argmax. Without a memo
+    the call uses a fresh one. A memo may be shared only by calls on series
+    that hold the same samples at the same indices, such as the growing
+    prefixes of one stream; it grows by one entry per distinct window.
     """
     if min_seg < 2:
         raise ValueError("min_seg must be at least 2")
@@ -166,8 +183,15 @@ def segment(
     search_cv = critvals(CritValKind.OFFLINE_MAX, s.dim, alpha)
     validation_cv = critvals(CritValKind.OFFLINE_MAX, s.dim, alpha / max_windows)
 
+    if memo is None:
+        memo = {}
+
     def test(w_lo: int, w_hi: int, critval: CritVal) -> OfflineTestResult:
-        return offline_test(parent.segment(w_lo, w_hi), critval.request.alpha, critval)
+        known = memo.get((w_lo, w_hi))
+        if known is None:
+            window = parent.segment(w_lo, w_hi)
+            known = memo[w_lo, w_hi] = offline_test(window, critval.request.alpha, critval)
+        return _decide(known.statistic_m, known.argmax, known.n, critval)
 
     candidates: list[int] = []
 

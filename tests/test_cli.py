@@ -312,8 +312,11 @@ class TestSimulateCommand:
              "error: --horizon 600 leaves nothing to monitor after --m 600"),
             (["--attackers", "0"], "error: n_attackers must be at least 1, got 0"),
             (["--attackers", "-1"], "error: n_attackers must be at least 1, got -1"),
+            (["--grid", "30x30", "--attackers", "900"],
+             "error: n_attackers must be at most 899 (every node but the controller), got 900"),
         ],
-        ids=["cluster-block-0", "m-equals-horizon", "attackers-0", "attackers-negative"],
+        ids=["cluster-block-0", "m-equals-horizon", "attackers-0", "attackers-negative",
+             "attackers-above-nodes"],
     )
     def test_bad_setting_rejected_before_simulating(self, capsys, monkeypatch, argv, message):
         replications = []

@@ -1,9 +1,11 @@
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cpstream.errors import InsufficientTrainingError
+from cpstream import offline
+from cpstream.errors import InsufficientTrainingError, NonFiniteSampleError
 from cpstream.monitor import Action, MonitorConfig, run_monitor, select_training
 from cpstream.offline import segment
 from cpstream.rng import substream
@@ -141,6 +143,48 @@ class TestRunMonitor:
             ValueError, match=f"sample 250 has width {width}, but the stream's width is 2"
         ):
             run_monitor(rows, config)
+
+    @pytest.mark.parametrize(
+        "bad, where",
+        [(np.nan, "training"), (np.nan, "window"), (np.inf, "window"), (np.nan, "after-alarm")],
+        ids=["nan-in-training-prefix", "nan-in-monitored-window", "inf-in-monitored-window",
+             "nan-after-alarm"],
+    )
+    def test_non_finite_sample_rejected_with_stream_index(self, config, bad, where):
+        x = one_step(7, 400, 150, 5.0)
+        [event] = run_monitor(x, config)
+        # 1-based stream index: inside the first m_min samples, inside the
+        # first monitored window, and the first sample the label pulls
+        index = {"training": 60, "window": 130, "after-alarm": event.detected_at + 1}[where]
+        x[index - 1] = bad
+        seen = []
+        with pytest.raises(NonFiniteSampleError, match=rf"^sample {index} is not finite: \[{bad}\]$"):
+            run_monitor(x, config, on_event=seen.append)
+        assert seen == []
+
+    def test_each_window_tested_once_per_stream(self, config, monkeypatch):
+        windows = []
+        real = offline.offline_test
+
+        def counted(s, alpha, critval):
+            windows.append((s.lo, s.hi))
+            return real(s, alpha, critval)
+
+        rounds = []
+
+        def segment_round(history, *args):
+            rounds.append(history.n_samples)
+            return segment(history, *args)
+
+        monkeypatch.setattr(offline, "offline_test", counted)
+        monkeypatch.setattr("cpstream.monitor.segment", segment_round)
+        x = stationary(40, 3200)
+        x[1100:2200] += 4.0
+        x[2700:] -= 3.0
+        assert len(run_monitor(x, config)) == 3
+        assert len(rounds) > 10
+        assert windows
+        assert Counter(windows).most_common(1)[0][1] == 1
 
     def test_event_callback_invoked(self, config):
         x = one_step(7, 400, 150, 5.0)

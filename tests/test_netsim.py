@@ -87,6 +87,13 @@ class TestScenario:
         with pytest.raises(ValueError, match=f"n_attackers must be at least 1, got {n}"):
             random_scenario(topo10, n_attackers=n)
 
+    def test_more_attackers_than_nodes_rejected_before_placement(self, monkeypatch, topo10):
+        monkeypatch.setattr(netsim, "substream", pytest.fail)
+        with pytest.raises(ValueError, match=r"n_attackers must be at most 99 .*, got 100"):
+            random_scenario(topo10, n_attackers=100)
+        monkeypatch.undo()
+        assert len(random_scenario(topo10, n_attackers=99, min_separation=0).attackers) == 99
+
     def test_validation(self):
         with pytest.raises(ValueError, match="horizon"):
             AttackScenario(attackers=(1,), start=600, horizon=600)
@@ -126,10 +133,16 @@ class TestTrafficModel:
             for la, lb in zip(a.log(node), b.log(node)):
                 assert np.array_equal(la, lb)
 
-    def test_attack_free_traces_have_empty_logs(self, topo10):
+    def test_attack_free_traces_have_empty_logs(self, topo10, scenario10):
         scenario = AttackScenario(attackers=(), start=100, horizon=250)
         traces = generate_traces(topo10, scenario, seed=0)
-        assert all(traces.log(node)[0].size == 0 for node in range(topo10.n_nodes))
+        attacked = generate_traces(topo10, scenario10, seed=0)
+        victim = topo10.neighbors(scenario10.attackers[0])[0]
+        dtypes = tuple(part.dtype for part in attacked.log(victim))
+        for node in range(topo10.n_nodes):
+            times, senders = traces.log(node)
+            assert times.shape == senders.shape == (0,)
+            assert (times.dtype, senders.dtype) == dtypes
 
     def test_logs_only_from_neighbors(self, topo10, scenario10):
         traces = generate_traces(topo10, scenario10, seed=2)

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpstream.offline import ChangePointSet, cusum_path, offline_test, segment
+from cpstream.offline import (
+    ChangePointSet,
+    OfflineTestResult,
+    cusum_path,
+    offline_test,
+    segment,
+)
 from cpstream.rng import substream
 from cpstream.timeseries import TimeSeries
 
@@ -91,6 +97,23 @@ class TestOfflineTest:
         scaled = offline_test(TimeSeries(values * [3.0, 0.2]), 0.05, cv_offline_d2)
         assert scaled.statistic_m == pytest.approx(base.statistic_m, rel=1e-6)
         assert scaled.cp_index == base.cp_index
+
+    def test_argmax_recorded_without_rejection(self, cv_offline_d1):
+        series = TimeSeries(substream(2, 3).standard_normal(200))
+        result = offline_test(series, 0.05, cv_offline_d1)
+        assert not result.reject
+        assert result.cp_index is None
+        # for d = 1 the quadratic form is the squared CUSUM path over a constant
+        assert result.argmax == int(np.argmax(cusum_path(series)[:, 0] ** 2)) + 1
+
+    @pytest.mark.parametrize(
+        "statistic, cp_index, reject",
+        [(5.0, None, True), (5.0, 41, True), (1.0, 40, False)],
+        ids=["rejects-without-cp", "cp-not-argmax", "cp-without-rejection"],
+    )
+    def test_inconsistent_cp_index_rejected(self, statistic, cp_index, reject):
+        with pytest.raises(ValueError, match="cp_index must be the argmax"):
+            OfflineTestResult(statistic, cp_index, reject, critval_used=3.0, n=100, argmax=40)
 
     def test_validation_errors(self, cv_offline_d1, cv_standard_d1):
         short = TimeSeries(np.array([1.0, 2.0, 3.0]))
@@ -189,6 +212,30 @@ class TestSegment:
         result = segment(window, 0.05, cheap_provider)
         assert len(result.cps) == 1
         assert abs(result.cps[0] - 300) <= 3
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_shared_memo_matches_fresh_calls(self, cheap_provider, d):
+        # growing prefixes of one stream, as the monitor loop segments them
+        x = substream(d, 11).standard_normal((3200, d))
+        for k, start in enumerate(range(300, 3200, 450)):
+            x[start:] += 3.0 if k % 2 == 0 else -3.0
+        memo = {}
+        found = 0
+        for n in range(400, 3201, 200):
+            series = TimeSeries(x[:n])
+            shared = segment(series, 0.05, cheap_provider, memo=memo)
+            fresh = segment(series, 0.05, cheap_provider)
+            assert shared.cps == fresh.cps
+            assert shared.per_cp_stats == fresh.per_cp_stats
+            assert shared.hit_round_cap == fresh.hit_round_cap
+            found += len(shared.cps)
+            # stored results re-decided at the validation level match a direct test
+            level = 0.05 / (n // 40)
+            cv = cheap_provider("offline-max", d, level)
+            bounds = [0, *shared.cps, n]
+            for i, stat in enumerate(shared.per_cp_stats):
+                assert stat == offline_test(series.segment(bounds[i] + 1, bounds[i + 2]), level, cv)
+        assert found > 0
 
     def test_changepointset_invariants(self):
         with pytest.raises(ValueError, match="strictly increasing"):
