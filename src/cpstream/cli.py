@@ -30,7 +30,7 @@ from .critvals import (
 )
 from .errors import CpstreamError
 from .monitor import ChangeEvent, MonitorConfig, run_monitor
-from .offline import DEFAULT_MIN_SEG, offline_test, segment
+from .offline import DEFAULT_MIN_SEG, OfflineTestResult, offline_test, segment
 from .online import DetectorKind
 from .timeseries import TimeSeries, iter_csv, load_csv
 from .trend import MacdParams, trend_interval, trend_point
@@ -297,9 +297,10 @@ def _cmd_offline(opts: dict) -> int:
 def _cmd_segment(opts: dict) -> int:
     series = _load_series(opts)
     alpha = opts["alpha"]
-    provider = _provider(opts)
-    result = segment(series, alpha, provider, min_seg=opts["min_seg"])
-    full = offline_test(series, alpha, provider(CritValKind.OFFLINE_MAX, series.dim, alpha))
+    memo: dict[tuple[int, int], OfflineTestResult] = {}
+    result = segment(series, alpha, _provider(opts), opts["min_seg"], memo)
+    # segment refuses a series too short to split, so it always tested the full window
+    full = memo[1, series.n_samples]
     record = {
         "statistic": full.statistic_m,
         "cps": list(result.cps),

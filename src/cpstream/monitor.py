@@ -16,7 +16,10 @@ sample is written into it once, as it is read, and the capacity doubles when
 the buffer fills. A round copies the first m_s rows into the series it
 segments, and a label copies every row read so far. The buffer is not
 trimmed, so it grows with the stream. A NaN or infinite sample is refused
-when it is read.
+when it is read. On a one-column stream a float sample (``np.float64``
+included) is checked with ``math.isfinite`` and written straight into the
+buffer, and the detector is fed each sample as a float; every other sample
+goes through ``np.asarray``.
 
 The rounds share one :func:`~cpstream.offline.segment` window memo, so no
 window is tested twice in a stream; it grows by one entry per distinct
@@ -167,6 +170,13 @@ def run_monitor(
                 x = next(iterator)
             except StopIteration:
                 return False
+            if isinstance(x, float) and size < len(buf) and buf.shape[1] == 1:
+                # a float on a one-column stream skips the array round trip
+                if not math.isfinite(x):
+                    raise NonFiniteSampleError(f"sample {size + 1} is not finite: {[float(x)]}")
+                buf[size, 0] = x
+                size += 1
+                continue
             row = np.asarray(x, dtype=float).reshape(-1)
             if size == 0:
                 buf = np.empty((_FIRST_CAPACITY, row.shape[0]))
@@ -194,6 +204,7 @@ def run_monitor(
         return []
 
     events: list[ChangeEvent] = []
+    one_column = buf.shape[1] == 1
     # every round segments a prefix of the same buffer from sample 1, so a
     # window (w_lo, w_hi) names the same samples in every round
     memo: dict[tuple[int, int], OfflineTestResult] = {}
@@ -218,7 +229,8 @@ def run_monitor(
         while consumed < config.window_k:
             if not ensure(origin + consumed + 1):
                 break
-            verdict = step(state, buf[origin + consumed])
+            at = origin + consumed
+            verdict = step(state, buf.item(at, 0) if one_column else buf[at])
             consumed += 1
             if verdict.alarm:
                 alarm_at = origin + consumed

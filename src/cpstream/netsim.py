@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -260,10 +261,16 @@ class TraceSet:
         )
         if not senders.size:
             return np.empty(0, dtype=int), senders
-        periods = np.arange(scenario.start, scenario.horizon + 1)
-        counts = _packets_per_period(scenario.injection_rate, periods.size)
+        periods, counts = self._attack_periods
         times = np.repeat(periods, counts * senders.size)
         return times, np.repeat(np.tile(senders, periods.size), np.repeat(counts, senders.size))
+
+    @cached_property
+    def _attack_periods(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every attack period and the packets one attacker sends in it."""
+        scenario = self.scenario
+        periods = np.arange(scenario.start, scenario.horizon + 1)
+        return periods, _packets_per_period(scenario.injection_rate, periods.size)
 
     def senders_up_to(self, node: int, t: int) -> np.ndarray:
         """The last ten sender entries of ``node``'s log at or before sample t."""

@@ -23,6 +23,13 @@ Many streams of equal training length can share one state: :func:`train` on
 an (S, m, d) stack and :func:`run_batch` on (S, b, d) blocks run every stream
 through the same evaluation at once, and stream i of every result equals the
 single-stream call on stream i bit for bit.
+
+A one-dimensional detector fed sample by sample, the monitor's case, takes a
+float route in :func:`step`: the same formula in Python floats, in the same
+operation order. With d = 1 every reduction of the numpy evaluation runs
+over one element and so is exact, which makes the two routes agree bit for
+bit. The boundary keeps ``np.power`` on that route: ``math.pow`` and ``**``
+round some powers differently in the last bit.
 """
 
 from __future__ import annotations
@@ -264,11 +271,13 @@ def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def _evaluate(state: OnlineDetectorState, ks, running: np.ndarray):
     """Detector values and thresholds after ``ks`` monitored samples summing to ``running``.
 
-    The one place both statistics are written. A count k with a (d,) running
-    sum gives scalars (step); (b, S) counts with (b, S, d) running sums give
-    (b, S) arrays (run_batch, one stream being S = 1), against which a
-    stack's (S, ...) training arrays broadcast as they are. Training already
-    validated m and gamma.
+    The one place both statistics are written in numpy. A count k with a
+    (d,) running sum gives scalars (step); (b, S) counts with (b, S, d)
+    running sums give (b, S) arrays (run_batch, one stream being S = 1),
+    against which a stack's (S, ...) training arrays broadcast as they are.
+    :func:`step`'s d = 1 float route repeats the statistics in the same
+    operation order, so a change here must be made there too. Training
+    already validated m and gamma.
     """
     m = state.m
     thresholds = state.critval.value * _boundary(state.kind, m, ks, state.gamma)
@@ -300,20 +309,45 @@ def step(state: OnlineDetectorState, x) -> Verdict:
     A NaN or infinite sample raises :class:`NonFiniteSampleError` and leaves
     the state unchanged. A stacked state is refused: feed it with
     :func:`run_batch`.
+
+    A d = 1 detector takes a float, an ``np.float64``, a (1,) array or a
+    one-item list, and evaluates in Python floats; a float sample skips the
+    array conversion. The result equals :func:`run_batch`'s bit for bit,
+    because every reduction there runs over one element and the boundary
+    comes from the same ``np.power`` call. A wider detector evaluates in
+    numpy.
     """
     if state.stacked:
         raise ValueError("step takes a single-stream state; feed a stacked state with run_batch")
     if state.stopped_at is not None:
         raise DetectorStoppedError(f"detector already alarmed at k={state.stopped_at}")
-    sample = np.asarray(x, dtype=float).reshape(-1)
-    if sample.shape[0] != state.dim:
-        raise ValueError(f"sample has dimension {sample.shape[0]}, detector expects {state.dim}")
+    d = state.dim
+    if d == 1 and isinstance(x, float):
+        values = [float(x)]
+    else:
+        sample = np.asarray(x, dtype=float).reshape(-1)
+        if sample.shape[0] != d:
+            raise ValueError(f"sample has dimension {sample.shape[0]}, detector expects {d}")
+        values = sample.tolist()
     # math.isfinite over a list costs a fraction of one numpy call
-    if not all(map(math.isfinite, sample.tolist())):
-        raise NonFiniteSampleError(f"non-finite sample {sample.tolist()} at k={state.k + 1}")
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteSampleError(f"non-finite sample {values} at k={state.k + 1}")
     state.k += 1
-    state.cum_sum_post = state.cum_sum_post + sample
-    return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
+    if d > 1:
+        state.cum_sum_post = state.cum_sum_post + sample
+        return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
+
+    # d = 1: _evaluate's formula in Python floats, in the same operation order
+    k, m = state.k, state.m
+    running = state.cum_sum_post.item() + values[0]
+    state.cum_sum_post = np.array((running,))
+    threshold = state.critval.value * float(_boundary(state.kind, m, k, state.gamma))
+    if state.kind is DetectorKind.STANDARD:
+        value = abs((running - k * state.training_sum.item() / m) * state.omega_inv_sqrt.item())
+    else:
+        deviation = running / k - state.training_mean.item()
+        value = k**2 / m * (deviation * state.ratio_denominator_inv.item() * deviation)
+    return _verdict(state, value, threshold)
 
 
 def run_batch(

@@ -34,14 +34,20 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def timed_critval(request):
+def timed_critval(request, samples=None):
     start = time.perf_counter()
-    cv = compute_critval(request)
+    cv = compute_critval(request, samples)
     return cv, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def full_cv_offline():
+def offline_samples():
+    """The simulated offline sample store that ``full_cv_offline`` fills."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def full_cv_offline(offline_samples):
     return timed_critval(
         CritValRequest(
             kind=CritValKind.OFFLINE_MAX,
@@ -50,7 +56,8 @@ def full_cv_offline():
             grid_steps=FULL_GRID,
             replications=FULL_REPS,
             seed=0,
-        )
+        ),
+        offline_samples,
     )
 
 
@@ -151,7 +158,7 @@ def test_criterion_5_offline_location(full_cv_offline):
     report(5, ok, f"reject with cp in [47,53] in {hits}/{reps} runs (need >= {int(0.95 * reps)})")
 
 
-def test_criterion_6_segmentation(full_cv_offline):
+def test_criterion_6_segmentation(full_cv_offline, offline_samples):
     cv_search, _ = full_cv_offline
     cache = {0.05: cv_search}
 
@@ -165,7 +172,9 @@ def test_criterion_6_segmentation(full_cv_offline):
                     grid_steps=FULL_GRID,
                     replications=FULL_REPS,
                     seed=0,
-                )
+                ),
+                # the validation level is another quantile of the same sample
+                offline_samples,
             )
         return cache[alpha]
 

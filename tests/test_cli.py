@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 import cpstream
-from cpstream import critvals
+from cpstream import critvals, offline
 from cpstream.cli import dispatch
 from cpstream.critvals import CritValKind, build_table
 from cpstream.rng import substream
@@ -164,6 +164,38 @@ class TestSegmentCommand:
     def test_deterministic_bytes(self, run, steps_csv):
         argv = ["segment", "--input", steps_csv, "--alpha", "0.05", *FAST]
         assert run(*argv) == run(*argv)
+
+    def test_full_series_tested_once(self, run, tmp_path, monkeypatch):
+        x = substream(2, 40).standard_normal(2000)
+        x[1000:] += 3.0
+        path = tmp_path / "one_step.csv"
+        save_csv(TimeSeries(x), path)
+        windows = []
+        real = offline.offline_test
+
+        def counted(s, alpha, critval):
+            windows.append((s.lo, s.hi))
+            return real(s, alpha, critval)
+
+        monkeypatch.setattr(offline, "offline_test", counted)
+        record = json.loads(run("segment", "--input", str(path), *FAST))
+        [cp] = record["cps"]
+        assert abs(cp - 1000) <= 10
+        # the full series, then each side of its change point
+        assert windows == [(1, 2000), (1, cp), (cp + 1, 2000)]
+        cv = critvals.MonteCarloProvider(seed=0, grid_steps=300, replications=2000)(
+            CritValKind.OFFLINE_MAX, 1, 0.05
+        )
+        assert record["statistic"] == real(TimeSeries(x), 0.05, cv).statistic_m
+
+    def test_series_too_short_to_split_tests_nothing(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "short.csv"
+        save_csv(TimeSeries(substream(3, 40).standard_normal(39)), path)
+        windows = []
+        monkeypatch.setattr(offline, "offline_test", lambda *args: windows.append(args))
+        assert dispatch(["segment", "--input", str(path), *FAST]) == 1
+        assert "too short to segment (need 40)" in capsys.readouterr().err
+        assert windows == []
 
 
 class TestTrendCommand:

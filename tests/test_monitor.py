@@ -1,5 +1,6 @@
 import logging
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,6 +135,23 @@ class TestRunMonitor:
         assert run_monitor(x.tolist(), config) == events
         assert run_monitor([[v] for v in x.tolist()], config) == events
 
+    @pytest.mark.parametrize("detector", ["standard", "ratio"])
+    def test_sample_forms_give_identical_events(self, config, detector):
+        # floats and np.float64 items take the scalar intake, one-item lists
+        # and rows the array intake; 3 200 samples cross two buffer growths
+        config = replace(config, detector=detector)
+        x = stationary(41, 3200)
+        x[900:1900] += 4.0
+        x[2500:] -= 3.0
+        events = run_monitor(x, config)
+        assert events
+        floats = x.tolist()
+        assert run_monitor(floats, config) == events
+        assert run_monitor([[v] for v in floats], config) == events
+        assert run_monitor(x.reshape(-1, 1), config) == events
+        mixed = [v if i % 2 else [v] for i, v in enumerate(floats)]
+        assert run_monitor(iter(mixed), config) == events
+
     @pytest.mark.parametrize("bad", [7.0, [1.0, 2.0, 3.0]], ids=["scalar", "3-vector"])
     def test_sample_of_another_width_rejected(self, config, bad):
         rows = substream(13, 31).standard_normal((400, 2)).tolist()
@@ -157,10 +175,14 @@ class TestRunMonitor:
         # first monitored window, and the first sample the label pulls
         index = {"training": 60, "window": 130, "after-alarm": event.detected_at + 1}[where]
         x[index - 1] = bad
-        seen = []
-        with pytest.raises(NonFiniteSampleError, match=rf"^sample {index} is not finite: \[{bad}\]$"):
-            run_monitor(x, config, on_event=seen.append)
-        assert seen == []
+        # an ndarray and a list of floats take the scalar intake, one-item lists the array intake
+        for stream in (x, x.tolist(), [[v] for v in x.tolist()]):
+            seen = []
+            with pytest.raises(
+                NonFiniteSampleError, match=rf"^sample {index} is not finite: \[{bad}\]$"
+            ):
+                run_monitor(stream, config, on_event=seen.append)
+            assert seen == []
 
     def test_each_window_tested_once_per_stream(self, config, monkeypatch):
         windows = []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -275,11 +277,26 @@ class TestRunBatch:
         assert np.array_equal(state.cum_sum_post, np.zeros(1))
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.25])
+# how a caller may hand step one sample (a d-row of floats)
+SAMPLE_FORMS = {
+    "float": lambda row: float(row[0]),
+    "np.float64": lambda row: row[0],
+    "array": lambda row: row,
+    "list": lambda row: row.tolist(),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.25, 0.45])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", list(DetectorKind))
 def test_step_and_run_batch_agree_exactly(kind, d, gamma):
-    """step and run_batch evaluate one kernel, so they agree bit for bit."""
+    """step and run_batch agree bit for bit, sample by sample, in every sample form.
+
+    For d = 1, step evaluates the detector in Python floats and run_batch in
+    numpy, so a float, an np.float64, a (1,) array and a one-item list must
+    each reproduce run_batch's verdict and running sum after every sample,
+    and step's errors must read the same whichever form the sample takes.
+    """
     cv = compute_critval(
         CritValRequest(
             kind=kind.critval_kind,
@@ -291,26 +308,51 @@ def test_step_and_run_batch_agree_exactly(kind, d, gamma):
             seed=0,
         )
     )
-    values = substream(d, 12).standard_normal((200, d))
-    values[140:] += 3.0
+    # at m = 100, math.pow would round the boundary differently at k = 63,
+    # 67, 69, 71, 92 and 93 (gamma 0.25 or 0.45), so the alarm comes later
+    values = substream(d, 12).standard_normal((300, d))
+    values[200:] += 3.0
     prefix, monitored = values[:100], values[100:]
 
-    seq_state = train(prefix, kind, gamma, cv)
-    seq = []
-    for x in monitored:
-        seq.append(step(seq_state, x))
-        if seq[-1].alarm:
+    # the numpy route: a block ending at each monitored sample, up to the alarm
+    expected = []
+    for n in range(1, len(monitored) + 1):
+        state = train(prefix, kind, gamma, cv)
+        verdict, consumed = run_batch(state, monitored[:n])
+        assert consumed == n
+        expected.append((verdict, state.k, state.stopped_at, state.cum_sum_post))
+        if verdict.alarm:
             break
-    assert seq[-1].alarm
+    assert expected[-1][0].alarm
+    # a whole block stops at the same first alarm
+    whole = train(prefix, kind, gamma, cv)
+    assert run_batch(whole, monitored) == (expected[-1][0], len(expected))
 
-    bat_state = train(prefix, kind, gamma, cv)
-    verdict, consumed = run_batch(bat_state, monitored)
-    assert (verdict, consumed) == (seq[-1], len(seq))
-    assert (bat_state.k, bat_state.stopped_at) == (seq_state.k, seq_state.stopped_at)
-    assert np.array_equal(bat_state.cum_sum_post, seq_state.cum_sum_post)
-    # every intermediate verdict is the last row of a block ending there
-    for n, expected in enumerate(seq[:-1], start=1):
-        assert run_batch(train(prefix, kind, gamma, cv), monitored[:n]) == (expected, n)
+    forms = SAMPLE_FORMS if d == 1 else ("array", "list")
+    for form in forms:
+        make = SAMPLE_FORMS[form]
+        state = train(prefix, kind, gamma, cv)
+        for row, (verdict, k, stopped_at, cum_sum_post) in zip(monitored, expected):
+            assert step(state, make(row)) == verdict, form
+            assert (state.k, state.stopped_at) == (k, stopped_at), form
+            assert state.cum_sum_post.shape == (d,), form
+            assert np.array_equal(state.cum_sum_post, cum_sum_post), form
+        stopped = f"^detector already alarmed at k={state.k}$"
+        with pytest.raises(DetectorStoppedError, match=stopped):
+            step(state, make(monitored[0]))
+        with pytest.raises(ValueError, match="^step takes a single-stream state"):
+            step(train(prefix[None], kind, gamma, cv), make(monitored[0]))
+        fresh = train(prefix, kind, gamma, cv)
+        step(fresh, make(monitored[0]))
+        running = fresh.cum_sum_post
+        for bad in (np.nan, np.inf, -np.inf):
+            row = monitored[1].copy()
+            row[-1] = bad
+            message = re.escape(f"non-finite sample {row.tolist()} at k=2")
+            with pytest.raises(NonFiniteSampleError, match=f"^{message}$"):
+                step(fresh, make(row))
+            assert fresh.k == 1
+            assert fresh.cum_sum_post is running, form
 
 
 def stream_stack(d, n_prefix=100, n_block=60):
