@@ -404,7 +404,9 @@ def _cmd_monitor(opts: dict) -> int:
             _run_hook(hook, event)
 
         write({"type": "config", "params": {"command": "monitor", **opts}})
-        run_monitor(rows, config, on_event)
+        # a one-column stream goes in as floats, which run_monitor takes
+        # without an array round trip
+        run_monitor((row[0] if len(row) == 1 else row for row in rows), config, on_event)
     return 0
 
 

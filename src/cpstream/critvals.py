@@ -15,7 +15,12 @@ simulating paths on a fine grid:
 
 Replication r of a run with seed s draws from the counter-based Philox
 stream keyed by (s, r), so results are bit-identical no matter how the
-replications are scheduled or parallelised.
+replications are scheduled or parallelised. :func:`compute_critval`
+simulates consecutive replications in blocks: :func:`replication_stats`
+draws a (rows, d, steps) block with :func:`~cpstream.rng.standard_normal_rows`,
+which derives the rows' substream keys in one vectorised pass, and runs each
+statistic's formula along the block's last axis. Every row equals its
+one-replication value, :func:`replication_stat`, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from .errors import CsvFormatError
 from .longrun import inverse as _reg_inverse
-from .rng import substream
+from .rng import standard_normal_rows, substream
 
 __all__ = [
     "CritValKind",
@@ -39,6 +44,7 @@ __all__ = [
     "CritValProvider",
     "simulate_brownian_motion",
     "replication_stat",
+    "replication_stats",
     "compute_critval",
     "build_table",
     "MonteCarloProvider",
@@ -140,51 +146,88 @@ def simulate_brownian_motion(grid_steps: int, seed: int) -> np.ndarray:
     """
     if grid_steps < 1:
         raise ValueError("grid_steps must be at least 1")
-    w = _wiener_paths(substream(seed, 0), 1, grid_steps, 1.0 / grid_steps)
+    w = _wiener_paths(substream(seed, 0).standard_normal((1, grid_steps)), 1.0 / grid_steps)
     return np.concatenate(([0.0], w[0]))
 
 
-def _wiener_paths(rng: np.random.Generator, d: int, steps: int, step_var: float) -> np.ndarray:
-    """(d, steps) matrix of W(t_1)..W(t_steps); the implicit W(0) = 0 is omitted."""
-    increments = rng.standard_normal((d, steps)) * np.sqrt(step_var)
-    return np.cumsum(increments, axis=1)
+def _wiener_paths(normals: np.ndarray, step_var: float) -> np.ndarray:
+    """W(t_1)..W(t_steps) along the last axis, made in place from standard normal increments.
+
+    The implicit W(0) = 0 is omitted.
+    """
+    normals *= np.sqrt(step_var)
+    return np.cumsum(normals, axis=-1, out=normals)
 
 
-def _offline_stat(rng: np.random.Generator, d: int, grid_steps: int) -> float:
-    w = _wiener_paths(rng, d, grid_steps, 1.0 / grid_steps)
+# Each kernel maps a (rows, d, steps) block of Wiener paths, which it may
+# overwrite, to the rows' suprema.
+
+
+def _offline_stats(w: np.ndarray, grid_steps: int) -> np.ndarray:
     t = np.arange(1, grid_steps + 1) / grid_steps
-    bridge = w - t * w[:, -1:]
-    return float(np.max(np.sum(bridge * bridge, axis=0)))
+    bridge = np.subtract(w, t * w[..., -1:], out=w)
+    return np.max(np.sum(np.square(bridge, out=bridge), axis=-2), axis=-1)
 
 
-def _online_standard_stat(rng: np.random.Generator, d: int, grid_steps: int, gamma: float) -> float:
-    w = _wiener_paths(rng, d, grid_steps, 1.0 / grid_steps)
-    path = np.sum(np.abs(w), axis=0)
+def _online_standard_stats(w: np.ndarray, grid_steps: int, gamma: float) -> np.ndarray:
+    path = np.sum(np.abs(w, out=w), axis=-2)
     if gamma != 0.0:
         t = np.arange(1, grid_steps + 1) / grid_steps
-        path = path / t**gamma
-    return float(np.max(path))
+        path /= t**gamma
+    return np.max(path, axis=-1)
 
 
-def _online_ratio_stat(
-    rng: np.random.Generator, d: int, grid_steps: int, gamma: float, horizon: float
-) -> float:
-    total = grid_steps + int(round(grid_steps * horizon))
-    w = _wiener_paths(rng, d, total, 1.0 / grid_steps)
+def _online_ratio_stats(w: np.ndarray, grid_steps: int, gamma: float) -> np.ndarray:
+    total = w.shape[-1]
     u = np.arange(1, total + 1) / grid_steps
-    bridge = w - u * w[:, grid_steps - 1 : grid_steps]
+    bridge = np.subtract(w, u * w[..., grid_steps - 1 : grid_steps], out=w)
 
     # trapezoid rule for integral_0^1 B B^T dr; B(0) = 0 drops out of the sum
     weights = np.full(grid_steps, 1.0 / grid_steps)
     weights[-1] /= 2.0
-    unit = bridge[:, :grid_steps]
-    denom_inv = _reg_inverse((unit * weights) @ unit.T)
-
-    tail = bridge[:, grid_steps:]
     t = u[grid_steps:] - 1.0
-    quad = np.einsum("ji,jk,ki->i", tail, denom_inv, tail)
     eta = (1.0 + t) * (t / (1.0 + t)) ** gamma
-    return float(np.max(quad / eta**2))
+    stats = np.empty(len(bridge))
+    # row by row: a stacked matmul and einsum need not round like the 2-D ones
+    for row, path in enumerate(bridge):
+        unit = path[:, :grid_steps]
+        denom_inv = _reg_inverse((unit * weights) @ unit.T)
+        tail = path[:, grid_steps:]
+        quad = np.einsum("ji,jk,ki->i", tail, denom_inv, tail)
+        stats[row] = np.max(quad / eta**2)
+    return stats
+
+
+# Floats in one simulated block (or one row, where a row alone is larger):
+# enough rows to amortise the per-block work, few enough that the block's
+# temporaries leave peak memory flat.
+_BLOCK_FLOATS = 2**15
+
+
+def _path_steps(request: CritValRequest) -> int:
+    """Grid points of one replication's path: [0, 1], or [0, 1 + T] for the ratio kind."""
+    steps = request.grid_steps
+    if request.kind is CritValKind.ONLINE_RATIO:
+        steps += int(round(request.grid_steps * float(request.horizon_T)))
+    return steps
+
+
+def replication_stats(request: CritValRequest, lo: int, hi: int) -> np.ndarray:
+    """The simulated suprema of replications lo..hi-1, simulated as one block.
+
+    Replication r draws its (d, steps) increments from substream (seed, r);
+    :func:`~cpstream.rng.standard_normal_rows` draws the whole block at
+    once. Each row is pure in (request, r), so any split of the replications
+    into blocks gives the same statistics.
+    """
+    normals = np.empty((hi - lo, request.d, _path_steps(request)))
+    standard_normal_rows(normals, request.seed, start=lo)
+    w = _wiener_paths(normals, 1.0 / request.grid_steps)
+    if request.kind is CritValKind.OFFLINE_MAX:
+        return _offline_stats(w, request.grid_steps)
+    if request.kind is CritValKind.ONLINE_STANDARD:
+        return _online_standard_stats(w, request.grid_steps, request.gamma)
+    return _online_ratio_stats(w, request.grid_steps, request.gamma)
 
 
 def replication_stat(request: CritValRequest, rep: int) -> float:
@@ -193,14 +236,7 @@ def replication_stat(request: CritValRequest, rep: int) -> float:
     Pure in (request, rep): evaluation order is irrelevant, which is what
     makes parallel table builds reproducible.
     """
-    rng = substream(request.seed, rep)
-    if request.kind is CritValKind.OFFLINE_MAX:
-        return _offline_stat(rng, request.d, request.grid_steps)
-    if request.kind is CritValKind.ONLINE_STANDARD:
-        return _online_standard_stat(rng, request.d, request.grid_steps, request.gamma)
-    return _online_ratio_stat(
-        rng, request.d, request.grid_steps, request.gamma, float(request.horizon_T)
-    )
+    return float(replication_stats(request, rep, rep + 1)[0])
 
 
 def _quantile_and_stderr(ordered: np.ndarray, p: float) -> tuple[float, float]:
@@ -238,9 +274,12 @@ def compute_critval(request: CritValRequest, samples: dict | None = None) -> Cri
     key = _sample_key(request)
     ordered = None if samples is None else samples.get(key)
     if ordered is None:
-        stats = np.empty(request.replications)
-        for rep in range(request.replications):
-            stats[rep] = replication_stat(request, rep)
+        reps = request.replications
+        rows = max(1, _BLOCK_FLOATS // (request.d * _path_steps(request)))
+        stats = np.empty(reps)
+        for lo in range(0, reps, rows):
+            hi = min(lo + rows, reps)
+            stats[lo:hi] = replication_stats(request, lo, hi)
         ordered = np.sort(stats)
         ordered.flags.writeable = False
         if samples is not None:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .critvals import CritVal
 from .online import DetectorKind, run_batch, train
-from .rng import substream
+from .rng import standard_normal_rows, substream
 
 __all__ = [
     "Topology",
@@ -311,9 +311,7 @@ def generate_traces(topology: Topology, scenario: AttackScenario, seed: int = 0)
     lift = attack_lift(topology, scenario)
 
     # AR(1) noise, one substream per node (row), recursion vectorised across nodes
-    eps = np.empty((n, horizon))
-    for node in range(n):
-        eps[node] = substream(seed, _TRACE_STREAM, node).standard_normal(horizon)
+    eps = standard_normal_rows(np.empty((n, horizon)), seed, _TRACE_STREAM)
     eps *= scenario.noise_sigma
     phi = scenario.ar_coeff
     values = np.empty_like(eps)

@@ -158,9 +158,12 @@ class OnlineDetectorState:
 
 def _boundary(kind: DetectorKind, m: int, k, gamma: float):
     """Unchecked boundary at count(s) k: g(m, k), or g(m, k)^2 / m for the ratio detector."""
+    g = math.sqrt(m) * (1.0 + k / m)
+    # x**0 is exactly 1 for every ratio in (0, 1], so gamma 0 skips the power;
     # np.power rather than **: a scalar k then rounds exactly like one
     # element of an array of ks
-    g = math.sqrt(m) * (1.0 + k / m) * np.power(k / (k + m), gamma)
+    if gamma != 0.0:
+        g = g * np.power(k / (k + m), gamma)
     return g if kind is DetectorKind.STANDARD else g * g / m
 
 
@@ -314,7 +317,7 @@ def step(state: OnlineDetectorState, x) -> Verdict:
     one-item list, and evaluates in Python floats; a float sample skips the
     array conversion. The result equals :func:`run_batch`'s bit for bit,
     because every reduction there runs over one element and the boundary
-    comes from the same ``np.power`` call. A wider detector evaluates in
+    comes from the same :func:`_boundary` formula. A wider detector evaluates in
     numpy.
     """
     if state.stacked:

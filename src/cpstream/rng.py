@@ -4,17 +4,148 @@ Every stochastic component draws from a Philox (counter-based) generator
 keyed by a root seed plus an integer path, e.g. (replication,) or
 (replication, node). Streams depend only on (seed, path), never on the
 order in which they are consumed, so simulations give identical results at
-any level of parallelism.
+any level of parallelism (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC 2011).
+
+:func:`substream` builds one such generator. :func:`standard_normal_rows`
+fills many consecutive substreams at once: a path's Philox key is the
+``SeedSequence`` hash of its words, and that hash is the same few uint32
+operations for every path, so the keys of a whole index column come from
+one vectorised pass. One Philox generator is then re-keyed per row, which
+costs a state assignment instead of a new ``SeedSequence`` and ``Philox``.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Iterator
+
 import numpy as np
 
-__all__ = ["substream"]
+__all__ = ["substream", "standard_normal_rows"]
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx); the
+# pool holds four uint32 words and Philox takes its key as two uint64s
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Generator for the substream addressed by ``path`` under ``seed``."""
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(seq))
+
+
+def _words(value: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence makes of a non-negative int."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seed and path entries must be non-negative, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash_consts(init: int, mult: int) -> Iterator[int]:
+    """The running hash constant of a SeedSequence pass: init, init*mult, ... (mod 2^32)."""
+    const = init
+    while True:
+        yield const
+        const = const * mult & _MASK32
+
+
+def _hashmix(word: int, consts: Iterator[int]) -> int:
+    const = next(consts)
+    word = (word ^ const) * (const * _MULT_A & _MASK32) & _MASK32
+    return word ^ word >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _philox_keys(seed: int, prefix: tuple[int, ...], start: int, n: int) -> np.ndarray:
+    """(n, 2) uint64 keys of the substreams (seed, *prefix, start + i), i < n.
+
+    Row i equals ``SeedSequence(entropy=seed, spawn_key=(*prefix, start + i))
+    .generate_state(2, np.uint64)``. The entropy words before the index (the
+    seed, padded to the pool size as spawn keys require, then the prefix) are
+    the same for every row, so the pool they leave is hashed once in Python
+    ints; the index column is then mixed into it and hashed out to the state
+    as (pool word, row) uint32 arrays, each pool word with its own constants.
+    """
+    words = _words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    words += [w for p in prefix for w in _words(p)]
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, consts) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(w, consts))
+
+    def column(values) -> np.ndarray:
+        return np.array(list(values), dtype=np.uint32)[:, None]
+
+    def chain(init: int, mult: int) -> tuple[np.ndarray, np.ndarray]:
+        # word j of a pass XORs constant j and multiplies by constant j + 1
+        seq = _hash_consts(init, mult)
+        c = [next(seq) for _ in range(_POOL_SIZE + 1)]
+        return column(c[:-1]), column(c[1:])
+
+    shift = np.uint32(16)
+    index = np.arange(start, start + n, dtype=np.uint64).astype(np.uint32)
+    xor, mult = chain(next(consts), _MULT_A)
+    hashed = (index ^ xor) * mult
+    hashed ^= hashed >> shift
+    mixed = column(_MIX_MULT_L * p & _MASK32 for p in pool) - np.uint32(_MIX_MULT_R) * hashed
+    mixed ^= mixed >> shift
+    xor, mult = chain(_INIT_B, _MULT_B)
+    state = (mixed ^ xor) * mult
+    state ^= state >> shift
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def standard_normal_rows(out: np.ndarray, seed: int, *prefix: int, start: int = 0) -> np.ndarray:
+    """Fill row i of ``out`` from the substream (seed, *prefix, start + i); return ``out``.
+
+    Row i holds exactly what ``substream(seed, *prefix, start + i)
+    .standard_normal(out.shape[1:])`` draws.
+
+    Raises:
+        ValueError: ``out`` is not a C-contiguous float64 array with at least
+            one axis; an index at or above 2^32 (it would hash as two words);
+            or a negative seed, prefix entry or start.
+    """
+    if out.dtype != np.float64 or not out.flags.c_contiguous or out.ndim < 1:
+        raise ValueError("out must be a C-contiguous float64 array with at least one axis")
+    n = out.shape[0]
+    if start < 0:
+        raise ValueError(f"start must be non-negative, got {start}")
+    if start + n > 2**32:
+        raise ValueError(f"substream index {start + n - 1} is not below 2^32")
+    keys = _philox_keys(seed, prefix, start, n)
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # a fresh generator's state, counter 0 and an empty buffer, under each row's key
+    state = bitgen.state
+    # a row's draws fill it in C order, so each row may be drawn flat
+    flat = out.reshape(n, math.prod(out.shape[1:]))
+    for row, key in zip(flat, keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    return out

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 import cpstream
-from cpstream import critvals, offline
+from cpstream import cli, critvals, offline
 from cpstream.cli import dispatch
 from cpstream.critvals import CritValKind, build_table
 from cpstream.rng import substream
@@ -249,6 +249,37 @@ class TestMonitorCommand:
         out = capsys.readouterr().out
         assert json.loads(out.splitlines()[0])["type"] == "config"
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_float_feed_matches_list_feed(self, capsys, monkeypatch, tmp_path, width):
+        gen = substream(3, 43)
+        x = gen.standard_normal((400, width))
+        x[150:] += 5.0
+        path = tmp_path / "stream.csv"
+        save_csv(TimeSeries(x), path)
+        argv = ["monitor", "--input", str(path), "--m", "100", "--window", "100", *FAST]
+        real = cli.run_monitor
+
+        def runs(as_lists):
+            fed = []
+
+            def recording(stream, config, on_event):
+                def samples():
+                    for sample in stream:
+                        fed.append(type(sample))
+                        yield [sample] if as_lists and isinstance(sample, float) else sample
+
+                return real(samples(), config, on_event)
+
+            monkeypatch.setattr(cli, "run_monitor", recording)
+            assert dispatch(argv) == 0
+            return capsys.readouterr().out, set(fed)
+
+        floats, fed = runs(as_lists=False)
+        lists, _ = runs(as_lists=True)
+        assert fed == ({float} if width == 1 else {list})
+        assert '"type": "event"' in floats
+        assert floats == lists
+
     def test_stream_shorter_than_training_is_reported(self):
         # in a fresh interpreter, where the warning reaches stderr through
         # logging's last-resort handler
@@ -352,13 +383,13 @@ class TestSimulateCommand:
     )
     def test_bad_setting_rejected_before_simulating(self, capsys, monkeypatch, argv, message):
         replications = []
-        real = critvals.replication_stat
+        real = critvals.replication_stats
 
-        def counted(request, rep):
-            replications.append(rep)
-            return real(request, rep)
+        def counted(request, lo, hi):
+            replications.extend(range(lo, hi))
+            return real(request, lo, hi)
 
-        monkeypatch.setattr(critvals, "replication_stat", counted)
+        monkeypatch.setattr(critvals, "replication_stats", counted)
         status = dispatch(["simulate", "--grid", "4x4", "--attackers", "1", "--reps", "1",
                            "--mc-grid", "300", "--mc-reps", "2000", *argv])
         captured = capsys.readouterr()

@@ -10,6 +10,7 @@ from cpstream.critvals import (
     build_table,
     compute_critval,
     replication_stat,
+    replication_stats,
     simulate_brownian_motion,
 )
 
@@ -276,11 +277,11 @@ class TestProviders:
         stored = built(CritValKind.OFFLINE_MAX, 1, 0.05)
         reps = []
 
-        def counted(request, rep):
-            reps.append(rep)
-            return replication_stat(request, rep)
+        def counted(request, lo, hi):
+            reps.extend(range(lo, hi))
+            return replication_stats(request, lo, hi)
 
-        monkeypatch.setattr("cpstream.critvals.replication_stat", counted)
+        monkeypatch.setattr("cpstream.critvals.replication_stats", counted)
         provider = MonteCarloProvider(seed=4, grid_steps=150, replications=1000, table=path)
 
         # a tabulated key: the stored value at the file's budget, no replication
@@ -308,11 +309,11 @@ class TestSampleStore:
     def test_one_simulation_serves_every_alpha(self, monkeypatch):
         calls = []
 
-        def counted(request, rep):
-            calls.append(rep)
-            return replication_stat(request, rep)
+        def counted(request, lo, hi):
+            calls.extend(range(lo, hi))
+            return replication_stats(request, lo, hi)
 
-        monkeypatch.setattr("cpstream.critvals.replication_stat", counted)
+        monkeypatch.setattr("cpstream.critvals.replication_stats", counted)
         provider = MonteCarloProvider(seed=5, grid_steps=200, replications=2000)
         answers = [provider(CritValKind.ONLINE_STANDARD, 2, a, gamma=0.25) for a in self.ALPHAS]
         assert len(calls) == 2000
