@@ -39,6 +39,7 @@ from .timeseries import SeriesSegment, TimeSeries, load_csv, sample_mean, save_c
 from .trend import (
     Direction,
     MacdParams,
+    TrendMemo,
     TrendMode,
     TrendVerdict,
     ema,
@@ -90,6 +91,7 @@ __all__ = [
     "Direction",
     "TrendMode",
     "TrendVerdict",
+    "TrendMemo",
     "ema",
     "macd",
     "trend_series",

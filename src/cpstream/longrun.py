@@ -13,6 +13,17 @@ symmetric positive semidefinite by construction (Newey & West 1987).
 inversion sites (:func:`inverse`, :func:`inverse_sqrt`) regularize it via
 :func:`regularize_spd`, the one place that handles a near-singular estimate
 or one whose smallest eigenvalue rounding pushed below zero.
+
+A one-dimensional series (d = 1) takes a scalar route through the same
+algebra, bit for bit equal to the matrix route. Each centred lag product is
+then one dot product of the centred column, which numpy's ``matmul``
+computes by the same BLAS dot as ``np.dot`` of the 1-D column. A 1 x 1
+matrix's eigenvalue is its entry and its eigenvector is 1.0 exactly (LAPACK
+returns both unchanged for order 1), so the "untouched" test reduces to
+"entry > 0", the inverse square root is ``1.0 / sqrt(entry)``, and the
+inverse is ``1.0 / entry``, what the LU solve of a 1 x 1 system against the
+identity computes. Entries that are zero, negative or NaN take the matrix
+route, so they meet the same ridge and the same LAPACK errors as before.
 """
 
 from __future__ import annotations
@@ -92,8 +103,17 @@ def bartlett_lrv(s: SeriesLike, bandwidth: int | None = None) -> np.ndarray:
     if bandwidth >= n:
         raise ValueError(f"bandwidth {bandwidth} must be smaller than the sample count {n}")
     # the same centred products as autocov, from one centring of the sample;
-    # matmul over a stack makes the per-slice product of a single series
-    centered = mat - mat.mean(axis=-2, keepdims=True)
+    # matmul over a stack makes the per-slice product of a single series.
+    # sum / n is how ndarray.mean computes the mean, without its call overhead
+    centered = mat - mat.sum(axis=-2, keepdims=True) / n
+    if centered.ndim == 2 and centered.shape[1] == 1:
+        # the same operations in the same order, on the 1-D column
+        col = centered[:, 0]
+        o = np.dot(col, col) / n
+        for lag in range(1, bandwidth + 1):
+            g = np.dot(col[lag:], col[: n - lag]) / n
+            o = o + bartlett_weight(lag / (bandwidth + 1)) * (g + g)
+        return np.array([[(o + o) / 2.0]])
     transposed = centered.swapaxes(-1, -2)
     omega = np.matmul(transposed, centered) / n
     for lag in range(1, bandwidth + 1):
@@ -115,6 +135,8 @@ def regularize_spd(matrix: np.ndarray) -> np.ndarray:
     """
     matrix = np.asarray(matrix, dtype=float)
     d = matrix.shape[-1]
+    if _positive_scalars(matrix):
+        return matrix
     trace = np.trace(matrix, axis1=-2, axis2=-1)
     smallest = np.linalg.eigvalsh(matrix).min(axis=-1)
     untouched = (trace > 0) & (smallest >= SINGULAR_RTOL * trace)
@@ -127,13 +149,29 @@ def regularize_spd(matrix: np.ndarray) -> np.ndarray:
     return np.where(untouched[..., None, None], matrix, ridged)
 
 
+def _positive_scalars(matrix: np.ndarray) -> bool:
+    """Whether ``matrix`` is a 1 x 1 matrix, or a stack of them, with every entry > 0."""
+    if matrix.shape[-2:] != (1, 1):
+        return False
+    if matrix.ndim == 2:
+        return matrix.item() > 0
+    return bool((matrix > 0).all())
+
+
 def inverse(matrix: np.ndarray) -> np.ndarray:
     """Regularized inverse of a symmetric PSD matrix, or of each in a stack."""
-    return np.linalg.inv(regularize_spd(matrix))
+    safe = regularize_spd(matrix)
+    if _positive_scalars(safe):
+        # LAPACK overflows a subnormal entry to inf without a warning, and so does this
+        with np.errstate(over="ignore"):
+            return 1.0 / safe
+    return np.linalg.inv(safe)
 
 
 def inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Regularized inverse square root via symmetric eigendecomposition, matrix by matrix."""
     safe = regularize_spd(matrix)
+    if _positive_scalars(safe):
+        return 1.0 / np.sqrt(safe)
     eigvals, eigvecs = np.linalg.eigh(safe)
     return np.matmul(eigvecs * (1.0 / np.sqrt(eigvals))[..., None, :], eigvecs.swapaxes(-1, -2))

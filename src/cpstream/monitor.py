@@ -14,16 +14,24 @@ Each round works on the stream history up to the current origin m_s:
 The history is one (capacity, d) float64 buffer with a fill count: each
 sample is written into it once, as it is read, and the capacity doubles when
 the buffer fills. A round copies the first m_s rows into the series it
-segments, and a label copies every row read so far. The buffer is not
-trimmed, so it grows with the stream. A NaN or infinite sample is refused
-when it is read. On a one-column stream a float sample (``np.float64``
-included) is checked with ``math.isfinite`` and written straight into the
-buffer, and the detector is fed each sample as a float; every other sample
-goes through ``np.asarray``.
+segments, and a label reads the rows it needs from the buffer itself. The
+buffer is not trimmed, so it grows with the stream. A NaN or infinite
+sample is refused when it is read. On a one-column stream a float sample
+(``np.float64`` included) is checked with ``math.isfinite`` and written
+straight into the buffer, and the detector is fed each sample as a float;
+every other sample goes through ``np.asarray``.
 
 The rounds share one :func:`~cpstream.offline.segment` window memo, so no
 window is tested twice in a stream; it grows by one entry per distinct
-window and is dropped when the loop returns.
+window and is dropped when the loop returns. The labels share one
+:class:`~cpstream.trend.TrendMemo`, so each sample's MACD indicator is
+computed once, up to the last labelled index + h; it holds 8 bytes per
+sample and is dropped with the window memo. Both memos index the buffer
+from sample 1: a loop that trims the buffer must drop or shift the windows
+of the one and trim the indicator of the other to match, and a label at an
+index before the alarm reads the indicator values the memo already holds.
+The detector's critical value is asked for once per stream, at the first
+round that trains.
 
 The loop ends when the stream does. Replaying a recorded stream with the
 same configuration reproduces the identical event list.
@@ -44,7 +52,7 @@ from .errors import InsufficientTrainingError, NonFiniteSampleError
 from .offline import DEFAULT_MIN_SEG, OfflineTestResult, segment
 from .online import DetectorKind, step, train
 from .timeseries import SeriesSegment, TimeSeries
-from .trend import Direction, MacdParams, TrendVerdict, trend_interval
+from .trend import Direction, MacdParams, TrendMemo, TrendVerdict, trend_interval
 
 __all__ = [
     "Action",
@@ -88,6 +96,8 @@ class MonitorConfig:
             raise ValueError("quiet_gap_d must be non-negative")
         if self.m_min < 4:
             raise ValueError("m_min must be at least 4")
+        if self.trend_dim < 1:
+            raise ValueError(f"trend_dim must be at least 1, got {self.trend_dim}")
 
 
 @dataclass(frozen=True)
@@ -152,12 +162,13 @@ def run_monitor(
     ``stream`` yields finite scalars or d-vectors, each as wide as the
     first. A sample of another width raises ``ValueError`` and a NaN or
     infinite one :class:`NonFiniteSampleError`, both naming the sample's
-    1-based stream index, as soon as it is read. At least ``m_min``
-    samples must arrive before the first window, and a shorter stream is
-    logged and yields no events. Events are returned in stream order (and
-    pushed to ``on_event`` as they happen). A window whose training
-    selection fails is logged and skipped, advancing the origin by one
-    window.
+    1-based stream index, as soon as it is read; a ``trend_dim`` beyond
+    the stream's width raises ``ValueError`` when sample 1 is read. At
+    least ``m_min`` samples must arrive before the first window, and a
+    shorter stream is logged and yields no events. Events are returned in
+    stream order (and pushed to ``on_event`` as they happen). A window
+    whose training selection fails is logged and skipped, advancing the
+    origin by one window.
     """
     iterator = iter(stream)
     buf = np.empty((0, 0))  # sample n is row n - 1; rows from size on are unfilled
@@ -179,6 +190,11 @@ def run_monitor(
                 continue
             row = np.asarray(x, dtype=float).reshape(-1)
             if size == 0:
+                if config.trend_dim > row.shape[0]:
+                    raise ValueError(
+                        f"trend_dim {config.trend_dim} exceeds the stream's width "
+                        f"{row.shape[0]} (set by sample 1)"
+                    )
                 buf = np.empty((_FIRST_CAPACITY, row.shape[0]))
             elif row.shape[0] != buf.shape[1]:
                 raise ValueError(
@@ -208,6 +224,8 @@ def run_monitor(
     # every round segments a prefix of the same buffer from sample 1, so a
     # window (w_lo, w_hi) names the same samples in every round
     memo: dict[tuple[int, int], OfflineTestResult] = {}
+    trend_memo = TrendMemo(config.macd, config.trend_dim)
+    online_cv = None  # the same request every round: asked for once
     origin = config.m_min
     while True:
         if not ensure(origin):
@@ -219,9 +237,10 @@ def run_monitor(
             logger.warning("skipping window at origin %d: %s", origin, exc)
             origin += config.window_k
             continue
-        online_cv = config.critvals(
-            config.detector.critval_kind, past.dim, config.alpha, config.gamma
-        )
+        if online_cv is None:
+            online_cv = config.critvals(
+                config.detector.critval_kind, past.dim, config.alpha, config.gamma
+            )
         state = train(training, config.detector, config.gamma, online_cv)
 
         alarm_at: int | None = None
@@ -246,11 +265,13 @@ def run_monitor(
         # end clamps the window instead of blocking the loop
         ensure(alarm_at + config.macd.h)
         reachable_h = min(config.macd.h, size - alarm_at)
+        # through the imported name, which the benchmark tracer rebinds
         verdict_trend = trend_interval(
-            TimeSeries(buf[:size].copy()),
+            buf[:size],
             alarm_at,
             replace(config.macd, h=reachable_h),
             dim=config.trend_dim,
+            memo=trend_memo,
         )
         event = ChangeEvent(
             detected_at=alarm_at,

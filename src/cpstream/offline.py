@@ -11,6 +11,7 @@ later request for the window is decided from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,8 @@ def cusum_path(s: SeriesLike) -> np.ndarray:
     n = mat.shape[0]
     if n < 2:
         raise ValueError("CUSUM path needs at least 2 samples")
-    return np.cumsum(mat - mat.mean(axis=0), axis=0) / np.sqrt(n)
+    # sum / n is how ndarray.mean computes the mean, without its call overhead
+    return np.cumsum(mat - mat.sum(axis=0) / n, axis=0) / math.sqrt(n)
 
 
 def offline_test(s: SeriesLike, alpha: float, critval: CritVal) -> OfflineTestResult:
@@ -118,7 +120,12 @@ def offline_test(s: SeriesLike, alpha: float, critval: CritVal) -> OfflineTestRe
 
     path = cusum_path(mat)
     omega_inv = inverse(bartlett_lrv(mat, bartlett_bandwidth(n)))
-    quad = np.einsum("nj,jk,nk->n", path, omega_inv, path)
+    if d == 1:
+        # einsum's product over one term, in its order: (C_n * Omega^-1) * C_n
+        col = path[:, 0]
+        quad = (col * omega_inv[0, 0]) * col
+    else:
+        quad = np.einsum("nj,jk,nk->n", path, omega_inv, path)
     best = int(np.argmax(quad))
     return _decide(float(quad[best]), best + 1, n, critval)
 

@@ -5,6 +5,13 @@ The raw series is smoothed by a fast and a slow EMA; their difference
 yields the indicator used here: positive means the level is accelerating
 upward. The interval form sums the indicator over a short window after a
 change point, which is more robust than the single-point value.
+
+The indicator is computed by one fused recursion (:class:`TrendMemo`), the
+same IEEE operations as ``ema(x, p2) - ema(x, p3)`` followed by
+``line - ema(line, p1)``. A :class:`TrendMemo` passed to
+:func:`trend_interval` keeps the indicator of the prefix seen so far, so a
+caller labelling the growing prefixes of one stream computes each sample's
+value once.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ __all__ = [
     "Direction",
     "TrendMode",
     "TrendVerdict",
+    "TrendMemo",
     "ema",
     "macd",
     "trend_series",
@@ -83,6 +91,11 @@ def _as_1d(s: SeriesLike, dim: int) -> np.ndarray:
     return mat[:, dim - 1]
 
 
+def _ema_weights(p: int) -> tuple[float, float]:
+    """Weights of the new sample and of the previous EMA value, for lag p."""
+    return 2.0 / (p + 1), (p - 1.0) / (p + 1)
+
+
 def ema(s: SeriesLike, p: int, dim: int = 1) -> np.ndarray:
     """Exponential moving average with lag p, seeded with the first sample.
 
@@ -92,8 +105,7 @@ def ema(s: SeriesLike, p: int, dim: int = 1) -> np.ndarray:
     if p < 1:
         raise ValueError("lag p must be at least 1")
     x = _as_1d(s, dim)
-    gain = 2.0 / (p + 1)
-    keep = (p - 1.0) / (p + 1)
+    gain, keep = _ema_weights(p)
     # over Python floats: the same IEEE operations as over numpy scalars,
     # without the cost of indexing one numpy scalar per step
     values = x.tolist()
@@ -111,18 +123,82 @@ def macd(s: SeriesLike, p2: int, p3: int, dim: int = 1) -> np.ndarray:
     return ema(x, p2) - ema(x, p3)
 
 
+def _lags(params: MacdParams) -> tuple[int, int, int]:
+    return (params.p1, params.p2, params.p3)
+
+
+class TrendMemo:
+    """The indicator of a stream's prefix, and the three EMA values after it.
+
+    It is bound to the lags of ``params`` and to ``dim``: :func:`trend_interval`
+    raises ``ValueError`` for a memo of other lags or another dimension. The
+    interval half-window ``params.h`` only picks which values are summed, so
+    it is not part of the binding. Share one memo only between series that hold the same samples
+    at the same indices, such as the growing prefixes of one stream. It
+    stores 8 bytes per sample it has seen, in one float64 buffer that
+    doubles when it fills, and lives as long as the caller keeps it.
+    """
+
+    def __init__(self, params: MacdParams, dim: int = 1) -> None:
+        self.lags = _lags(params)
+        self.dim = dim
+        self.size = 0  # samples whose indicator is known
+        self._ti = np.empty(64)  # ti of sample n is entry n - 1; entries from size on are unfilled
+        self._emas = (0.0, 0.0, 0.0)  # fast, slow and signal EMA after sample `size`
+
+    def indicator(self, x: np.ndarray, stop: int) -> np.ndarray:
+        """Indicator values of samples 1..stop, a view into the memo.
+
+        ``x`` is the stream's column ``dim`` (1-D). The memo is extended over
+        its samples past the memo's end, up to ``stop``; the samples it
+        already holds are not read again.
+        """
+        if stop > self.size:
+            self._extend(x[self.size : stop].tolist())
+        return self._ti[:stop]
+
+    def _extend(self, values: list[float]) -> None:
+        (g1, k1), (g2, k2), (g3, k3) = map(_ema_weights, self.lags)
+        out = []
+        if self.size == 0:
+            # sample 1 seeds every EMA: the fast and slow ones with x_1, the
+            # signal with the first MACD value, so its indicator is 0
+            fast = slow = values[0]
+            line = fast - slow
+            signal = line
+            out.append(line - signal)
+            values = values[1:]
+        else:
+            fast, slow, signal = self._emas
+        # over Python floats, the operations of ema() on each of the three series
+        for v in values:
+            fast = g2 * v + k2 * fast
+            slow = g3 * v + k3 * slow
+            line = fast - slow
+            signal = g1 * line + k1 * signal
+            out.append(line - signal)
+        start, stop = self.size, self.size + len(out)
+        if stop > len(self._ti):
+            grown = np.empty(max(stop, 2 * len(self._ti)))
+            grown[:start] = self._ti[:start]
+            self._ti = grown
+        self._ti[start:stop] = out
+        self._emas = (fast, slow, signal)
+        self.size = stop
+
+
 def trend_series(s: SeriesLike, params: MacdParams, dim: int = 1) -> np.ndarray:
     """Indicator series: MACD minus its own p1-lag EMA."""
-    line = macd(s, params.p2, params.p3, dim)
-    return line - ema(line, params.p1)
+    x = _as_1d(s, dim)
+    return TrendMemo(params, dim).indicator(x, x.shape[0]).copy()
 
 
 def trend_point(s: SeriesLike, n: int, params: MacdParams, dim: int = 1) -> TrendVerdict:
     """Direction verdict from the indicator value at index n (1-based)."""
-    ti = trend_series(s, params, dim)
-    if not 1 <= n <= ti.shape[0]:
-        raise ValueError(f"index {n} out of range 1..{ti.shape[0]}")
-    value = float(ti[n - 1])
+    x = _as_1d(s, dim)
+    if not 1 <= n <= x.shape[0]:
+        raise ValueError(f"index {n} out of range 1..{x.shape[0]}")
+    value = float(TrendMemo(params, dim).indicator(x, n)[n - 1])
     return TrendVerdict(
         value=value,
         direction=Direction.UP if value > 0 else Direction.DOWN,
@@ -131,20 +207,36 @@ def trend_point(s: SeriesLike, n: int, params: MacdParams, dim: int = 1) -> Tren
     )
 
 
-def trend_interval(s: SeriesLike, cp_index: int, params: MacdParams, dim: int = 1) -> TrendVerdict:
+def trend_interval(
+    s: SeriesLike,
+    cp_index: int,
+    params: MacdParams,
+    dim: int = 1,
+    memo: TrendMemo | None = None,
+) -> TrendVerdict:
     """Direction verdict from the indicator summed over [cp_index, cp_index + h].
 
     The window must fit inside the series; h = 0 reduces to the point form.
+    Only samples up to cp_index + h are read. ``memo`` keeps the indicator
+    between calls (see :class:`TrendMemo`); without one the call uses a
+    fresh memo.
     """
-    ti = trend_series(s, params, dim)
-    n = ti.shape[0]
+    x = _as_1d(s, dim)
+    n = x.shape[0]
     if not 1 <= cp_index <= n:
         raise ValueError(f"index {cp_index} out of range 1..{n}")
-    if cp_index + params.h > n:
+    stop = cp_index + params.h
+    if stop > n:
+        raise ValueError(f"interval [{cp_index}, {stop}] runs past the series end {n}")
+    if memo is None:
+        memo = TrendMemo(params, dim)
+    elif (memo.lags, memo.dim) != (_lags(params), dim):
         raise ValueError(
-            f"interval [{cp_index}, {cp_index + params.h}] runs past the series end {n}"
+            f"memo holds the indicator for lags {memo.lags} of dimension {memo.dim}, "
+            f"asked for lags {_lags(params)} of dimension {dim}"
         )
-    value = float(np.sum(ti[cp_index - 1 : cp_index + params.h]))
+    ti = memo.indicator(x, stop)
+    value = float(np.sum(ti[cp_index - 1 : stop]))
     return TrendVerdict(
         value=value,
         direction=Direction.UP if value > 0 else Direction.DOWN,

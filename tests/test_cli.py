@@ -280,6 +280,24 @@ class TestMonitorCommand:
         assert '"type": "event"' in floats
         assert floats == lists
 
+    @pytest.mark.parametrize("trend_dim", ["0", "2"])
+    def test_bad_trend_dim_fails_before_monitoring(self, flat_csv, capsys, monkeypatch, trend_dim):
+        simulated = []
+        real = critvals.compute_critval
+
+        def counted(*args, **kwargs):
+            simulated.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(critvals, "compute_critval", counted)
+        argv = ["monitor", "--input", flat_csv, "--trend-dim", trend_dim, *FAST]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: trend_dim ")
+        assert all(json.loads(out)["type"] != "event" for out in captured.out.splitlines())
+        assert simulated == []
+
     def test_stream_shorter_than_training_is_reported(self):
         # in a fresh interpreter, where the warning reaches stderr through
         # logging's last-resort handler

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from cpstream.longrun import (
     RIDGE_RTOL,
+    SINGULAR_RTOL,
+    ZERO_TRACE_RIDGE,
     autocov,
     bartlett_bandwidth,
     bartlett_lrv,
@@ -245,3 +248,89 @@ class TestRankDeficientSeries:
         )
         state = train(series.segment(1, 200), DetectorKind.STANDARD, 0.0, cv)
         assert np.all(np.isfinite(state.omega_inv_sqrt))
+
+
+def matmul_lrv(x, bandwidth):
+    """The (d, d) matrix route: autocov's matmul products, weighted and symmetrised in order."""
+    omega = autocov(x, 0)
+    for lag in range(1, bandwidth + 1):
+        gamma = autocov(x, lag)
+        omega = omega + bartlett_weight(lag / (bandwidth + 1)) * (gamma + gamma.T)
+    return (omega + omega.T) / 2.0
+
+
+def lapack_regularized(matrix):
+    """regularize_spd's eigenvalue test and ridge on one matrix, through np.linalg."""
+    d = matrix.shape[-1]
+    trace = np.trace(matrix)
+    smallest = np.linalg.eigvalsh(matrix).min()
+    if trace > 0 and smallest >= SINGULAR_RTOL * trace:
+        return matrix
+    ridge = RIDGE_RTOL * trace / d
+    ridge = ridge if ridge > 0 else ZERO_TRACE_RIDGE
+    if smallest < 0:
+        ridge = ridge + -smallest
+    return matrix + ridge * np.eye(d)
+
+
+def lapack_inverse_sqrt(matrix):
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    return (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.T
+
+
+# positive, tiny, subnormal, huge, zero and rounding-negative 1 x 1 entries
+ENTRIES = [1.0, 3.7, 1e-300, 2.2250738585072014e-308, 1e-310, 5e-324, 1.7e308,
+           np.finfo(float).max, 0.0, -0.0, -1e-17, -3e-15]
+
+
+class TestScalarRoute:
+    """d = 1 takes scalar arithmetic; every result equals the matrix route bit for bit."""
+
+    def test_bartlett_lrv_matches_matmul_route(self):
+        gen = substream(3, 72)
+        for _ in range(300):
+            n = int(gen.integers(8, 5001))
+            x = gen.standard_normal((n, 1)) * 10.0 ** gen.uniform(-2, 2) + gen.uniform(-50, 50)
+            bandwidth = int(gen.integers(0, bartlett_bandwidth(n) + 1))
+            omega = bartlett_lrv(x, bandwidth)
+            assert omega.shape == (1, 1)
+            assert omega.tobytes() == matmul_lrv(x, bandwidth).tobytes()
+        assert bartlett_lrv(x).tobytes() == matmul_lrv(x, bartlett_bandwidth(n)).tobytes()
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_one_by_one_matches_lapack(self, entry):
+        m = np.array([[entry]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning that the LAPACK route does not give
+            safe = lapack_regularized(m)
+            assert regularize_spd(m).tobytes() == safe.tobytes()
+            assert inverse(m).tobytes() == np.linalg.inv(safe).tobytes()
+            assert inverse_sqrt(m).tobytes() == lapack_inverse_sqrt(safe).tobytes()
+
+    def test_positive_entry_is_its_own_eigenvalue(self):
+        for entry in ENTRIES[:8]:
+            m = np.array([[entry]])
+            assert np.linalg.eigvalsh(m)[0] == entry
+            assert regularize_spd(m) is m
+
+    # a stack with a zero or negative entry ridges every slice and keeps the
+    # untouched ones; a huge slice's ridged copy overflows, as it always did
+    @pytest.mark.parametrize(
+        "entries", [ENTRIES[:8], ENTRIES[:6] + ENTRIES[8:]], ids=["positive", "mixed"]
+    )
+    def test_stack_matches_lapack(self, entries):
+        stack = np.array(entries).reshape(-1, 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            safe = np.array([lapack_regularized(m) for m in stack])
+            assert regularize_spd(stack).tobytes() == safe.tobytes()
+            assert inverse(stack).tobytes() == np.linalg.inv(safe).tobytes()
+            expected = np.array([lapack_inverse_sqrt(m) for m in safe])
+            assert inverse_sqrt(stack).tobytes() == expected.tobytes()
+
+    def test_random_entries_match_lapack(self):
+        entries = 10.0 ** substream(4, 72).uniform(-323, 308, 2000)
+        for entry in entries:
+            m = np.array([[entry]])
+            assert inverse(m).tobytes() == np.linalg.inv(m).tobytes()
+            assert inverse_sqrt(m).tobytes() == lapack_inverse_sqrt(m).tobytes()

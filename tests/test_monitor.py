@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cpstream import offline
+from cpstream import offline, trend
 from cpstream.errors import InsufficientTrainingError, NonFiniteSampleError
 from cpstream.monitor import Action, MonitorConfig, run_monitor, select_training
 from cpstream.offline import segment
@@ -207,6 +207,65 @@ class TestRunMonitor:
         assert len(rounds) > 10
         assert windows
         assert Counter(windows).most_common(1)[0][1] == 1
+
+    def test_each_indicator_value_computed_once(self, config, monkeypatch):
+        # the labels of one stream extend one indicator memo: the samples each
+        # extension covers follow on from the last, and stop at the last
+        # labelled index + h
+        spans = []
+        real = trend.TrendMemo._extend
+
+        def counted(memo, values):
+            spans.append((memo.size, memo.size + len(values)))
+            return real(memo, values)
+
+        monkeypatch.setattr(trend.TrendMemo, "_extend", counted)
+        x = stationary(40, 3200)
+        x[1100:2200] += 4.0
+        x[2700:] -= 3.0
+        events = run_monitor(x, config)
+        assert len(spans) == len(events) == 3
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == events[-1].detected_at + config.macd.h
+
+    def test_detector_critval_requested_once_per_stream(self, config):
+        requests = []
+
+        def provider(kind, d, alpha, gamma=0.0):
+            requests.append((kind, d, alpha, gamma))
+            return config.critvals(kind, d, alpha, gamma)
+
+        x = stationary(40, 3200)
+        x[1100:2200] += 4.0
+        x[2700:] -= 3.0
+        events = run_monitor(x, replace(config, critvals=provider))
+        assert events == run_monitor(x, config)
+        kinds = Counter(str(getattr(kind, "value", kind)) for kind, *_ in requests)
+        assert kinds["online-standard"] == 1
+        assert kinds["offline-max"] > 10
+
+    def test_trend_dim_below_one_rejected(self, config):
+        with pytest.raises(ValueError, match="trend_dim must be at least 1, got 0"):
+            replace(config, trend_dim=0)
+
+    def test_trend_dim_wider_than_stream_rejected_at_sample_one(self, config):
+        pulled = []
+        asked = []
+
+        def stream():
+            for v in stationary(5, 400):
+                pulled.append(v)
+                yield v
+
+        def provider(*args):
+            asked.append(args)
+            return config.critvals(*args)
+
+        wide = replace(config, trend_dim=2, critvals=provider)
+        with pytest.raises(ValueError, match=r"^trend_dim 2 exceeds the stream's width 1 "):
+            run_monitor(stream(), wide)
+        assert len(pulled) == 1
+        assert asked == []
 
     def test_event_callback_invoked(self, config):
         x = one_step(7, 400, 150, 5.0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpstream.longrun import bartlett_lrv, inverse
 from cpstream.offline import (
     ChangePointSet,
     OfflineTestResult,
@@ -127,6 +128,23 @@ class TestOfflineTest:
             offline_test(ok, 0.01, cv_offline_d1)
         with pytest.raises(ValueError, match="offline"):
             offline_test(ok, 0.05, cv_standard_d1)
+
+
+class TestScalarRoute:
+    def test_d1_statistic_and_argmax_match_einsum(self, cv_offline_d1):
+        # d = 1 forms the quadratic form as (C_n * Omega^-1) * C_n, einsum's
+        # product order, so the statistic and the argmax agree to the bit
+        gen = substream(6, 72)
+        for _ in range(200):
+            n = int(gen.integers(4, 3001))
+            x = gen.standard_normal(n) * 10.0 ** gen.uniform(-2, 2) + gen.uniform(-50, 50)
+            if gen.random() < 0.5:
+                x[int(gen.integers(1, n)):] += gen.normal(scale=3.0)
+            path = cusum_path(x)
+            quad = np.einsum("nj,jk,nk->n", path, inverse(bartlett_lrv(x)), path)
+            result = offline_test(TimeSeries(x), 0.05, cv_offline_d1)
+            assert repr(result.statistic_m) == repr(float(quad.max()))
+            assert result.argmax == int(np.argmax(quad)) + 1
 
 
 class TestSegment:

@@ -8,6 +8,7 @@ from cpstream.timeseries import TimeSeries
 from cpstream.trend import (
     Direction,
     MacdParams,
+    TrendMemo,
     TrendMode,
     ema,
     macd,
@@ -165,3 +166,70 @@ class TestProperties:
         a = trend_series(ts, PARAMS, dim=2)
         b = trend_series(values[:, 1], PARAMS)
         assert np.array_equal(a, b)
+
+
+def multi_step(n):
+    """Seeded noise whose mean steps through 0, +3, 0, -3 every 300 samples."""
+    x = substream(7, 23).standard_normal(n)
+    return x + np.array([0.0, 3.0, 0.0, -3.0])[(np.arange(n) // 300) % 4]
+
+
+class TestFusedIndicator:
+    def test_equals_composed_emas(self):
+        # one recursion, the operations of ema(x, p2) - ema(x, p3) and then
+        # line - ema(line, p1): equal to the last bit
+        x = multi_step(3000)
+        line = ema(x, PARAMS.p2) - ema(x, PARAMS.p3)
+        composed = line - ema(line, PARAMS.p1)
+        assert trend_series(x, PARAMS).tobytes() == composed.tobytes()
+        assert trend_series(x, PARAMS)[0] == 0.0
+
+    def test_point_reads_the_same_values(self):
+        x = multi_step(700)
+        ti = trend_series(x, PARAMS)
+        for n in (1, 2, 299, 700):
+            assert repr(trend_point(x, n, PARAMS).value) == repr(float(ti[n - 1]))
+
+
+class TestTrendMemo:
+    # h = 0, the default 10, and a window longer than the monitor's quiet gap (25)
+    @pytest.mark.parametrize("h", [0, 10, 40])
+    def test_memo_over_growing_prefixes_matches_fresh_calls(self, h):
+        params = MacdParams(9, 12, 26, h=h)
+        x = multi_step(4000)
+        memo = TrendMemo(params)
+        for n in [*range(300, 4000, 200), 4000]:
+            # the newest window, and one the memo already holds
+            for cp in (n - h, n - h - 150):
+                with_memo = trend_interval(x[:n], cp, params, memo=memo)
+                fresh = trend_interval(x[:n], cp, params)
+                assert (repr(with_memo.value), with_memo.direction, with_memo.at_index) == (
+                    repr(fresh.value), fresh.direction, fresh.at_index
+                )
+        assert memo.size == 4000
+
+    def test_memo_reads_only_up_to_the_window_end(self):
+        x = multi_step(1000)
+        memo = TrendMemo(PARAMS)
+        trend_interval(x, 400, PARAMS, memo=memo)
+        assert memo.size == 400 + PARAMS.h
+
+    def test_window_of_another_h_shares_the_memo(self):
+        x = multi_step(600)
+        memo = TrendMemo(PARAMS)
+        trend_interval(x, 300, PARAMS, memo=memo)
+        short = MacdParams(9, 12, 26, h=3)
+        assert trend_interval(x, 500, short, memo=memo) == trend_interval(x, 500, short)
+
+    @pytest.mark.parametrize(
+        "params, dim",
+        [(MacdParams(5, 12, 26), 1), (MacdParams(9, 13, 26), 1), (MacdParams(9, 12, 30), 1),
+         (PARAMS, 2)],
+        ids=["p1", "p2", "p3", "dim"],
+    )
+    def test_memo_bound_to_its_lags_and_dim(self, params, dim):
+        x = substream(8, 23).standard_normal((200, 2))
+        memo = TrendMemo(PARAMS, dim=1)
+        trend_interval(x, 50, PARAMS, memo=memo)
+        with pytest.raises(ValueError, match="memo holds the indicator"):
+            trend_interval(x, 100, params, dim=dim, memo=memo)
