@@ -30,7 +30,6 @@ from .online import (
     OnlineDetectorState,
     Verdict,
     Verdicts,
-    boundary_weight,
     run_batch,
     step,
     train,
@@ -82,7 +81,6 @@ __all__ = [
     "OnlineDetectorState",
     "Verdict",
     "Verdicts",
-    "boundary_weight",
     "train",
     "step",
     "run_batch",

@@ -15,11 +15,17 @@ The history is one (capacity, d) float64 buffer with a fill count: each
 sample is written into it once, as it is read, and the capacity doubles when
 the buffer fills. A round copies the first m_s rows into the series it
 segments, and a label reads the rows it needs from the buffer itself. The
-buffer is not trimmed, so it grows with the stream. A NaN or infinite
-sample is refused when it is read. On a one-column stream a float sample
-(``np.float64`` included) is checked with ``math.isfinite`` and written
-straight into the buffer, and the detector is fed each sample as a float;
-every other sample goes through ``np.asarray``.
+buffer is not trimmed, so it grows with the stream.
+
+Every sample enters through one intake: it reads one item, refuses a NaN or
+infinite sample, writes it into the buffer and returns it as the detector
+takes it. On a one-column stream that is a float, and a float item
+(``np.float64`` included) skips ``np.asarray``. The training prefix and the
+label look-ahead loop over the intake; a monitored sample comes from the
+buffer when the look-ahead already read it. The stream is never read ahead
+of need: an event for an alarm at a is pushed once samples up to
+min(a + h, n) are read, so a live stream waits for no later row, and the
+stream's end is read once.
 
 The rounds share one :func:`~cpstream.offline.segment` window memo, so no
 window is tested twice in a stream; it grows by one entry per distinct
@@ -66,6 +72,8 @@ logger = logging.getLogger(__name__)
 
 # rows of the first sample buffer; it doubles whenever it fills
 _FIRST_CAPACITY = 1024
+# what the intake reads at the stream's end
+_END = object()
 
 
 class Action(str, Enum):
@@ -173,21 +181,25 @@ def run_monitor(
     iterator = iter(stream)
     buf = np.empty((0, 0))  # sample n is row n - 1; rows from size on are unfilled
     size = 0
+    one_column = False  # set by sample 1
 
-    def ensure(count: int) -> bool:
-        nonlocal buf, size
-        while size < count:
-            try:
-                x = next(iterator)
-            except StopIteration:
-                return False
-            if isinstance(x, float) and size < len(buf) and buf.shape[1] == 1:
-                # a float on a one-column stream skips the array round trip
-                if not math.isfinite(x):
-                    raise NonFiniteSampleError(f"sample {size + 1} is not finite: {[float(x)]}")
-                buf[size, 0] = x
-                size += 1
-                continue
+    def take():
+        """Read the next sample into the buffer; return it as ``step`` takes it.
+
+        That is a float on a one-column stream and the row otherwise; None at
+        the stream's end, after which the stream is not read again.
+        """
+        nonlocal iterator, buf, size, one_column
+        x = next(iterator, _END)
+        if x is _END:
+            iterator = iter(())
+            return None
+        if one_column and isinstance(x, float):
+            # a float on a one-column stream skips the array round trip
+            if not math.isfinite(x):
+                raise NonFiniteSampleError(f"sample {size + 1} is not finite: {[float(x)]}")
+            buf[size, 0] = x
+        else:
             row = np.asarray(x, dtype=float).reshape(-1)
             if size == 0:
                 if config.trend_dim > row.shape[0]:
@@ -196,18 +208,27 @@ def run_monitor(
                         f"{row.shape[0]} (set by sample 1)"
                     )
                 buf = np.empty((_FIRST_CAPACITY, row.shape[0]))
+                one_column = row.shape[0] == 1
             elif row.shape[0] != buf.shape[1]:
                 raise ValueError(
                     f"sample {size + 1} has width {row.shape[0]}, "
                     f"but the stream's width is {buf.shape[1]} (set by sample 1)"
                 )
-            elif size == buf.shape[0]:
-                buf = np.concatenate((buf, np.empty_like(buf)))
             # math.isfinite over a list costs a fraction of one numpy call
-            if not all(map(math.isfinite, row.tolist())):
-                raise NonFiniteSampleError(f"sample {size + 1} is not finite: {row.tolist()}")
+            values = row.tolist()
+            if not all(map(math.isfinite, values)):
+                raise NonFiniteSampleError(f"sample {size + 1} is not finite: {values}")
             buf[size] = row
-            size += 1
+            x = values[0] if one_column else row
+        size += 1
+        if size == len(buf):
+            buf = np.concatenate((buf, np.empty_like(buf)))
+        return x
+
+    def ensure(count: int) -> bool:
+        while size < count:
+            if take() is None:
+                return False
         return True
 
     if not ensure(config.m_min):
@@ -220,7 +241,6 @@ def run_monitor(
         return []
 
     events: list[ChangeEvent] = []
-    one_column = buf.shape[1] == 1
     # every round segments a prefix of the same buffer from sample 1, so a
     # window (w_lo, w_hi) names the same samples in every round
     memo: dict[tuple[int, int], OfflineTestResult] = {}
@@ -246,10 +266,15 @@ def run_monitor(
         alarm_at: int | None = None
         consumed = 0
         while consumed < config.window_k:
-            if not ensure(origin + consumed + 1):
-                break
             at = origin + consumed
-            verdict = step(state, buf.item(at, 0) if one_column else buf[at])
+            if at < size:
+                # pulled already, by the last label's look-ahead
+                x = buf.item(at, 0) if one_column else buf[at]
+            else:
+                x = take()
+                if x is None:
+                    break
+            verdict = step(state, x)
             consumed += 1
             if verdict.alarm:
                 alarm_at = origin + consumed

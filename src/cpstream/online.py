@@ -26,10 +26,15 @@ single-stream call on stream i bit for bit.
 
 A one-dimensional detector fed sample by sample, the monitor's case, takes a
 float route in :func:`step`: the same formula in Python floats, in the same
-operation order. With d = 1 every reduction of the numpy evaluation runs
-over one element and so is exact, which makes the two routes agree bit for
-bit. The boundary keeps ``np.power`` on that route: ``math.pow`` and ``**``
-round some powers differently in the last bit.
+operation order. A float sample goes from the checks straight to the
+arithmetic and the verdict, with no helper call but the boundary's. With
+d = 1 every reduction of the numpy evaluation runs over one element and so
+is exact, which makes the two routes agree bit for bit. The boundary keeps
+``np.power`` on that route: ``math.pow`` and ``**`` round some powers
+differently in the last bit.
+
+Each evaluation returns a :class:`Verdict`, an immutable named tuple that
+refuses an alarm flag inconsistent with its value and threshold.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +56,6 @@ __all__ = [
     "OnlineDetectorState",
     "Verdict",
     "Verdicts",
-    "boundary_weight",
-    "ratio_boundary_weight",
     "train",
     "step",
     "run_batch",
@@ -69,18 +73,31 @@ class DetectorKind(str, Enum):
         return CritValKind.ONLINE_RATIO
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """One detector evaluation: alarm holds exactly when value >= threshold."""
-
+class _VerdictFields(NamedTuple):
     alarm: bool
     detector_value: float
     threshold: float
     k_at_eval: int
 
-    def __post_init__(self) -> None:
-        if self.alarm != (self.detector_value >= self.threshold):
+
+class Verdict(_VerdictFields):
+    """One detector evaluation: alarm holds exactly when value >= threshold.
+
+    An immutable named tuple, so it also iterates, unpacks and equals the
+    plain tuple of its fields. Every way of building one checks the flag.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alarm: bool, detector_value: float, threshold: float, k_at_eval: int):
+        if alarm != (detector_value >= threshold):
             raise ValueError("alarm flag inconsistent with value and threshold")
+        return tuple.__new__(cls, (alarm, detector_value, threshold, k_at_eval))
+
+    @classmethod
+    def _make(cls, iterable) -> Verdict:
+        # _replace builds through _make, which would skip the check
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +174,12 @@ class OnlineDetectorState:
 
 
 def _boundary(kind: DetectorKind, m: int, k, gamma: float):
-    """Unchecked boundary at count(s) k: g(m, k), or g(m, k)^2 / m for the ratio detector."""
+    """Threshold weight at count(s) k >= 1: g(m, k) = sqrt(m) (1 + k/m) (k / (k + m))^gamma.
+
+    The ratio detector's weight is g(m, k)^2 / m: its statistic is
+    self-normalised and does not grow with m, so the sqrt(m) factor drops
+    out. Unchecked: :func:`train` validates m and gamma.
+    """
     g = math.sqrt(m) * (1.0 + k / m)
     # x**0 is exactly 1 for every ratio in (0, 1], so gamma 0 skips the power;
     # np.power rather than **: a scalar k then rounds exactly like one
@@ -165,31 +187,6 @@ def _boundary(kind: DetectorKind, m: int, k, gamma: float):
     if gamma != 0.0:
         g = g * np.power(k / (k + m), gamma)
     return g if kind is DetectorKind.STANDARD else g * g / m
-
-
-def _checked_boundary(kind: DetectorKind, m: int, k, gamma: float) -> float | np.ndarray:
-    if m < 1:
-        raise ValueError("training length m must be at least 1")
-    if np.any(np.asarray(k) < 1):
-        raise ValueError("monitored count k must be at least 1")
-    if not 0.0 <= gamma < 0.5:
-        raise ValueError(f"gamma must lie in [0, 0.5), got {gamma}")
-    out = _boundary(kind, m, np.asarray(k, dtype=float), gamma)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def boundary_weight(m: int, k: int | np.ndarray, gamma: float) -> float | np.ndarray:
-    """Threshold weight g(m, k) = sqrt(m) (1 + k/m) (k / (k + m))^gamma."""
-    return _checked_boundary(DetectorKind.STANDARD, m, k, gamma)
-
-
-def ratio_boundary_weight(m: int, k: int | np.ndarray, gamma: float) -> float | np.ndarray:
-    """Threshold weight for the ratio detector: g(m, k)^2 / m.
-
-    The ratio statistic is self-normalised and does not grow with m, so the
-    sqrt(m) factor of the standard weight drops out of its boundary.
-    """
-    return _checked_boundary(DetectorKind.RATIO, m, k, gamma)
 
 
 def train(
@@ -314,8 +311,9 @@ def step(state: OnlineDetectorState, x) -> Verdict:
     :func:`run_batch`.
 
     A d = 1 detector takes a float, an ``np.float64``, a (1,) array or a
-    one-item list, and evaluates in Python floats; a float sample skips the
-    array conversion. The result equals :func:`run_batch`'s bit for bit,
+    one-item list, and evaluates in Python floats; a float sample goes
+    straight to the arithmetic, with no array conversion and no helper call
+    but the boundary's. The result equals :func:`run_batch`'s bit for bit,
     because every reduction there runs over one element and the boundary
     comes from the same :func:`_boundary` formula. A wider detector evaluates in
     numpy.
@@ -324,25 +322,30 @@ def step(state: OnlineDetectorState, x) -> Verdict:
         raise ValueError("step takes a single-stream state; feed a stacked state with run_batch")
     if state.stopped_at is not None:
         raise DetectorStoppedError(f"detector already alarmed at k={state.stopped_at}")
-    d = state.dim
-    if d == 1 and isinstance(x, float):
-        values = [float(x)]
+    if isinstance(x, float) and state.training_sum.size == 1:
+        x = float(x)
     else:
         sample = np.asarray(x, dtype=float).reshape(-1)
+        d = state.dim
         if sample.shape[0] != d:
             raise ValueError(f"sample has dimension {sample.shape[0]}, detector expects {d}")
-        values = sample.tolist()
-    # math.isfinite over a list costs a fraction of one numpy call
-    if not all(map(math.isfinite, values)):
-        raise NonFiniteSampleError(f"non-finite sample {values} at k={state.k + 1}")
-    state.k += 1
-    if d > 1:
-        state.cum_sum_post = state.cum_sum_post + sample
-        return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
+        if d == 1:
+            x = sample.item()
+        else:
+            # math.isfinite over a list costs a fraction of one numpy call
+            values = sample.tolist()
+            if not all(map(math.isfinite, values)):
+                raise NonFiniteSampleError(f"non-finite sample {values} at k={state.k + 1}")
+            state.k += 1
+            state.cum_sum_post = state.cum_sum_post + sample
+            return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
+    if not math.isfinite(x):
+        raise NonFiniteSampleError(f"non-finite sample {[x]} at k={state.k + 1}")
 
     # d = 1: _evaluate's formula in Python floats, in the same operation order
-    k, m = state.k, state.m
-    running = state.cum_sum_post.item() + values[0]
+    state.k = k = state.k + 1
+    m = state.m
+    running = state.cum_sum_post.item() + x
     state.cum_sum_post = np.array((running,))
     threshold = state.critval.value * float(_boundary(state.kind, m, k, state.gamma))
     if state.kind is DetectorKind.STANDARD:
@@ -350,7 +353,11 @@ def step(state: OnlineDetectorState, x) -> Verdict:
     else:
         deviation = running / k - state.training_mean.item()
         value = k**2 / m * (deviation * state.ratio_denominator_inv.item() * deviation)
-    return _verdict(state, value, threshold)
+    # _verdict's rule, inline
+    alarm = value >= threshold
+    if alarm:
+        state.stopped_at = k
+    return Verdict(alarm, value, threshold, k)
 
 
 def run_batch(

@@ -38,6 +38,28 @@ def one_step(seed, n, at, shift):
     return x
 
 
+class CountingIterator:
+    """An iterator over ``items`` that counts its ``next`` calls."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+        self.pulls = 0
+        self.pulls_after_end = 0
+        self._ended = False
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.pulls += 1
+        self.pulls_after_end += self._ended
+        try:
+            return next(self._items)
+        except StopIteration:
+            self._ended = True
+            raise
+
+
 class TestSelectTraining:
     def test_change_free_history_uses_everything(self, config):
         history = TimeSeries(stationary(1, 300))
@@ -266,6 +288,35 @@ class TestRunMonitor:
             run_monitor(stream(), wide)
         assert len(pulled) == 1
         assert asked == []
+
+    @pytest.mark.parametrize("form", ["floats", "ndarray", "one-item lists"])
+    def test_event_pushed_after_exactly_its_label_window(self, config, form):
+        # an event for an alarm at a waits for samples up to a + h (clamped
+        # at the stream's end) and for no sample beyond them
+        x = stationary(40, 3200)
+        x[1100:2200] += 4.0
+        x[2700:] -= 3.0
+        samples = {"floats": x.tolist(), "ndarray": x, "one-item lists": [[v] for v in x.tolist()]}
+        stream = CountingIterator(samples[form])
+        pushed = []
+        events = run_monitor(stream, config, on_event=lambda e: pushed.append(stream.pulls))
+        assert len(events) == 3
+        assert pushed == [min(e.detected_at + config.macd.h, len(x)) for e in events]
+        assert stream.pulls == len(x) + 1  # every sample once, then the end once
+        assert stream.pulls_after_end == 0
+
+    def test_stream_end_read_once_when_it_cuts_the_label_window(self, cheap_provider):
+        config = MonitorConfig(
+            critvals=cheap_provider, window_k=100, quiet_gap_d=25,
+            macd=MacdParams(9, 12, 26, h=10), m_min=100,
+        )
+        x = one_step(10, 158, 150, 8.0)
+        stream = CountingIterator(x.tolist())
+        pushed = []
+        [event] = run_monitor(stream, config, on_event=lambda e: pushed.append(stream.pulls))
+        assert event.detected_at + config.macd.h > len(x)
+        assert pushed == [len(x) + 1]
+        assert stream.pulls_after_end == 0
 
     def test_event_callback_invoked(self, config):
         x = one_step(7, 400, 150, 5.0)

@@ -7,8 +7,9 @@ from cpstream.critvals import CritValKind, CritValRequest, compute_critval
 from cpstream.errors import DetectorStoppedError, NonFiniteSampleError
 from cpstream.online import (
     DetectorKind,
-    boundary_weight,
-    ratio_boundary_weight,
+    Verdict,
+    Verdicts,
+    _boundary,
     run_batch,
     step,
     train,
@@ -18,33 +19,79 @@ from cpstream.timeseries import TimeSeries
 
 
 class TestBoundaryWeight:
+    """The one boundary formula, g(m, k) = sqrt(m) (1 + k/m) (k / (k + m))^gamma."""
+
     def test_simple_arithmetic(self):
-        assert boundary_weight(100, 100, 0.0) == pytest.approx(20.0, abs=1e-12)
+        assert _boundary(DetectorKind.STANDARD, 100, 100, 0.0) == pytest.approx(20.0, abs=1e-12)
 
     def test_gamma_zero_collapses(self):
         for m, k in [(10, 3), (200, 50), (7, 700)]:
-            assert boundary_weight(m, k, 0.0) == pytest.approx(np.sqrt(m) * (1 + k / m), rel=1e-14)
+            expected = np.sqrt(m) * (1 + k / m)
+            assert _boundary(DetectorKind.STANDARD, m, k, 0.0) == pytest.approx(expected, rel=1e-14)
 
     def test_quarter_gamma_value(self):
         # sqrt(400) * 2 * 0.5**0.25
-        assert boundary_weight(400, 400, 0.25) == pytest.approx(33.63585661014858, rel=1e-12)
+        value = _boundary(DetectorKind.STANDARD, 400, 400, 0.25)
+        assert value == pytest.approx(33.63585661014858, rel=1e-12)
 
     def test_monotone_in_k_for_gamma_zero(self):
         ks = np.arange(1, 500)
-        weights = boundary_weight(200, ks, 0.0)
+        weights = _boundary(DetectorKind.STANDARD, 200, ks, 0.0)
         assert np.all(np.diff(weights) > 0)
 
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            boundary_weight(0, 1, 0.0)
-        with pytest.raises(ValueError):
-            boundary_weight(10, 0, 0.0)
-        with pytest.raises(ValueError):
-            boundary_weight(10, 1, 0.5)
-
     def test_ratio_weight_is_squared_and_m_free(self):
-        g = boundary_weight(50, 20, 0.25)
-        assert ratio_boundary_weight(50, 20, 0.25) == pytest.approx(g * g / 50, rel=1e-14)
+        g = _boundary(DetectorKind.STANDARD, 50, 20, 0.25)
+        assert _boundary(DetectorKind.RATIO, 50, 20, 0.25) == pytest.approx(g * g / 50, rel=1e-14)
+
+
+class TestVerdict:
+    FIELDS = ("alarm", "detector_value", "threshold", "k_at_eval")
+
+    def test_fields_are_immutable(self):
+        verdict = Verdict(alarm=True, detector_value=2.0, threshold=1.0, k_at_eval=3)
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(verdict, name, getattr(verdict, name))
+        assert verdict == Verdict(True, 2.0, 1.0, 3)
+
+    @pytest.mark.parametrize("alarm, value", [(True, 0.5), (False, 1.0), (False, 2.0)])
+    def test_inconsistent_alarm_rejected(self, alarm, value):
+        message = "^alarm flag inconsistent with value and threshold$"
+        with pytest.raises(ValueError, match=message):
+            Verdict(alarm=alarm, detector_value=value, threshold=1.0, k_at_eval=1)
+        with pytest.raises(ValueError, match=message):
+            Verdict(alarm, value, 1.0, 1)
+        with pytest.raises(ValueError, match=message):
+            Verdict(not alarm, value, 1.0, 1)._replace(alarm=alarm)
+
+    def test_is_a_named_tuple(self):
+        verdict = Verdict(False, 0.5, 1.0, 7)
+        alarm, value, threshold, k = verdict
+        assert (alarm, value, threshold, k) == (False, 0.5, 1.0, 7)
+        assert verdict == (False, 0.5, 1.0, 7)
+        assert verdict._fields == self.FIELDS
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_step_returns_a_verdict(self, d):
+        cv = small_critval(DetectorKind.STANDARD, d)
+        state = train(substream(d, 14).standard_normal((50, d)), DetectorKind.STANDARD, 0.0, cv)
+        # a float takes the d = 1 route, a row the numpy route
+        sample = 0.25 if d == 1 else np.full(d, 0.25)
+        assert type(step(state, sample)) is Verdict
+        assert type(step(state, np.full(d, 1e6))) is Verdict
+
+    def test_verdicts_item_is_the_single_stream_verdict(self, cv_standard_d1):
+        stack = substream(1, 14).standard_normal((3, 60, 1))
+        stack[1, 55] += 1e3
+        verdicts, _ = run_batch(train(stack[:, :50], DetectorKind.STANDARD, 0.0, cv_standard_d1),
+                                stack[:, 50:])
+        assert isinstance(verdicts, Verdicts)
+        for i in range(3):
+            single, _ = run_batch(train(stack[i, :50], DetectorKind.STANDARD, 0.0, cv_standard_d1),
+                                  stack[i, 50:])
+            assert type(verdicts[i]) is Verdict
+            assert verdicts[i] == single
+        assert verdicts[1].alarm
 
 
 class TestTrain:
@@ -61,6 +108,11 @@ class TestTrain:
     def test_minimum_length(self, cv_standard_d1):
         with pytest.raises(ValueError, match="at least 4"):
             train(TimeSeries(np.zeros(3)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
+
+    @pytest.mark.parametrize("gamma", [0.5, -0.1])
+    def test_gamma_outside_range_rejected(self, cv_standard_d1, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            train(TimeSeries(np.arange(10.0)), DetectorKind.STANDARD, gamma, cv_standard_d1)
 
     def test_critval_must_match(self, cv_standard_d1, cv_ratio_d1, cv_offline_d1):
         prefix = TimeSeries(np.arange(10.0))
