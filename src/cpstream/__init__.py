@@ -13,7 +13,6 @@ from .critvals import (
     MonteCarloProvider,
     build_table,
     compute_critval,
-    simulate_brownian_motion,
 )
 from .errors import (
     CpstreamError,
@@ -22,7 +21,7 @@ from .errors import (
     InsufficientTrainingError,
     NonFiniteSampleError,
 )
-from .longrun import autocov, bartlett_bandwidth, bartlett_lrv
+from .longrun import bartlett_bandwidth, bartlett_lrv
 from .monitor import Action, ChangeEvent, MonitorConfig, run_monitor, select_training
 from .offline import ChangePointSet, OfflineTestResult, cusum_path, offline_test, segment
 from .online import (
@@ -34,15 +33,13 @@ from .online import (
     step,
     train,
 )
-from .timeseries import SeriesSegment, TimeSeries, load_csv, sample_mean, save_csv
+from .timeseries import SeriesSegment, TimeSeries, load_csv, save_csv
 from .trend import (
     Direction,
     MacdParams,
     TrendMemo,
     TrendMode,
     TrendVerdict,
-    ema,
-    macd,
     trend_interval,
     trend_point,
     trend_series,
@@ -57,9 +54,7 @@ __all__ = [
     "SeriesSegment",
     "load_csv",
     "save_csv",
-    "sample_mean",
     # long-run covariance
-    "autocov",
     "bartlett_bandwidth",
     "bartlett_lrv",
     # critical values
@@ -67,7 +62,6 @@ __all__ = [
     "CritValRequest",
     "CritVal",
     "MonteCarloProvider",
-    "simulate_brownian_motion",
     "compute_critval",
     "build_table",
     # offline detection
@@ -90,8 +84,6 @@ __all__ = [
     "TrendMode",
     "TrendVerdict",
     "TrendMemo",
-    "ema",
-    "macd",
     "trend_series",
     "trend_point",
     "trend_interval",

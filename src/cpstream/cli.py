@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
+import inspect
 import json
 import shlex
 import subprocess
@@ -26,6 +28,7 @@ from .critvals import (
     DEFAULT_HORIZON_T,
     DEFAULT_REPLICATIONS,
     CritValKind,
+    CritValRequest,
     MonteCarloProvider,
 )
 from .errors import CpstreamError
@@ -66,18 +69,28 @@ def _add_budget(p: argparse.ArgumentParser, table: bool = True) -> None:
 
 
 def _add_macd(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p1", type=int, default=9)
-    p.add_argument("--p2", type=int, default=12)
-    p.add_argument("--p3", type=int, default=26)
-    p.add_argument("--h", type=int, default=10, help="interval window length")
+    macd = MacdParams()
+    p.add_argument("--p1", type=int, default=macd.p1)
+    p.add_argument("--p2", type=int, default=macd.p2)
+    p.add_argument("--p3", type=int, default=macd.p3)
+    p.add_argument("--h", type=int, default=macd.h, help="interval window length")
+
+
+def _defaults(cls) -> dict:
+    """The declared default of each field of a library dataclass, by field name."""
+    return {f.name: f.default for f in dataclasses.fields(cls)}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser plus each subcommand's parser by name.
 
-    Every flag declares its default here, once; a ``--config`` file
-    overrides those defaults (see :func:`dispatch`).
+    Every flag's default is declared here once, or read from the library parameter
+    the flag sets; a ``--config`` file overrides them (see :func:`dispatch`).
     """
+    monitor = _defaults(MonitorConfig)
+    scenario = _defaults(netsim.AttackScenario)
+    settings = _defaults(netsim.DetectorSettings)
+    placement = inspect.signature(netsim.random_scenario).parameters
     parser = argparse.ArgumentParser(
         prog="cpstream",
         description="Change-point detection toolkit: critical values, offline tests, "
@@ -122,16 +135,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = add("monitor", "sequential monitoring of a CSV stream (file or '-' stdin)")
     _add_input(p, default="-", help_text="CSV file or '-' for standard input")
-    p.add_argument("--detector", choices=["standard", "ratio"], default="standard")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--m", type=int, default=200, help="minimal training length")
-    p.add_argument("--window", type=int, default=200, help="monitoring window length")
-    p.add_argument("--quiet-gap", type=int, default=25,
+    p.add_argument("--detector", choices=["standard", "ratio"], default=monitor["detector"].value)
+    p.add_argument("--alpha", type=float, default=monitor["alpha"])
+    p.add_argument("--gamma", type=float, default=monitor["gamma"])
+    p.add_argument("--m", type=int, default=monitor["m_min"], help="minimal training length")
+    p.add_argument("--window", type=int, default=monitor["window_k"],
+                   help="monitoring window length")
+    p.add_argument("--quiet-gap", type=int, default=monitor["quiet_gap_d"],
                    help="samples assumed change-free after an alarm")
-    p.add_argument("--min-seg", type=int, default=DEFAULT_MIN_SEG)
+    p.add_argument("--min-seg", type=int, default=monitor["min_seg"])
     _add_macd(p)
-    p.add_argument("--trend-dim", type=int, default=1)
+    p.add_argument("--trend-dim", type=int, default=monitor["trend_dim"])
     _add_budget(p)
     p.add_argument("--on-scale-up", help="shell command template run per scale-up event")
     p.add_argument("--on-scale-down", help="shell command template run per scale-down event")
@@ -142,19 +156,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["per-node", "cluster"], default="per-node")
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--m", type=int, default=200)
-    p.add_argument("--block", type=int, default=50, help="retraining block length")
-    p.add_argument("--start", type=int, default=401, help="attack start sample")
-    p.add_argument("--horizon", type=int, default=600)
-    p.add_argument("--injection-rate", type=float, default=3.0)
-    p.add_argument("--ticks", type=float, default=1.0)
-    p.add_argument("--baseline", type=float, default=10.0)
-    p.add_argument("--ar", type=float, default=0.3)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--decay", type=float, default=0.4)
-    p.add_argument("--separation", type=int, default=3, help="minimal pairwise attacker distance")
+    p.add_argument("--alpha", type=float, default=settings["alpha"])
+    p.add_argument("--gamma", type=float, default=settings["gamma"])
+    p.add_argument("--m", type=int, default=settings["m"])
+    p.add_argument("--block", type=int, default=settings["retrain_block"],
+                   help="retraining block length")
+    p.add_argument("--start", type=int, default=scenario["start"], help="attack start sample")
+    p.add_argument("--horizon", type=int, default=scenario["horizon"])
+    p.add_argument("--injection-rate", type=float, default=scenario["injection_rate"])
+    p.add_argument("--ticks", type=float, default=scenario["ticks_per_packet"])
+    p.add_argument("--baseline", type=float, default=scenario["baseline_mean"])
+    p.add_argument("--ar", type=float, default=scenario["ar_coeff"])
+    p.add_argument("--sigma", type=float, default=scenario["noise_sigma"])
+    p.add_argument("--decay", type=float, default=scenario["hop_decay"])
+    p.add_argument("--separation", type=int, default=placement["min_separation"].default,
+                   help="minimal pairwise attacker distance")
     p.add_argument("--cluster-block", type=int, default=2)
     p.add_argument("--mc-grid", type=int, default=DEFAULT_GRID_STEPS,
                    help="critical-value simulation grid")
@@ -375,6 +391,12 @@ def _cmd_monitor(opts: dict) -> int:
         min_seg=opts["min_seg"],
         m_min=opts["m"],
         trend_dim=opts["trend_dim"],
+    )
+    # the detector's request bounds alpha, gamma and the simulation budget:
+    # refuse them before the report starts and before the input is read
+    CritValRequest(
+        kind=config.detector.critval_kind, alpha=config.alpha, gamma=config.gamma,
+        grid_steps=opts["grid"], replications=opts["reps"],
     )
     with contextlib.ExitStack() as stack:
         # the input is opened before the report, so a missing file leaves no output

@@ -35,14 +35,13 @@ import numpy as np
 
 from .errors import CsvFormatError
 from .longrun import inverse as _reg_inverse
-from .rng import standard_normal_rows, substream
+from .rng import standard_normal_rows
 
 __all__ = [
     "CritValKind",
     "CritValRequest",
     "CritVal",
     "CritValProvider",
-    "simulate_brownian_motion",
     "replication_stat",
     "replication_stats",
     "compute_critval",
@@ -135,19 +134,6 @@ class CritVal:
 # A provider maps (kind, d, alpha, gamma) to a critical value;
 # MonteCarloProvider below is the package's one implementation.
 CritValProvider = Callable[..., CritVal]
-
-
-def simulate_brownian_motion(grid_steps: int, seed: int) -> np.ndarray:
-    """One standard Brownian-motion path on [0, 1].
-
-    Returns grid_steps + 1 values starting at W(0) = 0, with i.i.d. Gaussian
-    increments of variance 1 / grid_steps. The same seed always yields the
-    same path.
-    """
-    if grid_steps < 1:
-        raise ValueError("grid_steps must be at least 1")
-    w = _wiener_paths(substream(seed, 0).standard_normal((1, grid_steps)), 1.0 / grid_steps)
-    return np.concatenate(([0.0], w[0]))
 
 
 def _wiener_paths(normals: np.ndarray, step_var: float) -> np.ndarray:

@@ -33,7 +33,6 @@ import numpy as np
 from .timeseries import SeriesLike, as_matrix
 
 __all__ = [
-    "autocov",
     "bartlett_bandwidth",
     "bartlett_weight",
     "bartlett_lrv",
@@ -49,22 +48,6 @@ __all__ = [
 SINGULAR_RTOL = 1e-10
 RIDGE_RTOL = 1e-8
 ZERO_TRACE_RIDGE = 1e-12
-
-
-def autocov(s: SeriesLike, lag: int) -> np.ndarray:
-    """Empirical autocovariance matrix at a given lag.
-
-    Computes (1/N) * sum_{n=lag+1..N} (X_n - mean)(X_{n-lag} - mean)^T.
-    The divisor is N, not N - lag. Not symmetric for lag > 0.
-    """
-    mat = as_matrix(s)
-    n = mat.shape[0]
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    if lag >= n:
-        raise ValueError(f"lag {lag} must be smaller than the sample count {n}")
-    centered = mat - mat.mean(axis=0)
-    return centered[lag:].T @ centered[: n - lag] / n
 
 
 def bartlett_bandwidth(n: int) -> int:
@@ -102,8 +85,8 @@ def bartlett_lrv(s: SeriesLike, bandwidth: int | None = None) -> np.ndarray:
         raise ValueError("bandwidth must be non-negative")
     if bandwidth >= n:
         raise ValueError(f"bandwidth {bandwidth} must be smaller than the sample count {n}")
-    # the same centred products as autocov, from one centring of the sample;
-    # matmul over a stack makes the per-slice product of a single series.
+    # every lag product from one centring of the sample, divided by N (not
+    # N - lag); matmul over a stack makes the per-slice product of one series.
     # sum / n is how ndarray.mean computes the mean, without its call overhead
     centered = mat - mat.sum(axis=-2, keepdims=True) / n
     if centered.ndim == 2 and centered.shape[1] == 1:

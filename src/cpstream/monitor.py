@@ -3,7 +3,9 @@
 Each round works on the stream history up to the current origin m_s:
 
 1. segment the history and take the stretch after the last change point as
-   the training sample (the whole history when no change is found);
+   the training sample (the whole history when no change is found); a
+   stretch shorter than ``m_min`` skips the round, and the origin moves on
+   by ``window_k``;
 2. train the sequential detector on it and monitor the next ``window_k``
    samples;
 3. on an alarm at stream index a, label the change direction with the
@@ -55,7 +57,7 @@ import numpy as np
 
 from .critvals import CritValProvider
 from .errors import InsufficientTrainingError, NonFiniteSampleError
-from .offline import DEFAULT_MIN_SEG, OfflineTestResult, segment
+from .offline import DEFAULT_MIN_SEG, OfflineTestResult, _check_min_seg, segment
 from .online import DetectorKind, step, train
 from .timeseries import SeriesSegment, TimeSeries
 from .trend import Direction, MacdParams, TrendMemo, TrendVerdict, trend_interval
@@ -104,6 +106,7 @@ class MonitorConfig:
             raise ValueError("quiet_gap_d must be non-negative")
         if self.m_min < 4:
             raise ValueError("m_min must be at least 4")
+        _check_min_seg(self.min_seg)
         if self.trend_dim < 1:
             raise ValueError(f"trend_dim must be at least 1, got {self.trend_dim}")
 
@@ -134,8 +137,7 @@ def select_training(
     Segments the whole history (histories shorter than one segmentable
     window count as change-free). With no change point the training window
     is the full history; otherwise it starts right after the last change
-    point. A window shorter than ``m_min`` is extended leftward only when
-    that crosses no change point; otherwise training is impossible here.
+    point, and a window shorter than ``m_min`` makes training impossible here.
     ``memo`` is passed to :func:`~cpstream.offline.segment`; share one only
     between histories that hold the same samples at the same indices.
     """
@@ -151,9 +153,6 @@ def select_training(
     lo = cps[-1] + 1
     if n - lo + 1 >= config.m_min:
         return history.segment(lo, n)
-    extended_lo = n - config.m_min + 1
-    if extended_lo >= 1 and all(cp < extended_lo for cp in cps):
-        return history.segment(extended_lo, n)
     raise InsufficientTrainingError(
         f"only {n - lo + 1} samples after the last change point at {cps[-1]}, "
         f"need {config.m_min}"

@@ -64,6 +64,8 @@ __all__ = [
 
 # RNG salt separating trace noise from any other consumer of the same seed
 _TRACE_STREAM = 7
+# attacker placements random_scenario draws before it gives up
+_PLACEMENT_TRIES = 200
 
 
 @dataclass(frozen=True)
@@ -139,10 +141,6 @@ class Topology:
             members.setdefault(cluster, []).append(node)
         return {cid: tuple(nodes) for cid, nodes in sorted(members.items())}
 
-    def cluster_heads(self) -> dict[int, int]:
-        """Lowest node id of each cluster acts as its head."""
-        return {cid: min(nodes) for cid, nodes in self.cluster_members().items()}
-
 
 def block_clusters(rows: int, cols: int, block: int = 2) -> tuple[int, ...]:
     """Cluster assignment tiling the grid with block x block squares."""
@@ -200,7 +198,6 @@ def random_scenario(
     n_attackers: int | None = None,
     seed: int = 0,
     min_separation: int = 3,
-    max_tries: int = 200,
     **overrides,
 ) -> AttackScenario:
     """Scenario with attackers placed at random, pairwise >= min_separation hops apart.
@@ -220,7 +217,7 @@ def random_scenario(
             f"controller), got {n_attackers}"
         )
     rng = substream(seed, 11)
-    for _ in range(max_tries):
+    for _ in range(_PLACEMENT_TRIES):
         chosen: list[int] = []
         for node in rng.permutation(topology.n_nodes):
             node = int(node)
@@ -485,16 +482,6 @@ class ExperimentResult:
     def attacker_adjacent_detection(self) -> float:
         nodes = self.attacker_adjacent_nodes()
         return float(np.mean([self.detection_probability[n] for n in nodes]))
-
-    def detection_by_hop_distance(self) -> dict[int, float]:
-        """Mean detection probability of nodes grouped by hops to the nearest attacker."""
-        buckets: dict[int, list[float]] = {}
-        for node in range(self.topology.n_nodes):
-            hops = min(
-                self.topology.hop_distance(node, a) for a in self.scenario.attackers
-            )
-            buckets.setdefault(hops, []).append(self.detection_probability[node])
-        return {hops: float(np.mean(vals)) for hops, vals in sorted(buckets.items())}
 
 
 def run_experiment(

@@ -143,6 +143,11 @@ def _decide(statistic: float, argmax: int, n: int, critval: CritVal) -> OfflineT
     )
 
 
+def _check_min_seg(min_seg: int) -> None:
+    if min_seg < 2:
+        raise ValueError("min_seg must be at least 2")
+
+
 def segment(
     s: TimeSeries | SeriesSegment,
     alpha: float,
@@ -179,8 +184,7 @@ def segment(
     that hold the same samples at the same indices, such as the growing
     prefixes of one stream; it grows by one entry per distinct window.
     """
-    if min_seg < 2:
-        raise ValueError("min_seg must be at least 2")
+    _check_min_seg(min_seg)
     if isinstance(s, TimeSeries):
         s = s.segment(1, s.n_samples)
     parent, lo, hi = s.parent, s.lo, s.hi

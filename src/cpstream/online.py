@@ -17,7 +17,8 @@ where D_j is the mean of the first j training samples minus the training
 mean and D_post the mean of the monitored samples minus the training mean.
 Its threshold is c * g(m, k)^2 / m: the statistic is scale-free in m, so the
 boundary must be as well (the critical value is simulated against exactly
-this normalisation). The first alarm freezes the detector.
+this normalisation). The first alarm freezes the detector. A trained state
+keeps the training sum and takes the training mean as ``training_sum / m``.
 
 Many streams of equal training length can share one state: :func:`train` on
 an (S, m, d) stack and :func:`run_batch` on (S, b, d) blocks run every stream
@@ -142,28 +143,25 @@ class OnlineDetectorState:
     m: int
     gamma: float
     critval: CritVal
-    training_mean: np.ndarray
     training_sum: np.ndarray
     omega_inv_sqrt: np.ndarray | None
-    ratio_denominator: np.ndarray | None
-    ratio_denominator_inv: np.ndarray | None = field(repr=False, default=None)
+    ratio_denominator_inv: np.ndarray | None
     cum_sum_post: np.ndarray = field(default=None)  # type: ignore[assignment]
     k: int | np.ndarray = 0
     stopped_at: int | None | np.ndarray = None
     stacked: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.stacked = self.training_mean.ndim == 2
+        self.stacked = self.training_sum.ndim == 2
         if self.cum_sum_post is None:
-            self.cum_sum_post = np.zeros_like(self.training_mean)
-        for arr in (self.training_mean, self.training_sum, self.omega_inv_sqrt,
-                    self.ratio_denominator, self.ratio_denominator_inv):
+            self.cum_sum_post = np.zeros_like(self.training_sum)
+        for arr in (self.training_sum, self.omega_inv_sqrt, self.ratio_denominator_inv):
             if arr is not None:
                 arr.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return self.training_mean.shape[-1]
+        return self.training_sum.shape[-1]
 
     @property
     def stopped(self) -> bool:
@@ -198,8 +196,8 @@ def train(
     """Freeze training statistics from a change-free prefix of length m >= 4.
 
     The standard detector stores the regularized inverse square root of the
-    Bartlett long-run covariance of the prefix; the ratio detector stores its
-    partial-mean denominator matrix (regularized when singular, so an
+    Bartlett long-run covariance of the prefix; the ratio detector stores the
+    regularized inverse of its partial-mean denominator matrix (so an
     all-constant prefix still trains). ``critval`` must match the detector
     kind, dimension and gamma.
 
@@ -222,21 +220,18 @@ def train(
         raise ValueError(f"critical value kind {req.kind.value} does not match detector {kind.value}")
     if req.d != d:
         raise ValueError(f"critical value simulated for d={req.d}, series has d={d}")
+    # CritValRequest keeps gamma in [0, 0.5), so a matching gamma is in range
     if req.gamma != gamma:
         raise ValueError(f"critical value simulated for gamma={req.gamma}, requested {gamma}")
-    if not 0.0 <= gamma < 0.5:
-        raise ValueError(f"gamma must lie in [0, 0.5), got {gamma}")
 
     training_sum = mat.sum(axis=-2)
-    training_mean = training_sum / m
     omega_inv_sqrt = None
-    denom = None
     denom_inv = None
     if kind is DetectorKind.STANDARD:
         omega_inv_sqrt = inverse_sqrt(bartlett_lrv(mat, bartlett_bandwidth(m)))
     else:
         counts = np.arange(1, m + 1, dtype=float).reshape(-1, 1)
-        partial_dev = np.cumsum(mat, axis=-2) / counts - training_mean[..., None, :]
+        partial_dev = np.cumsum(mat, axis=-2) / counts - (training_sum / m)[..., None, :]
         weighted = partial_dev.swapaxes(-1, -2) * counts.ravel() ** 2
         denom = np.matmul(weighted, partial_dev) / m**2
         denom = (denom + denom.swapaxes(-1, -2)) / 2.0
@@ -252,10 +247,8 @@ def train(
         m=m,
         gamma=gamma,
         critval=critval,
-        training_mean=training_mean,
         training_sum=training_sum,
         omega_inv_sqrt=omega_inv_sqrt,
-        ratio_denominator=denom,
         ratio_denominator_inv=denom_inv,
         **per_stream,
     )
@@ -287,7 +280,7 @@ def _evaluate(state: OnlineDetectorState, ks, running: np.ndarray):
         numerators = running - np.asarray(ks)[..., None] * state.training_sum / m
         values = np.abs(_apply(state.omega_inv_sqrt, numerators)).sum(axis=-1)
     else:
-        deviations = running / np.asarray(ks)[..., None] - state.training_mean
+        deviations = running / np.asarray(ks)[..., None] - state.training_sum / m
         quad = (_apply(state.ratio_denominator_inv, deviations) * deviations).sum(axis=-1)
         values = ks**2 / m * quad
     return values, thresholds
@@ -351,7 +344,7 @@ def step(state: OnlineDetectorState, x) -> Verdict:
     if state.kind is DetectorKind.STANDARD:
         value = abs((running - k * state.training_sum.item() / m) * state.omega_inv_sqrt.item())
     else:
-        deviation = running / k - state.training_mean.item()
+        deviation = running / k - state.training_sum.item() / m
         value = k**2 / m * (deviation * state.ratio_denominator_inv.item() * deviation)
     # _verdict's rule, inline
     alarm = value >= threshold

@@ -1,8 +1,7 @@
 """Core data model for metric streams: immutable series plus CSV ingestion/export.
 
 Indices in all public contracts are 1-based: sample ``n`` of a series of
-length ``N`` lives at ``values[n - 1]`` and corresponds to time
-``origin + (n - 1) * period``.
+length ``N`` lives at ``values[n - 1]``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "iter_csv",
     "load_csv",
     "save_csv",
-    "sample_mean",
 ]
 
 
@@ -35,13 +33,10 @@ class TimeSeries:
 
     ``values`` is an (N, d) float matrix, one row per sample in time order.
     The array is frozen at construction; the series is safe to share across
-    threads. ``period`` is metadata only (duration covered by one sample)
-    and has no effect on any statistic.
+    threads.
     """
 
     values: np.ndarray
-    period: float = 1.0
-    label: str = ""
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
@@ -51,8 +46,6 @@ class TimeSeries:
             raise ValueError(f"series must be a non-empty N x d matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("series values must all be finite (no NaN/Inf)")
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -68,12 +61,6 @@ class TimeSeries:
     def segment(self, lo: int, hi: int) -> "SeriesSegment":
         """Inclusive 1-based window [lo, hi] of this series."""
         return SeriesSegment(self, lo, hi)
-
-    def column(self, dim: int = 1) -> np.ndarray:
-        """One dimension of the series as a flat array (``dim`` is 1-based)."""
-        if not 1 <= dim <= self.dim:
-            raise ValueError(f"dimension {dim} out of range 1..{self.dim}")
-        return self.values[:, dim - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,12 +173,7 @@ def iter_csv(
         yield point
 
 
-def load_csv(
-    path: str | Path,
-    columns: Sequence[int] | None = None,
-    period: float = 1.0,
-    label: str | None = None,
-) -> TimeSeries:
+def load_csv(path: str | Path, columns: Sequence[int] | None = None) -> TimeSeries:
     """Read a comma-separated file into a TimeSeries.
 
     Rows go through :func:`iter_csv`, which owns the header detection,
@@ -212,7 +194,7 @@ def load_csv(
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    return TimeSeries(np.array(rows), period=period, label=label if label is not None else path.stem)
+    return TimeSeries(np.array(rows))
 
 
 def save_csv(s: TimeSeries | SeriesSegment, path: str | Path) -> None:
@@ -229,10 +211,3 @@ def save_csv(s: TimeSeries | SeriesSegment, path: str | Path) -> None:
         for n, row in enumerate(mat, start=1):
             writer.writerow([n] + [repr(float(v)) for v in row])
 
-
-def sample_mean(s: SeriesLike) -> np.ndarray:
-    """Arithmetic mean per dimension, as a length-d vector."""
-    mat = as_matrix(s)
-    if mat.shape[0] < 1:
-        raise ValueError("cannot average an empty series")
-    return mat.mean(axis=0)

@@ -6,12 +6,16 @@ yields the indicator used here: positive means the level is accelerating
 upward. The interval form sums the indicator over a short window after a
 change point, which is more robust than the single-point value.
 
-The indicator is computed by one fused recursion (:class:`TrendMemo`), the
-same IEEE operations as ``ema(x, p2) - ema(x, p3)`` followed by
-``line - ema(line, p1)``. A :class:`TrendMemo` passed to
-:func:`trend_interval` keeps the indicator of the prefix seen so far, so a
-caller labelling the growing prefixes of one stream computes each sample's
-value once.
+An EMA with lag p is seeded with its first input y_1 and then follows
+E_n = (2 / (p + 1)) y_n + ((p - 1) / (p + 1)) E_(n-1). One recursion
+(:class:`TrendMemo`) carries three of them over the samples x_n, for lags
+p1 < p2 < p3:
+
+    line_n = EMA_p2(x)_n - EMA_p3(x)_n,   ti_n = line_n - EMA_p1(line)_n,
+
+so ti_1 = 0. A :class:`TrendMemo` passed to :func:`trend_interval` keeps the
+indicator of the prefix seen so far, so a caller labelling the growing
+prefixes of one stream computes each sample's value once.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ __all__ = [
     "TrendMode",
     "TrendVerdict",
     "TrendMemo",
-    "ema",
-    "macd",
     "trend_series",
     "trend_point",
     "trend_interval",
@@ -96,33 +98,6 @@ def _ema_weights(p: int) -> tuple[float, float]:
     return 2.0 / (p + 1), (p - 1.0) / (p + 1)
 
 
-def ema(s: SeriesLike, p: int, dim: int = 1) -> np.ndarray:
-    """Exponential moving average with lag p, seeded with the first sample.
-
-    EMA(1) = X_1 and EMA(n) = (2 / (p+1)) X_n + ((p-1) / (p+1)) EMA(n-1);
-    p = 1 reproduces the series unchanged.
-    """
-    if p < 1:
-        raise ValueError("lag p must be at least 1")
-    x = _as_1d(s, dim)
-    gain, keep = _ema_weights(p)
-    # over Python floats: the same IEEE operations as over numpy scalars,
-    # without the cost of indexing one numpy scalar per step
-    values = x.tolist()
-    out = [values[0]]
-    for v in values[1:]:
-        out.append(gain * v + keep * out[-1])
-    return np.array(out)
-
-
-def macd(s: SeriesLike, p2: int, p3: int, dim: int = 1) -> np.ndarray:
-    """Fast-minus-slow EMA difference; requires p2 < p3."""
-    if not p2 < p3:
-        raise ValueError(f"fast lag must be shorter than slow lag, got p2={p2}, p3={p3}")
-    x = _as_1d(s, dim)
-    return ema(x, p2) - ema(x, p3)
-
-
 def _lags(params: MacdParams) -> tuple[int, int, int]:
     return (params.p1, params.p2, params.p3)
 
@@ -170,7 +145,8 @@ class TrendMemo:
             values = values[1:]
         else:
             fast, slow, signal = self._emas
-        # over Python floats, the operations of ema() on each of the three series
+        # one step of each EMA, over Python floats: the same IEEE operations
+        # as over numpy scalars, without indexing one numpy scalar per step
         for v in values:
             fast = g2 * v + k2 * fast
             slow = g3 * v + k3 * slow

@@ -17,7 +17,7 @@ from cpstream.critvals import (
     compute_critval,
     replication_stat,
 )
-from cpstream.longrun import autocov, bartlett_lrv
+from cpstream.longrun import bartlett_lrv
 from cpstream.netsim import DetectorSettings, grid_topology, random_scenario, run_experiment
 from cpstream.offline import cusum_path, offline_test, segment
 from cpstream.online import DetectorKind, run_batch, step, train
@@ -341,14 +341,18 @@ class TestCriterion9Properties:
             d = int(gen.integers(1, 4))
             values = gen.normal(size=(n, d))
             mean = values.mean(axis=0)
+            lag_products = []
             for lag in (0, 1, 2):
-                if lag >= n:
-                    continue
                 brute = np.zeros((d, d))
                 for i in range(lag, n):
                     brute += np.outer(values[i] - mean, values[i - lag] - mean)
-                brute /= n
-                got = autocov(TimeSeries(values), lag)
+                lag_products.append(brute / n)
+            for bandwidth in (0, 1, 2):
+                brute = lag_products[0].copy()
+                for lag in range(1, bandwidth + 1):
+                    weight = 1.0 - lag / (bandwidth + 1)
+                    brute += weight * (lag_products[lag] + lag_products[lag].T)
+                got = bartlett_lrv(TimeSeries(values), bandwidth)
                 brute_ok &= np.allclose(got, brute, rtol=1e-12, atol=1e-13)
             total = values.sum(axis=0)
             path = cusum_path(TimeSeries(values))
@@ -371,7 +375,7 @@ class TestCriterion9Properties:
                 dev = x[:j].mean() - x[:10].mean()
                 denom += j**2 * dev * dev
             denom /= 100.0
-            brute_ok &= abs(rstate.ratio_denominator[0, 0] - denom) <= 1e-12 * abs(denom)
+            brute_ok &= abs(1.0 / rstate.ratio_denominator_inv[0, 0] - denom) <= 1e-12 * abs(denom)
         checks.append(("brute-force oracle equivalence 1e-12", brute_ok))
 
         failed = [name for name, passed in checks if not passed]

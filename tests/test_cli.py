@@ -1,3 +1,5 @@
+import inspect
+import io
 import json
 import subprocess
 import sys
@@ -8,11 +10,13 @@ import jsonschema
 import pytest
 
 import cpstream
-from cpstream import cli, critvals, offline
+from cpstream import cli, critvals, netsim, offline
 from cpstream.cli import dispatch
 from cpstream.critvals import CritValKind, build_table
+from cpstream.monitor import MonitorConfig
 from cpstream.rng import substream
 from cpstream.timeseries import TimeSeries, save_csv
+from cpstream.trend import MacdParams
 
 FAST = ["--grid", "300", "--reps", "2000"]
 
@@ -298,6 +302,33 @@ class TestMonitorCommand:
         assert all(json.loads(out)["type"] != "event" for out in captured.out.splitlines())
         assert simulated == []
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
+            (["--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
+            (["--gamma", "0.7"], "gamma must lie in [0, 0.5), got 0.7"),
+            (["--detector", "ratio", "--gamma", "0.5"], "gamma must lie in [0, 0.5), got 0.5"),
+            (["--min-seg", "1"], "min_seg must be at least 2"),
+            (["--reps", "10"], "replications must be at least 1000"),
+            (["--grid", "5"], "grid_steps must be at least 100"),
+        ],
+        ids=["alpha-2", "alpha-0", "gamma-0.7", "ratio-gamma-0.5", "min-seg-1", "reps-10",
+             "grid-5"],
+    )
+    def test_bad_setting_refused_before_output(self, capsys, monkeypatch, flags, message):
+        simulated = []
+        monkeypatch.setattr(critvals, "compute_critval", lambda *a, **k: simulated.append(a))
+        stdin = io.StringIO("value\n" + "".join(f"{v!r}\n" for v in stationary_values(1000)))
+        monkeypatch.setattr("sys.stdin", stdin)
+        status = dispatch(["monitor", "--input", "-", *MIN_BUDGET, *flags])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert simulated == []
+        assert stdin.tell() == 0
+
     def test_stream_shorter_than_training_is_reported(self):
         # in a fresh interpreter, where the warning reaches stderr through
         # logging's last-resort handler
@@ -473,6 +504,12 @@ class TestExitCodes:
 
 
 MIN_BUDGET = ["--grid", "100", "--reps", "1000"]
+
+
+def stationary_values(n):
+    return substream(2, 40).standard_normal(n).tolist()
+
+
 BUDGET_PARAMS = {"seed": 0, "grid": 100, "reps": 1000, "table": None, "out": None}
 MACD_PARAMS = {"p1": 9, "p2": 12, "p3": 26, "h": 10}
 
@@ -532,6 +569,50 @@ class TestEchoedParams:
             "cluster_block": 2, "mc_grid": 100, "mc_reps": 1000, "table": None, "out": None,
             "heatmap": None,
         }
+
+
+MACD = MacdParams()
+MONITOR = MonitorConfig(critvals=None)
+SETTINGS = netsim.DetectorSettings()
+SCENARIO = netsim.AttackScenario(attackers=())
+PLACEMENT = inspect.signature(netsim.random_scenario).parameters
+
+
+class TestLibraryDefaults:
+    """A flag that sets a library parameter defaults to that parameter's default."""
+
+    @pytest.mark.parametrize(
+        "command, flag, library",
+        [
+            *((command, name, getattr(MACD, name))
+              for command in ("trend", "monitor") for name in ("p1", "p2", "p3", "h")),
+            ("monitor", "detector", MONITOR.detector.value),
+            ("monitor", "alpha", MONITOR.alpha),
+            ("monitor", "gamma", MONITOR.gamma),
+            ("monitor", "m", MONITOR.m_min),
+            ("monitor", "window", MONITOR.window_k),
+            ("monitor", "quiet_gap", MONITOR.quiet_gap_d),
+            ("monitor", "min_seg", MONITOR.min_seg),
+            ("monitor", "trend_dim", MONITOR.trend_dim),
+            ("simulate", "alpha", SETTINGS.alpha),
+            ("simulate", "gamma", SETTINGS.gamma),
+            ("simulate", "m", SETTINGS.m),
+            ("simulate", "block", SETTINGS.retrain_block),
+            ("simulate", "start", SCENARIO.start),
+            ("simulate", "horizon", SCENARIO.horizon),
+            ("simulate", "injection_rate", SCENARIO.injection_rate),
+            ("simulate", "ticks", SCENARIO.ticks_per_packet),
+            ("simulate", "baseline", SCENARIO.baseline_mean),
+            ("simulate", "ar", SCENARIO.ar_coeff),
+            ("simulate", "sigma", SCENARIO.noise_sigma),
+            ("simulate", "decay", SCENARIO.hop_decay),
+            ("simulate", "separation", PLACEMENT["min_separation"].default),
+        ],
+    )
+    def test_flag_default_is_library_default(self, command, flag, library):
+        _, commands = cli._build_parser()
+        default = getattr(commands[command].parse_args([]), flag)
+        assert (default, type(default)) == (library, type(library))
 
 
 class TestMalformedStdin:

@@ -7,12 +7,13 @@ from cpstream.critvals import (
     CritValKind,
     CritValRequest,
     MonteCarloProvider,
+    _wiener_paths,
     build_table,
     compute_critval,
     replication_stat,
     replication_stats,
-    simulate_brownian_motion,
 )
+from cpstream.rng import standard_normal_rows, substream
 
 
 def sup_abs_bridge_sf(x):
@@ -38,20 +39,33 @@ def sup_abs_wiener_quantile(p):
     return optimize.brentq(lambda v: cdf(v) - p, 0.3, 5.0, xtol=1e-12)
 
 
+def brownian_paths(rows, grid_steps, seed):
+    """W(1/grid_steps)..W(1) of replications 0..rows-1, as replication_stats draws them."""
+    normals = standard_normal_rows(np.empty((rows, grid_steps)), seed)
+    return _wiener_paths(normals, 1.0 / grid_steps)
+
+
 class TestBrownianMotion:
     def test_starts_at_zero(self):
-        assert simulate_brownian_motion(100, seed=5)[0] == 0.0
+        # W(0) = 0 is implicit: the first point is the first increment alone
+        normals = substream(5, 0).standard_normal(100)
+        path = _wiener_paths(normals.copy(), 1.0 / 100)
+        assert path[0] == normals[0] * np.sqrt(1.0 / 100)
+        assert np.array_equal(path, np.cumsum(normals * np.sqrt(1.0 / 100)))
 
     def test_deterministic_per_seed(self):
-        a = simulate_brownian_motion(500, seed=9)
-        b = simulate_brownian_motion(500, seed=9)
+        a = brownian_paths(3, 500, seed=9)
+        b = brownian_paths(3, 500, seed=9)
         assert np.array_equal(a, b)
-        c = simulate_brownian_motion(500, seed=10)
+        c = brownian_paths(3, 500, seed=10)
         assert not np.array_equal(a, c)
+        # replication r is substream (seed, r), whatever block it is drawn in
+        single = _wiener_paths(substream(9, 2).standard_normal(500), 1.0 / 500)
+        assert np.array_equal(a[2], single)
 
     def test_endpoint_variance(self):
-        # grid_steps=1 makes W(1) a single standard normal draw per seed
-        draws = np.array([simulate_brownian_motion(1, seed=s)[1] for s in range(100_000)])
+        # grid_steps=1 makes W(1) a single standard normal draw per replication
+        draws = brownian_paths(100_000, 1, seed=0)[:, -1]
         assert 0.98 <= draws.var() <= 1.02
 
 

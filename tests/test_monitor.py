@@ -77,7 +77,7 @@ class TestSelectTraining:
 
     def test_late_cp_leaves_too_little_training(self, config):
         # change 50 samples before the end: detectable, but the remaining
-        # suffix is shorter than m_min and extending left crosses the change
+        # suffix is shorter than m_min
         x = stationary(3, 300)
         x[250:] += 5.0
         with pytest.raises(InsufficientTrainingError):

@@ -33,6 +33,16 @@ def scenario10(topo10):
     return random_scenario(topo10, n_attackers=10, seed=0, start=401, horizon=600)
 
 
+def detection_by_hop_distance(result):
+    """Mean detection probability of the nodes at each hop distance from the nearest attacker."""
+    topo, attackers = result.topology, result.scenario.attackers
+    buckets = {}
+    for node in range(topo.n_nodes):
+        hops = min(topo.hop_distance(node, a) for a in attackers)
+        buckets.setdefault(hops, []).append(result.detection_probability[node])
+    return {hops: float(np.mean(probs)) for hops, probs in sorted(buckets.items())}
+
+
 class TestTopology:
     def test_neighbor_relation_symmetric(self, topo10):
         for node in range(topo10.n_nodes):
@@ -61,8 +71,7 @@ class TestTopology:
         topo = grid_topology(10, 10, cluster_block=2)
         members = topo.cluster_members()
         assert all(len(nodes) == 4 for nodes in members.values())
-        heads = topo.cluster_heads()
-        assert heads[0] == 0
+        assert members[0] == (0, 1, 10, 11)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -190,7 +199,7 @@ class TestDetection:
             result = run_experiment(
                 topo10, scenario, SETTINGS, cv_standard_d1, replications=1, seed=seed
             )
-            by_hop = result.detection_by_hop_distance()
+            by_hop = detection_by_hop_distance(result)
             for h in sorted(by_hop):
                 probs[h] += by_hop[h]
         means = {h: probs[h] / reps for h in range(topo10.n_nodes) if probs[h] > 0 or h < 4}

@@ -98,12 +98,12 @@ class TestTrain:
     def test_training_mean_near_zero(self, cv_standard_d1):
         prefix = TimeSeries(substream(1, 10).standard_normal(200))
         state = train(prefix, DetectorKind.STANDARD, 0.0, cv_standard_d1)
-        assert abs(state.training_mean[0]) <= 0.2
+        assert abs(state.training_sum[0] / state.m) <= 0.2
         assert state.m == 200
 
     def test_constant_prefix_trains_exactly(self, cv_standard_d1):
         state = train(TimeSeries(np.full(20, 7.0)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
-        assert state.training_mean[0] == 7.0
+        assert state.training_sum[0] / state.m == 7.0
 
     def test_minimum_length(self, cv_standard_d1):
         with pytest.raises(ValueError, match="at least 4"):
@@ -136,12 +136,12 @@ class TestTrain:
             dev = values[:j].mean() - mean
             brute += j**2 * dev * dev
         brute /= m**2
-        assert state.ratio_denominator[0, 0] == pytest.approx(brute, rel=1e-12)
+        assert 1.0 / state.ratio_denominator_inv[0, 0] == pytest.approx(brute, rel=1e-12)
 
     def test_training_statistics_frozen(self, cv_standard_d1):
         state = train(TimeSeries(np.arange(10.0)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
         with pytest.raises(ValueError):
-            state.training_mean[0] = 99.0
+            state.training_sum[0] = 99.0
 
 
 class TestStep:
@@ -439,8 +439,7 @@ def small_critval(kind, d, gamma=0.0):
 
 def assert_stream_state_equal(stacked, i, single):
     """Stream i of a stacked state holds exactly the single-stream state."""
-    for name in ("training_mean", "training_sum", "omega_inv_sqrt",
-                 "ratio_denominator", "ratio_denominator_inv", "cum_sum_post"):
+    for name in ("training_sum", "omega_inv_sqrt", "ratio_denominator_inv", "cum_sum_post"):
         field_stack, field_single = getattr(stacked, name), getattr(single, name)
         if field_single is None:
             assert field_stack is None
@@ -460,7 +459,7 @@ class TestStacked:
         stack = stream_stack(d)[:, :100]
         state = train(stack, kind, 0.0, cv)
         assert state.stacked and state.dim == d
-        assert state.training_mean.shape == (5, d)
+        assert state.training_sum.shape == (5, d)
         for i, series in enumerate(stack):
             assert_stream_state_equal(state, i, train(series, kind, 0.0, cv))
 

@@ -2,8 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cpstream.errors import CsvFormatError
 from cpstream.timeseries import (
@@ -11,7 +9,6 @@ from cpstream.timeseries import (
     TimeSeries,
     iter_csv,
     load_csv,
-    sample_mean,
     save_csv,
 )
 
@@ -44,7 +41,7 @@ class TestLoadCsv:
         assert ts.dim == 2
         # independent oracle: plain python sum over the written text
         col1 = [float(line.split(",")[0]) for line in text.splitlines()]
-        assert sample_mean(ts)[0] == pytest.approx(sum(col1) / len(col1), rel=1e-12)
+        assert ts.values[:, 0].mean() == pytest.approx(sum(col1) / len(col1), rel=1e-12)
 
     def test_header_row_is_skipped(self, tmp_path):
         ts = load_csv(write(tmp_path, "t,x1\n1.5\n2.5\n"), columns=[1])
@@ -140,10 +137,6 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(np.empty((0, 1)))
 
-    def test_rejects_bad_period(self):
-        with pytest.raises(ValueError, match="period"):
-            TimeSeries(np.array([1.0]), period=0.0)
-
     def test_segment_bounds(self):
         ts = TimeSeries(np.arange(10.0))
         seg = ts.segment(3, 7)
@@ -153,34 +146,3 @@ class TestTimeSeries:
             with pytest.raises(ValueError):
                 SeriesSegment(ts, lo, hi)
 
-    def test_column_accessor(self):
-        ts = TimeSeries(np.array([[1.0, 10.0], [2.0, 20.0]]))
-        assert ts.column(2).tolist() == [10.0, 20.0]
-        with pytest.raises(ValueError):
-            ts.column(3)
-
-
-class TestSampleMean:
-    def test_constant(self):
-        assert sample_mean(TimeSeries(np.full(7, 3.25)))[0] == 3.25
-
-    def test_small_arithmetic(self):
-        assert sample_mean(TimeSeries(np.array([1.0, 2.0, 3.0])))[0] == 2.0
-
-    def test_matches_brute_force(self, rng):
-        values = rng.normal(size=(50, 2))
-        ts = TimeSeries(values)
-        brute = np.array([sum(values[:, j]) / 50 for j in range(2)])
-        assert np.allclose(sample_mean(ts), brute, rtol=1e-12)
-
-    def test_segment_mean(self):
-        ts = TimeSeries(np.arange(1.0, 11.0))
-        assert sample_mean(ts.segment(1, 3))[0] == 2.0
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30), st.randoms())
-    def test_permutation_invariant(self, xs, pyrandom):
-        shuffled = list(xs)
-        pyrandom.shuffle(shuffled)
-        a = sample_mean(TimeSeries(np.array(xs)))
-        b = sample_mean(TimeSeries(np.array(shuffled)))
-        assert a[0] == pytest.approx(b[0], rel=1e-9, abs=1e-9)

@@ -10,8 +10,6 @@ from cpstream.trend import (
     MacdParams,
     TrendMemo,
     TrendMode,
-    ema,
-    macd,
     trend_interval,
     trend_point,
     trend_series,
@@ -28,46 +26,35 @@ def brute_ema(x, p):
 
 
 class TestEma:
+    """brute_ema, the definitional EMA that TestFusedIndicator composes."""
+
     def test_constant_fixed_point(self):
         x = np.full(30, 3.5)
-        assert np.allclose(ema(x, 7), 3.5, atol=1e-14)
+        assert np.allclose(brute_ema(x, 7), 3.5, atol=1e-14)
 
     def test_lag_one_is_identity(self, rng):
         x = rng.normal(size=20)
-        assert np.array_equal(ema(x, 1), x)
+        assert np.array_equal(brute_ema(x, 1), x)
 
     def test_two_sample_hand_value(self):
-        assert ema(np.array([0.0, 1.0]), 3)[1] == pytest.approx(0.5, abs=1e-15)
+        assert brute_ema(np.array([0.0, 1.0]), 3)[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_brute_force(self, rng):
-        # the same IEEE operations in the same order: equal to the last bit
-        x = rng.normal(size=2000)
-        assert np.array_equal(ema(x, 12), brute_ema(x, 12))
-        assert ema(x, 12).tobytes() == brute_ema(x, 12).tobytes()
-        xy = rng.normal(size=(2000, 2))
-        assert np.array_equal(ema(xy, 12, dim=2), brute_ema(xy[:, 1], 12))
-        assert ema(xy, 12, dim=2).tobytes() == brute_ema(xy[:, 1], 12).tobytes()
-
-    def test_rejects_bad_lag(self):
-        with pytest.raises(ValueError):
-            ema(np.zeros(5), 0)
+        # the recursion against its closed form: x_1 weighted keep^(n-1), and
+        # x_j for j > 1 weighted gain * keep^(n-j)
+        x = rng.normal(size=200)
+        gain, keep = 2.0 / 13, 11.0 / 13
+        n = np.arange(1, 201)
+        closed = [keep ** (k - 1) * x[0] + gain * np.sum(keep ** (k - n[1:k]) * x[1:k])
+                  for k in n]
+        assert np.allclose(brute_ema(x, 12), closed, rtol=1e-12, atol=1e-14)
 
 
 class TestMacd:
-    def test_constant_is_zero(self):
-        assert np.allclose(macd(np.full(50, 9.0), 12, 26), 0.0, atol=1e-14)
-
     def test_positive_on_ramp(self):
-        line = macd(np.arange(1.0, 101.0), 12, 26)
+        x = np.arange(1.0, 101.0)
+        line = brute_ema(x, 12) - brute_ema(x, 26)
         assert np.all(line[1:] > 0)
-
-    def test_offset_invariance(self, rng):
-        x = rng.normal(size=60)
-        assert np.allclose(macd(x, 12, 26), macd(x + 42.0, 12, 26), atol=1e-9)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            macd(np.zeros(10), 26, 12)
 
 
 class TestParams:
@@ -176,13 +163,16 @@ def multi_step(n):
 
 class TestFusedIndicator:
     def test_equals_composed_emas(self):
-        # one recursion, the operations of ema(x, p2) - ema(x, p3) and then
-        # line - ema(line, p1): equal to the last bit
+        # one recursion, the operations of brute_ema(x, p2) - brute_ema(x, p3)
+        # and then line - brute_ema(line, p1): equal to the last bit
         x = multi_step(3000)
-        line = ema(x, PARAMS.p2) - ema(x, PARAMS.p3)
-        composed = line - ema(line, PARAMS.p1)
+        line = brute_ema(x, PARAMS.p2) - brute_ema(x, PARAMS.p3)
+        composed = line - brute_ema(line, PARAMS.p1)
         assert trend_series(x, PARAMS).tobytes() == composed.tobytes()
         assert trend_series(x, PARAMS)[0] == 0.0
+        # and on the selected column of a wider series
+        xy = np.column_stack((-x, x))
+        assert trend_series(xy, PARAMS, dim=2).tobytes() == composed.tobytes()
 
     def test_point_reads_the_same_values(self):
         x = multi_step(700)
