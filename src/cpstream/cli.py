@@ -392,11 +392,11 @@ def _cmd_monitor(opts: dict) -> int:
         m_min=opts["m"],
         trend_dim=opts["trend_dim"],
     )
-    # the detector's request bounds alpha, gamma and the simulation budget:
-    # refuse them before the report starts and before the input is read
+    # the detector's request bounds alpha, gamma, the simulation budget and
+    # the seed: refuse them before the report starts and before the input is read
     CritValRequest(
         kind=config.detector.critval_kind, alpha=config.alpha, gamma=config.gamma,
-        grid_steps=opts["grid"], replications=opts["reps"],
+        grid_steps=opts["grid"], replications=opts["reps"], seed=opts["seed"],
     )
     with contextlib.ExitStack() as stack:
         # the input is opened before the report, so a missing file leaves no output

@@ -16,17 +16,23 @@ simulating paths on a fine grid:
 Replication r of a run with seed s draws from the counter-based Philox
 stream keyed by (s, r), so results are bit-identical no matter how the
 replications are scheduled or parallelised. :func:`compute_critval`
-simulates consecutive replications in blocks: :func:`replication_stats`
-draws a (rows, d, steps) block with :func:`~cpstream.rng.standard_normal_rows`,
-which derives the rows' substream keys in one vectorised pass, and runs each
-statistic's formula along the block's last axis. Every row equals its
-one-replication value, :func:`replication_stat`, bit for bit.
+simulates consecutive replications in blocks: each block is a (rows, d, steps) array of Wiener paths
+drawn with :func:`~cpstream.rng.standard_normal_rows`, which derives the rows'
+substream keys in one vectorised pass, and each statistic's formula runs along
+the block's last axis. Every row equals its one-replication value,
+:func:`replication_stat`, bit for bit.
+
+Replication r draws the same paths for the offline and the standard kinds at
+the same grid, seed and d. So at d = 1 one offline draw also yields the
+gamma-0 standard statistic, sup_t |W(t)| = max(max_t W, -min_t W), and one
+simulation fills both samples of a store: the two critical values that a
+default monitor run needs cost one draw (common random numbers).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -104,6 +110,8 @@ class CritValRequest:
             raise ValueError("grid_steps must be at least 100")
         if self.replications < 1000:
             raise ValueError("replications must be at least 1000")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.kind is CritValKind.ONLINE_RATIO:
             if self.horizon_T is None:
                 object.__setattr__(self, "horizon_T", DEFAULT_HORIZON_T)
@@ -155,7 +163,15 @@ def _offline_stats(w: np.ndarray, grid_steps: int) -> np.ndarray:
     return np.max(np.sum(np.square(bridge, out=bridge), axis=-2), axis=-1)
 
 
+def _sup_abs(w: np.ndarray) -> np.ndarray:
+    """sup_t |W(t)| of a (rows, 1, steps) block as max(max_t W, -min_t W); reads w only."""
+    path = w[:, 0]
+    return np.maximum(np.max(path, axis=-1), -np.min(path, axis=-1))
+
+
 def _online_standard_stats(w: np.ndarray, grid_steps: int, gamma: float) -> np.ndarray:
+    if gamma == 0.0 and w.shape[-2] == 1:
+        return _sup_abs(w)
     path = np.sum(np.abs(w, out=w), axis=-2)
     if gamma != 0.0:
         t = np.arange(1, grid_steps + 1) / grid_steps
@@ -198,22 +214,31 @@ def _path_steps(request: CritValRequest) -> int:
     return steps
 
 
-def replication_stats(request: CritValRequest, lo: int, hi: int) -> np.ndarray:
-    """The simulated suprema of replications lo..hi-1, simulated as one block.
+def _paths(request: CritValRequest, lo: int, hi: int) -> np.ndarray:
+    """The (hi - lo, d, steps) block of Wiener paths of replications lo..hi-1.
 
     Replication r draws its (d, steps) increments from substream (seed, r);
     :func:`~cpstream.rng.standard_normal_rows` draws the whole block at
     once. Each row is pure in (request, r), so any split of the replications
-    into blocks gives the same statistics.
+    into blocks gives the same paths.
     """
     normals = np.empty((hi - lo, request.d, _path_steps(request)))
     standard_normal_rows(normals, request.seed, start=lo)
-    w = _wiener_paths(normals, 1.0 / request.grid_steps)
+    return _wiener_paths(normals, 1.0 / request.grid_steps)
+
+
+def _stats(request: CritValRequest, w: np.ndarray) -> np.ndarray:
+    """The request's statistic of each row of a block from :func:`_paths`, which it may overwrite."""
     if request.kind is CritValKind.OFFLINE_MAX:
         return _offline_stats(w, request.grid_steps)
     if request.kind is CritValKind.ONLINE_STANDARD:
         return _online_standard_stats(w, request.grid_steps, request.gamma)
     return _online_ratio_stats(w, request.grid_steps, request.gamma)
+
+
+def replication_stats(request: CritValRequest, lo: int, hi: int) -> np.ndarray:
+    """The simulated suprema of replications lo..hi-1, simulated as one block."""
+    return _stats(request, _paths(request, lo, hi))
 
 
 def replication_stat(request: CritValRequest, rep: int) -> float:
@@ -248,6 +273,12 @@ def _sample_key(request: CritValRequest) -> tuple:
     )
 
 
+def _sorted(stats: np.ndarray) -> np.ndarray:
+    ordered = np.sort(stats)
+    ordered.flags.writeable = False
+    return ordered
+
+
 def compute_critval(request: CritValRequest, samples: dict | None = None) -> CritVal:
     """Simulate the limiting functional and return its (1 - alpha) quantile.
 
@@ -256,6 +287,12 @@ def compute_critval(request: CritValRequest, samples: dict | None = None) -> Cri
     (seed, r) and never reads alpha, so every level of one request is a
     quantile of the same sample: a stored sample is reused, and a missing
     one is simulated and stored.
+
+    At d = 1 the offline and the gamma-0 standard statistics are functionals
+    of the same paths, so an offline simulation that has a store to fill
+    also stores the standard sample, sup_t |W(t)|, if it is missing. That
+    costs two reductions per block, taken before the offline kernel
+    overwrites the paths.
     """
     key = _sample_key(request)
     ordered = None if samples is None else samples.get(key)
@@ -263,13 +300,22 @@ def compute_critval(request: CritValRequest, samples: dict | None = None) -> Cri
         reps = request.replications
         rows = max(1, _BLOCK_FLOATS // (request.d * _path_steps(request)))
         stats = np.empty(reps)
+        sup_abs = companion_key = None
+        if samples is not None and request.kind is CritValKind.OFFLINE_MAX and request.d == 1:
+            companion_key = _sample_key(replace(request, kind=CritValKind.ONLINE_STANDARD))
+            if companion_key not in samples:
+                sup_abs = np.empty(reps)
         for lo in range(0, reps, rows):
             hi = min(lo + rows, reps)
-            stats[lo:hi] = replication_stats(request, lo, hi)
-        ordered = np.sort(stats)
-        ordered.flags.writeable = False
+            w = _paths(request, lo, hi)
+            if sup_abs is not None:
+                sup_abs[lo:hi] = _sup_abs(w)
+            stats[lo:hi] = _stats(request, w)
+        ordered = _sorted(stats)
         if samples is not None:
             samples[key] = ordered
+            if sup_abs is not None:
+                samples[companion_key] = _sorted(sup_abs)
     value, stderr = _quantile_and_stderr(ordered, 1.0 - request.alpha)
     tail_count = ordered.size - int(np.searchsorted(ordered, value, side="right"))
     return CritVal(value=value, request=request, mc_stderr=stderr, tail_count=tail_count)
@@ -346,7 +392,9 @@ class MonteCarloProvider:
     found there is served as stored, at the budget and seed it was built
     with; every other key is simulated at this provider's budget. Each
     (kind, d, gamma) is simulated once; every alpha asked for at it is
-    answered from that one stored sample.
+    answered from that one stored sample. The offline d = 1 simulation also
+    fills the gamma-0 standard d = 1 sample, so a detector asked for after
+    segmentation at the defaults draws nothing.
     """
 
     seed: int = 0
@@ -420,9 +468,12 @@ def build_table(
     """Fill one provider with every (kind, d, gamma, alpha) cell and optionally save it.
 
     Cells that differ only in alpha share one simulated sample, so the
-    tabulated quantiles are monotone in alpha by construction. That sample
-    is dropped once its alphas are served, so one is alive at a time.
-    Rebuilding with the same arguments writes a byte-identical file.
+    tabulated quantiles are monotone in alpha by construction. A sample is
+    dropped once its alphas are served. The offline d = 1 simulation also
+    fills the gamma-0 standard d = 1 sample (see :func:`compute_critval`),
+    which stays until its own cells are served, so at most two samples are
+    alive at a time. Rebuilding with the same arguments writes a
+    byte-identical file.
     """
     provider = MonteCarloProvider(
         seed=seed, grid_steps=grid_steps, replications=replications, horizon_T=horizon_T
@@ -434,7 +485,8 @@ def build_table(
                     cv = provider(kind, d, alpha, gamma)
                     if progress is not None:
                         progress(cv)
-                provider._samples.clear()
+                if alphas:
+                    provider._samples.pop(_sample_key(cv.request), None)
     if path is not None:
         provider.save(path)
     return provider

@@ -243,7 +243,6 @@ class TraceSet:
     topology: Topology
     scenario: AttackScenario
     values: np.ndarray
-    seed: int
 
     def log(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """Unknown-flow log of ``node`` as parallel (times, senders) arrays.
@@ -319,7 +318,7 @@ def generate_traces(topology: Topology, scenario: AttackScenario, seed: int = 0)
     values += base[:, None]
     values[:, scenario.start - 1 :] += lift[:, None]
     values.flags.writeable = False
-    return TraceSet(topology=topology, scenario=scenario, values=values, seed=seed)
+    return TraceSet(topology=topology, scenario=scenario, values=values)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ DELETED_ATTRIBUTES = [
     ("cpstream.timeseries", "TimeSeries", "label"),
     ("cpstream.netsim", "Topology", "cluster_heads"),
     ("cpstream.netsim", "ExperimentResult", "detection_by_hop_distance"),
+    ("cpstream.netsim", "TraceSet", "seed"),
     ("cpstream.online", "OnlineDetectorState", "training_mean"),
     ("cpstream.online", "OnlineDetectorState", "ratio_denominator"),
 ]

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import io
 import json
@@ -312,9 +313,10 @@ class TestMonitorCommand:
             (["--min-seg", "1"], "min_seg must be at least 2"),
             (["--reps", "10"], "replications must be at least 1000"),
             (["--grid", "5"], "grid_steps must be at least 100"),
+            (["--seed", "-1"], "seed must be non-negative, got -1"),
         ],
         ids=["alpha-2", "alpha-0", "gamma-0.7", "ratio-gamma-0.5", "min-seg-1", "reps-10",
-             "grid-5"],
+             "grid-5", "seed-negative"],
     )
     def test_bad_setting_refused_before_output(self, capsys, monkeypatch, flags, message):
         simulated = []
@@ -328,6 +330,23 @@ class TestMonitorCommand:
         assert captured.err.splitlines() == [f"error: {message}"]
         assert simulated == []
         assert stdin.tell() == 0
+
+    def test_golden_stdout(self, capsys, monkeypatch):
+        # the report of a three-change stream, each run with a fresh provider;
+        # recorded when every critical value was simulated on its own paths
+        x = substream(7, 45).standard_normal(3000)
+        x[900:] += 3.0
+        x[1800:] -= 5.0
+        x[2400:] += 1.5
+        rows = "".join(f"{v!r}\n" for v in x.tolist())
+        monkeypatch.setattr("sys.stdin", io.StringIO("value\n" + rows))
+        argv = ["monitor", "--input", "-", "--grid", "200", "--reps", "1000", "--seed", "1"]
+        assert dispatch(argv) == 0
+        out = capsys.readouterr().out
+        assert sum('"type": "event"' in line for line in out.splitlines()) == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6bea0b8c6802650eb5870997dee98afafcecb16202bdb3dc3a410f8f6ed1ddeb"
+        )
 
     def test_stream_shorter_than_training_is_reported(self):
         # in a fresh interpreter, where the warning reaches stderr through
@@ -432,13 +451,13 @@ class TestSimulateCommand:
     )
     def test_bad_setting_rejected_before_simulating(self, capsys, monkeypatch, argv, message):
         replications = []
-        real = critvals.replication_stats
+        real = critvals._paths
 
         def counted(request, lo, hi):
             replications.extend(range(lo, hi))
             return real(request, lo, hi)
 
-        monkeypatch.setattr(critvals, "replication_stats", counted)
+        monkeypatch.setattr(critvals, "_paths", counted)
         status = dispatch(["simulate", "--grid", "4x4", "--attackers", "1", "--reps", "1",
                            "--mc-grid", "300", "--mc-reps", "2000", *argv])
         captured = capsys.readouterr()

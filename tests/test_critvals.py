@@ -7,11 +7,14 @@ from cpstream.critvals import (
     CritValKind,
     CritValRequest,
     MonteCarloProvider,
+    _online_standard_stats,
+    _paths,
+    _sample_key,
+    _sup_abs,
     _wiener_paths,
     build_table,
     compute_critval,
     replication_stat,
-    replication_stats,
 )
 from cpstream.rng import standard_normal_rows, substream
 
@@ -94,6 +97,11 @@ class TestRequestValidation:
             CritValRequest(kind=CritValKind.ONLINE_STANDARD, alpha=0.05, horizon_T=5.0)
         req = CritValRequest(kind=CritValKind.ONLINE_RATIO, alpha=0.05)
         assert req.horizon_T == 10.0
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            CritValRequest(kind=CritValKind.OFFLINE_MAX, alpha=0.05, seed=-1)
+        assert CritValRequest(kind=CritValKind.OFFLINE_MAX, alpha=0.05, seed=0).seed == 0
 
 
 class TestOfflineQuantile:
@@ -293,9 +301,9 @@ class TestProviders:
 
         def counted(request, lo, hi):
             reps.extend(range(lo, hi))
-            return replication_stats(request, lo, hi)
+            return _paths(request, lo, hi)
 
-        monkeypatch.setattr("cpstream.critvals.replication_stats", counted)
+        monkeypatch.setattr("cpstream.critvals._paths", counted)
         provider = MonteCarloProvider(seed=4, grid_steps=150, replications=1000, table=path)
 
         # a tabulated key: the stored value at the file's budget, no replication
@@ -325,9 +333,9 @@ class TestSampleStore:
 
         def counted(request, lo, hi):
             calls.extend(range(lo, hi))
-            return replication_stats(request, lo, hi)
+            return _paths(request, lo, hi)
 
-        monkeypatch.setattr("cpstream.critvals.replication_stats", counted)
+        monkeypatch.setattr("cpstream.critvals._paths", counted)
         provider = MonteCarloProvider(seed=5, grid_steps=200, replications=2000)
         answers = [provider(CritValKind.ONLINE_STANDARD, 2, a, gamma=0.25) for a in self.ALPHAS]
         assert len(calls) == 2000
@@ -380,3 +388,75 @@ class TestSampleStore:
         # and the file is the loaded memo, byte for byte
         loaded.save(tmp_path / "cells.csv")
         assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+class TestSharedDraw:
+    """At d = 1 one offline simulation also fills the gamma-0 standard sample."""
+
+    BUDGET = dict(grid_steps=200, replications=1000, seed=6)
+
+    def request(self, kind, d=1, alpha=0.05):
+        return CritValRequest(kind=kind, alpha=alpha, d=d, **self.BUDGET)
+
+    @staticmethod
+    def counted_replications(monkeypatch):
+        reps = []
+
+        def counted(request, lo, hi):
+            reps.extend(range(lo, hi))
+            return _paths(request, lo, hi)
+
+        monkeypatch.setattr("cpstream.critvals._paths", counted)
+        return reps
+
+    def test_offline_miss_at_d1_stores_the_standard_sample(self, monkeypatch):
+        store = {}
+        compute_critval(self.request(CritValKind.OFFLINE_MAX), store)
+        standard = self.request(CritValKind.ONLINE_STANDARD)
+        key = _sample_key(standard)
+        assert set(store) == {_sample_key(self.request(CritValKind.OFFLINE_MAX)), key}
+        fresh = {}
+        compute_critval(standard, fresh)
+        assert np.array_equal(store[key], fresh[key])
+        assert not store[key].flags.writeable
+
+        reps = self.counted_replications(monkeypatch)
+        provider = MonteCarloProvider(**self.BUDGET)
+        provider(CritValKind.OFFLINE_MAX, 1, 0.01)
+        assert len(reps) == 1000
+        alphas = (0.10, 0.05, 0.01)
+        served = [provider(CritValKind.ONLINE_STANDARD, 1, alpha) for alpha in alphas]
+        assert len(reps) == 1000
+        monkeypatch.undo()
+
+        for alpha, cv in zip(alphas, served):
+            alone = compute_critval(self.request(CritValKind.ONLINE_STANDARD, alpha=alpha))
+            assert (cv.value, cv.mc_stderr, cv.tail_count) == (
+                alone.value, alone.mc_stderr, alone.tail_count
+            )
+
+    def test_table_build_draws_standard_d1_gamma0_with_the_offline_cells(self, monkeypatch):
+        reps = self.counted_replications(monkeypatch)
+        kinds = [CritValKind.OFFLINE_MAX, CritValKind.ONLINE_STANDARD]
+        built = build_table(kinds=kinds, dims=(1, 2), gammas=(0.0, 0.25), **self.BUDGET)
+        # six (kind, d, gamma) groups, five draws: standard d = 1, gamma 0 draws nothing
+        assert len(reps) == 5 * 1000
+        assert built._samples == {}
+
+    def test_offline_miss_at_d2_stores_no_companion(self):
+        store = {}
+        offline = self.request(CritValKind.OFFLINE_MAX, d=2)
+        compute_critval(offline, store)
+        assert list(store) == [_sample_key(offline)]
+
+    def test_reduction_route_equals_general_kernel(self):
+        w = _wiener_paths(standard_normal_rows(np.empty((6, 1, 300)), 8), 1.0 / 300)
+        w[1] = np.abs(w[1])
+        w[2] = -np.abs(w[2])
+        assert (w[1] > 0).all() and (w[2] < 0).all()
+        general = np.max(np.sum(np.abs(w), axis=-2), axis=-1)
+        assert np.array_equal(_sup_abs(w), general)
+        assert np.array_equal(_online_standard_stats(w.copy(), 300, 0.0), general)
+        # a zero second coordinate sends the same paths through the d >= 2 route
+        padded = np.concatenate([w, np.zeros_like(w)], axis=1)
+        assert np.array_equal(_online_standard_stats(padded, 300, 0.0), general)

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cpstream import offline, trend
+from cpstream import critvals, offline, trend
+from cpstream.critvals import CritValKind, MonteCarloProvider
 from cpstream.errors import InsufficientTrainingError, NonFiniteSampleError
 from cpstream.monitor import Action, MonitorConfig, run_monitor, select_training
 from cpstream.offline import segment
@@ -99,6 +100,24 @@ class TestRunMonitor:
         assert defaults.m_min == 200
         assert defaults.quiet_gap_d == 25
         assert defaults.macd == MacdParams(9, 12, 26, h=10)
+
+    def test_default_run_simulates_one_sample(self, monkeypatch):
+        # segmentation's offline levels and the detector's gamma-0 value are
+        # quantiles of the same d = 1 paths, drawn once
+        rows = []
+
+        def counted(request, lo, hi):
+            rows.extend(range(lo, hi))
+            return real(request, lo, hi)
+
+        real = critvals._paths
+        monkeypatch.setattr(critvals, "_paths", counted)
+        provider = MonteCarloProvider(seed=2, grid_steps=100, replications=1000)
+        x = one_step(7, 700, 400, 4.0)
+        assert run_monitor(x, MonitorConfig(critvals=provider))
+        kinds = {key[0] for key in provider._cache}
+        assert kinds == {CritValKind.OFFLINE_MAX.value, CritValKind.ONLINE_STANDARD.value}
+        assert len(rows) == 1000
 
     def test_stationary_stream_rarely_alarms(self, config):
         reps = 60
