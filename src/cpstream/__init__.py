@@ -38,7 +38,6 @@ from .trend import (
     Direction,
     MacdParams,
     TrendMemo,
-    TrendMode,
     TrendVerdict,
     trend_interval,
     trend_point,
@@ -81,7 +80,6 @@ __all__ = [
     # trend labelling
     "MacdParams",
     "Direction",
-    "TrendMode",
     "TrendVerdict",
     "TrendMemo",
     "trend_series",

@@ -296,7 +296,7 @@ def _cmd_offline(opts: dict) -> int:
     series = _load_series(opts)
     alpha = opts["alpha"]
     cv = _provider(opts)(CritValKind.OFFLINE_MAX, series.dim, alpha)
-    result = offline_test(series, alpha, cv)
+    result = offline_test(series, cv)
     record = {
         "statistic": result.statistic_m,
         "cps": [result.cp_index] if result.cp_index is not None else [],
@@ -344,7 +344,7 @@ def _cmd_trend(opts: dict) -> int:
     record = {
         "ti": verdict.value,
         "direction": verdict.direction.value,
-        "mode": verdict.mode.value,
+        "mode": opts["mode"],
         "at_index": verdict.at_index,
         "params": {"command": "trend", **opts},
     }

@@ -49,7 +49,6 @@ __all__ = [
     "CritVal",
     "CritValProvider",
     "replication_stat",
-    "replication_stats",
     "compute_critval",
     "build_table",
     "MonteCarloProvider",
@@ -236,18 +235,13 @@ def _stats(request: CritValRequest, w: np.ndarray) -> np.ndarray:
     return _online_ratio_stats(w, request.grid_steps, request.gamma)
 
 
-def replication_stats(request: CritValRequest, lo: int, hi: int) -> np.ndarray:
-    """The simulated suprema of replications lo..hi-1, simulated as one block."""
-    return _stats(request, _paths(request, lo, hi))
-
-
 def replication_stat(request: CritValRequest, rep: int) -> float:
     """The simulated supremum for one replication.
 
     Pure in (request, rep): evaluation order is irrelevant, which is what
     makes parallel table builds reproducible.
     """
-    return float(replication_stats(request, rep, rep + 1)[0])
+    return float(_stats(request, _paths(request, rep, rep + 1))[0])
 
 
 def _quantile_and_stderr(ordered: np.ndarray, p: float) -> tuple[float, float]:
@@ -322,9 +316,7 @@ def compute_critval(request: CritValRequest, samples: dict | None = None) -> Cri
 
 
 def _key(kind: CritValKind, d: int, alpha: float, gamma: float) -> tuple:
-    # gamma is meaningless for the offline statistic; collapse it in the key
-    g = None if kind is CritValKind.OFFLINE_MAX else float(gamma)
-    return (CritValKind(kind).value, int(d), g, float(alpha))
+    return (CritValKind(kind).value, int(d), float(gamma), float(alpha))
 
 
 def _positive(text: str) -> float:
@@ -421,7 +413,7 @@ class MonteCarloProvider:
                 kind=kind,
                 alpha=alpha,
                 d=d,
-                gamma=gamma if kind.is_online else 0.0,
+                gamma=gamma,
                 grid_steps=self.grid_steps,
                 replications=self.replications,
                 horizon_T=self.horizon_T if kind is CritValKind.ONLINE_RATIO else None,

@@ -113,18 +113,22 @@ class MonitorConfig:
 
 @dataclass(frozen=True)
 class ChangeEvent:
-    """A detected change: where, which direction, and the action it maps to."""
+    """A detected change: where, its trend label, and the training window behind it.
+
+    ``direction`` is the label's, and ``action`` is the scaling it maps to.
+    """
 
     detected_at: int
-    direction: Direction
-    action: Action
     trend: TrendVerdict
     training_used: tuple[int, int]
 
-    def __post_init__(self) -> None:
-        expected = Action.SCALE_UP if self.direction is Direction.UP else Action.SCALE_DOWN
-        if self.action is not expected:
-            raise ValueError("action must follow the change direction")
+    @property
+    def direction(self) -> Direction:
+        return self.trend.direction
+
+    @property
+    def action(self) -> Action:
+        return Action.SCALE_UP if self.direction is Direction.UP else Action.SCALE_DOWN
 
 
 def select_training(
@@ -273,9 +277,11 @@ def run_monitor(
                 x = take()
                 if x is None:
                     break
-            verdict = step(state, x)
+            step(state, x)
             consumed += 1
-            if verdict.alarm:
+            # an alarm stops the detector: one attribute read, where the
+            # verdict's alarm is a comparison behind a property call
+            if state.stopped_at is not None:
                 alarm_at = origin + consumed
                 break
 
@@ -297,13 +303,7 @@ def run_monitor(
             dim=config.trend_dim,
             memo=trend_memo,
         )
-        event = ChangeEvent(
-            detected_at=alarm_at,
-            direction=verdict_trend.direction,
-            action=Action.SCALE_UP if verdict_trend.direction is Direction.UP else Action.SCALE_DOWN,
-            trend=verdict_trend,
-            training_used=(training.lo, training.hi),
-        )
+        event = ChangeEvent(alarm_at, verdict_trend, (training.lo, training.hi))
         events.append(event)
         if on_event is not None:
             on_event(event)

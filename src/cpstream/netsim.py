@@ -361,9 +361,10 @@ def _first_alarms(
         state = train(series[quiet, :m], DetectorKind.STANDARD, settings.gamma, critval)
         block = min(settings.retrain_block, horizon - m)
         verdicts, consumed = run_batch(state, series[quiet, m : m + block])
-        for i, used in zip(quiet[verdicts.alarm].tolist(), consumed[verdicts.alarm].tolist()):
+        fired = verdicts.alarm
+        for i, used in zip(quiet[fired].tolist(), consumed[fired].tolist()):
             alarms[i] = m + used
-        quiet = quiet[~verdicts.alarm]
+        quiet = quiet[~fired]
         m += block
     return alarms
 

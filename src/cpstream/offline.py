@@ -12,7 +12,7 @@ later request for the window is decided from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,29 +39,30 @@ class OfflineTestResult:
     """Outcome of the single change-point test on one window.
 
     ``argmax`` is the 1-based argmax of the quadratic form (first index on
-    ties), recorded whether or not the test rejects. ``cp_index`` is that
-    argmax, present exactly when the test rejects. ``cp_fraction`` rescales
-    it to (0, 1] by the window length.
+    ties), recorded whether or not the test rejects. The test rejects when
+    the statistic reaches ``critval_used``; ``cp_index`` is then the argmax,
+    and None otherwise. ``cp_fraction`` rescales it to (0, 1] by the window
+    length.
     """
 
     statistic_m: float
-    cp_index: int | None
-    reject: bool
     critval_used: float
     n: int
     argmax: int
 
-    def __post_init__(self) -> None:
-        if self.reject != (self.statistic_m >= self.critval_used):
-            raise ValueError("reject flag inconsistent with statistic and critical value")
-        if self.cp_index != (self.argmax if self.reject else None):
-            raise ValueError("cp_index must be the argmax, present exactly when the test rejects")
+    @property
+    def reject(self) -> bool:
+        return self.statistic_m >= self.critval_used
+
+    @property
+    def cp_index(self) -> int | None:
+        return self.argmax if self.reject else None
 
     @property
     def cp_fraction(self) -> float | None:
-        if self.cp_index is None:
+        if not self.reject:
             return None
-        return self.cp_index / self.n
+        return self.argmax / self.n
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,13 @@ def cusum_path(s: SeriesLike) -> np.ndarray:
     return np.cumsum(mat - mat.sum(axis=0) / n, axis=0) / math.sqrt(n)
 
 
-def offline_test(s: SeriesLike, alpha: float, critval: CritVal) -> OfflineTestResult:
-    """Test a window for a single mean change at significance alpha.
+def offline_test(s: SeriesLike, critval: CritVal) -> OfflineTestResult:
+    """Test a window for a single mean change at the critical value's level.
 
-    The long-run covariance is re-estimated on the window with the default
-    bandwidth and regularized if degenerate, so constant input yields M = 0
-    and no rejection rather than a division by zero.
+    The level is ``critval.request.alpha``. The long-run covariance is
+    re-estimated on the window with the default bandwidth and regularized if
+    degenerate, so constant input yields M = 0 and no rejection rather than a
+    division by zero.
     """
     mat = as_matrix(s)
     n, d = mat.shape
@@ -115,8 +117,6 @@ def offline_test(s: SeriesLike, alpha: float, critval: CritVal) -> OfflineTestRe
         raise ValueError("critical value is not for the offline max statistic")
     if req.d != d:
         raise ValueError(f"critical value simulated for d={req.d}, series has d={d}")
-    if req.alpha != alpha:
-        raise ValueError(f"critical value simulated for alpha={req.alpha}, requested {alpha}")
 
     path = cusum_path(mat)
     omega_inv = inverse(bartlett_lrv(mat, bartlett_bandwidth(n)))
@@ -127,20 +127,7 @@ def offline_test(s: SeriesLike, alpha: float, critval: CritVal) -> OfflineTestRe
     else:
         quad = np.einsum("nj,jk,nk->n", path, omega_inv, path)
     best = int(np.argmax(quad))
-    return _decide(float(quad[best]), best + 1, n, critval)
-
-
-def _decide(statistic: float, argmax: int, n: int, critval: CritVal) -> OfflineTestResult:
-    """The test's verdict on a window from its statistic and 1-based argmax."""
-    reject = statistic >= critval.value
-    return OfflineTestResult(
-        statistic_m=statistic,
-        cp_index=argmax if reject else None,
-        reject=reject,
-        critval_used=critval.value,
-        n=n,
-        argmax=argmax,
-    )
+    return OfflineTestResult(float(quad[best]), critval.value, n, best + 1)
 
 
 def _check_min_seg(min_seg: int) -> None:
@@ -201,8 +188,8 @@ def segment(
         known = memo.get((w_lo, w_hi))
         if known is None:
             window = parent.segment(w_lo, w_hi)
-            known = memo[w_lo, w_hi] = offline_test(window, critval.request.alpha, critval)
-        return _decide(known.statistic_m, known.argmax, known.n, critval)
+            known = memo[w_lo, w_hi] = offline_test(window, critval)
+        return replace(known, critval_used=critval.value)
 
     candidates: list[int] = []
 

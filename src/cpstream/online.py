@@ -34,8 +34,9 @@ is exact, which makes the two routes agree bit for bit. The boundary keeps
 ``np.power`` on that route: ``math.pow`` and ``**`` round some powers
 differently in the last bit.
 
-Each evaluation returns a :class:`Verdict`, an immutable named tuple that
-refuses an alarm flag inconsistent with its value and threshold.
+Each evaluation returns a :class:`Verdict`, an immutable named tuple of the
+detector value, the threshold and the count, whose alarm is derived from
+the first two.
 """
 
 from __future__ import annotations
@@ -74,56 +75,42 @@ class DetectorKind(str, Enum):
         return CritValKind.ONLINE_RATIO
 
 
-class _VerdictFields(NamedTuple):
-    alarm: bool
+class Verdict(NamedTuple):
+    """One detector evaluation; it alarms exactly when value >= threshold.
+
+    An immutable named tuple of what the evaluation measured, so it also
+    iterates, unpacks and equals the plain tuple of those fields. ``alarm``
+    is derived from them, so no verdict can contradict its own numbers.
+    """
+
     detector_value: float
     threshold: float
     k_at_eval: int
 
-
-class Verdict(_VerdictFields):
-    """One detector evaluation: alarm holds exactly when value >= threshold.
-
-    An immutable named tuple, so it also iterates, unpacks and equals the
-    plain tuple of its fields. Every way of building one checks the flag.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, alarm: bool, detector_value: float, threshold: float, k_at_eval: int):
-        if alarm != (detector_value >= threshold):
-            raise ValueError("alarm flag inconsistent with value and threshold")
-        return tuple.__new__(cls, (alarm, detector_value, threshold, k_at_eval))
-
-    @classmethod
-    def _make(cls, iterable) -> Verdict:
-        # _replace builds through _make, which would skip the check
-        return cls(*iterable)
+    @property
+    def alarm(self) -> bool:
+        return self.detector_value >= self.threshold
 
 
 @dataclass(frozen=True, eq=False)
 class Verdicts:
     """The verdicts of a stacked :func:`run_batch`, one (S,) array per field.
 
-    Entry i is stream i's :class:`Verdict`, which ``verdicts[i]`` returns.
+    Entry i is stream i's :class:`Verdict`, which ``verdicts[i]`` returns;
+    ``alarm`` is the (S,) array of their alarms.
     """
 
-    alarm: np.ndarray
     detector_value: np.ndarray
     threshold: np.ndarray
     k_at_eval: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not np.array_equal(self.alarm, self.detector_value >= self.threshold):
-            raise ValueError("alarm flags inconsistent with values and thresholds")
+    @property
+    def alarm(self) -> np.ndarray:
+        return self.detector_value >= self.threshold
 
     def __getitem__(self, i: int) -> Verdict:
-        return Verdict(
-            alarm=bool(self.alarm[i]),
-            detector_value=float(self.detector_value[i]),
-            threshold=float(self.threshold[i]),
-            k_at_eval=int(self.k_at_eval[i]),
-        )
+        value, threshold, k = self.detector_value[i], self.threshold[i], self.k_at_eval[i]
+        return Verdict(float(value), float(threshold), int(k))
 
 
 @dataclass(eq=False)
@@ -288,12 +275,10 @@ def _evaluate(state: OnlineDetectorState, ks, running: np.ndarray):
 
 def _verdict(state: OnlineDetectorState, value, threshold) -> Verdict:
     """The verdict at the state's current k; an alarm stops the detector."""
-    alarm = bool(value >= threshold)
-    if alarm:
+    verdict = Verdict(float(value), float(threshold), state.k)
+    if verdict.alarm:
         state.stopped_at = state.k
-    return Verdict(
-        alarm=alarm, detector_value=float(value), threshold=float(threshold), k_at_eval=state.k
-    )
+    return verdict
 
 
 def step(state: OnlineDetectorState, x) -> Verdict:
@@ -347,10 +332,9 @@ def step(state: OnlineDetectorState, x) -> Verdict:
         deviation = running / k - state.training_sum.item() / m
         value = k**2 / m * (deviation * state.ratio_denominator_inv.item() * deviation)
     # _verdict's rule, inline
-    alarm = value >= threshold
-    if alarm:
+    if value >= threshold:
         state.stopped_at = k
-    return Verdict(alarm, value, threshold, k)
+    return Verdict(value, threshold, k)
 
 
 def run_batch(
@@ -418,9 +402,6 @@ def run_batch(
     state.cum_sum_post = running[last, every]
     state.stopped_at = np.where(fired, ks_after, None)
     verdicts = Verdicts(
-        alarm=fired,
-        detector_value=values[last, every],
-        threshold=thresholds[last, every],
-        k_at_eval=ks_after,
+        detector_value=values[last, every], threshold=thresholds[last, every], k_at_eval=ks_after
     )
     return verdicts, consumed

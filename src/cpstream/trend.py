@@ -20,7 +20,7 @@ prefixes of one stream computes each sample's value once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -30,7 +30,6 @@ from .timeseries import SeriesLike, as_matrix
 __all__ = [
     "MacdParams",
     "Direction",
-    "TrendMode",
     "TrendVerdict",
     "TrendMemo",
     "trend_series",
@@ -42,11 +41,6 @@ __all__ = [
 class Direction(str, Enum):
     UP = "up"
     DOWN = "down"
-
-
-class TrendMode(str, Enum):
-    POINT = "point"
-    INTERVAL = "interval"
 
 
 @dataclass(frozen=True)
@@ -73,17 +67,18 @@ class MacdParams:
 
 @dataclass(frozen=True)
 class TrendVerdict:
-    """Indicator value at (or summed after) an index, with its sign mapped to a direction."""
+    """Indicator value summed over a window from ``at_index``; its sign gives the direction.
+
+    The direction is up exactly when the value is strictly positive, so a
+    zero (or NaN) value reads down.
+    """
 
     value: float
-    direction: Direction
-    mode: TrendMode
     at_index: int
 
-    def __post_init__(self) -> None:
-        expected = Direction.UP if self.value > 0 else Direction.DOWN
-        if self.direction is not expected:
-            raise ValueError("direction must follow the strict ti > 0 rule")
+    @property
+    def direction(self) -> Direction:
+        return Direction.UP if self.value > 0 else Direction.DOWN
 
 
 def _as_1d(s: SeriesLike, dim: int) -> np.ndarray:
@@ -170,17 +165,11 @@ def trend_series(s: SeriesLike, params: MacdParams, dim: int = 1) -> np.ndarray:
 
 
 def trend_point(s: SeriesLike, n: int, params: MacdParams, dim: int = 1) -> TrendVerdict:
-    """Direction verdict from the indicator value at index n (1-based)."""
-    x = _as_1d(s, dim)
-    if not 1 <= n <= x.shape[0]:
-        raise ValueError(f"index {n} out of range 1..{x.shape[0]}")
-    value = float(TrendMemo(params, dim).indicator(x, n)[n - 1])
-    return TrendVerdict(
-        value=value,
-        direction=Direction.UP if value > 0 else Direction.DOWN,
-        mode=TrendMode.POINT,
-        at_index=n,
-    )
+    """Direction verdict from the indicator value at index n (1-based).
+
+    The interval form with h = 0: a sum over one element is that element.
+    """
+    return trend_interval(s, n, replace(params, h=0), dim)
 
 
 def trend_interval(
@@ -212,10 +201,4 @@ def trend_interval(
             f"asked for lags {_lags(params)} of dimension {dim}"
         )
     ti = memo.indicator(x, stop)
-    value = float(np.sum(ti[cp_index - 1 : stop]))
-    return TrendVerdict(
-        value=value,
-        direction=Direction.UP if value > 0 else Direction.DOWN,
-        mode=TrendMode.INTERVAL,
-        at_index=cp_index,
-    )
+    return TrendVerdict(float(np.sum(ti[cp_index - 1 : stop])), cp_index)

@@ -152,7 +152,7 @@ def test_criterion_5_offline_location(full_cv_offline):
     for rep in range(reps):
         x = substream(0, 52, rep).standard_normal(100)
         x[50:] += 4.0
-        result = offline_test(TimeSeries(x), 0.05, cv)
+        result = offline_test(TimeSeries(x), cv)
         hits += result.reject and 47 <= result.cp_index <= 53
     ok = hits >= 0.95 * reps
     report(5, ok, f"reject with cp in [47,53] in {hits}/{reps} runs (need >= {int(0.95 * reps)})")

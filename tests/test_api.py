@@ -17,7 +17,8 @@ MODULES = sorted(
     if hasattr(importlib.import_module(name), "__all__")
 )
 
-# (module, name) pairs removed from the public surface because nothing used them
+# (module, name) pairs removed from the public surface because nothing used
+# them or they restated what the caller already knew
 DELETED = [
     ("cpstream.critvals", "simulate_brownian_motion"),
     ("cpstream.timeseries", "sample_mean"),
@@ -26,6 +27,8 @@ DELETED = [
     ("cpstream.trend", "macd"),
     ("cpstream.online", "boundary_weight"),
     ("cpstream.online", "ratio_boundary_weight"),
+    ("cpstream.trend", "TrendMode"),
+    ("cpstream.critvals", "replication_stats"),
 ]
 
 # attributes of public classes removed for the same reason
@@ -38,13 +41,15 @@ DELETED_ATTRIBUTES = [
     ("cpstream.netsim", "TraceSet", "seed"),
     ("cpstream.online", "OnlineDetectorState", "training_mean"),
     ("cpstream.online", "OnlineDetectorState", "ratio_denominator"),
+    ("cpstream.trend", "TrendVerdict", "mode"),
 ]
 
-# parameters no caller set
+# parameters no caller set, or that restated another argument
 DELETED_PARAMETERS = [
     ("cpstream.timeseries", "load_csv", "period"),
     ("cpstream.timeseries", "load_csv", "label"),
     ("cpstream.netsim", "random_scenario", "max_tries"),
+    ("cpstream.offline", "offline_test", "alpha"),
 ]
 
 

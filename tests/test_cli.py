@@ -20,6 +20,7 @@ from cpstream.timeseries import TimeSeries, save_csv
 from cpstream.trend import MacdParams
 
 FAST = ["--grid", "300", "--reps", "2000"]
+REPORT_BUDGET = ["--grid", "200", "--reps", "1000"]
 
 
 def schema(name):
@@ -90,6 +91,15 @@ class TestCritvalCommand:
         record = json.loads(out)
         validate(record, "critval")
         assert record["gamma"] == 0.25
+
+    def test_gamma_refused_for_the_offline_kind(self, capsys):
+        status = dispatch(["critval", "--kind", "offline", "--gamma", "0.3", *FAST])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: gamma does not apply to the offline statistic"
+        ]
 
     def test_tail_count_without_warning(self, capsys):
         status = dispatch(["critval", "--alpha", "0.05", "--seed", "7", *FAST])
@@ -178,9 +188,9 @@ class TestSegmentCommand:
         windows = []
         real = offline.offline_test
 
-        def counted(s, alpha, critval):
+        def counted(s, critval):
             windows.append((s.lo, s.hi))
-            return real(s, alpha, critval)
+            return real(s, critval)
 
         monkeypatch.setattr(offline, "offline_test", counted)
         record = json.loads(run("segment", "--input", str(path), *FAST))
@@ -191,7 +201,7 @@ class TestSegmentCommand:
         cv = critvals.MonteCarloProvider(seed=0, grid_steps=300, replications=2000)(
             CritValKind.OFFLINE_MAX, 1, 0.05
         )
-        assert record["statistic"] == real(TimeSeries(x), 0.05, cv).statistic_m
+        assert record["statistic"] == real(TimeSeries(x), cv).statistic_m
 
     def test_series_too_short_to_split_tests_nothing(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "short.csv"
@@ -215,6 +225,44 @@ class TestTrendCommand:
         record = json.loads(run("trend", "--input", one_step_csv, "--at", "155", "--mode", "point"))
         validate(record, "trend")
         assert record["mode"] == "point"
+
+
+# the sha256 of each report's stdout on the series of test_golden_report,
+# recorded when every record stored its verdict next to its measurements
+GOLDEN_REPORTS = {
+    "offline": (
+        ["offline", "--columns", "2", *REPORT_BUDGET],
+        "c382daae9baeb7b0b9f9ed0af473c87d31c7dc05156649a74cce3dd22744a31d",
+    ),
+    "segment-1col": (
+        ["segment", "--columns", "2", *REPORT_BUDGET],
+        "28944355e7108966613879882828553605da24a608a967cd7f427855c932adf3",
+    ),
+    "segment-2col": (
+        ["segment", "--columns", "2,3", *REPORT_BUDGET],
+        "8091d2b576739c8dab95daae57257d9312f7723c946b635516fc11159f585c91",
+    ),
+    "trend-point": (
+        ["trend", "--columns", "2", "--at", "201", "--mode", "point"],
+        "b95802d1ce3b735917bc93d77663a70aa0ae3ccd2cc17fab9464450351741ac4",
+    ),
+    "trend-interval": (
+        ["trend", "--columns", "2", "--at", "201", "--mode", "interval"],
+        "1009b30fc6b8d4c0cc7b8bc1e8ba2a66a546303baa1daf2632cfd0ffe4ef6026",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS.values(), ids=GOLDEN_REPORTS)
+def test_golden_report(argv, digest, capsys, monkeypatch, tmp_path):
+    # a relative input path, so the echoed params do not name the temporary folder
+    x = substream(11, 46).standard_normal((500, 2))
+    x[200:, 0] += 3.0
+    x[350:, 1] -= 2.0
+    monkeypatch.chdir(tmp_path)
+    save_csv(TimeSeries(x), "series.csv")
+    assert dispatch([*argv, "--input", "series.csv"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestMonitorCommand:

@@ -237,7 +237,7 @@ class TestRankDeficientSeries:
         return TimeSeries(np.column_stack([x, 3.0 * x]))
 
     def test_offline_statistic_finite(self, series, cv_offline_d2):
-        result = offline_test(series, 0.05, cv_offline_d2)
+        result = offline_test(series, cv_offline_d2)
         assert np.isfinite(result.statistic_m)
 
     def test_standard_training_finite(self, series):

@@ -8,11 +8,11 @@ import pytest
 from cpstream import critvals, offline, trend
 from cpstream.critvals import CritValKind, MonteCarloProvider
 from cpstream.errors import InsufficientTrainingError, NonFiniteSampleError
-from cpstream.monitor import Action, MonitorConfig, run_monitor, select_training
+from cpstream.monitor import Action, ChangeEvent, MonitorConfig, run_monitor, select_training
 from cpstream.offline import segment
 from cpstream.rng import substream
 from cpstream.timeseries import TimeSeries
-from cpstream.trend import Direction, MacdParams
+from cpstream.trend import Direction, MacdParams, TrendVerdict
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,17 @@ class CountingIterator:
         except StopIteration:
             self._ended = True
             raise
+
+
+@pytest.mark.parametrize(
+    "value, direction, action",
+    [(0.5, Direction.UP, Action.SCALE_UP), (0.0, Direction.DOWN, Action.SCALE_DOWN)],
+    ids=["positive", "zero"],
+)
+def test_event_direction_and_action_follow_the_label(value, direction, action):
+    event = ChangeEvent(detected_at=60, trend=TrendVerdict(value, 60), training_used=(1, 50))
+    assert event.direction is direction
+    assert event.action is action
 
 
 class TestSelectTraining:
@@ -229,9 +240,9 @@ class TestRunMonitor:
         windows = []
         real = offline.offline_test
 
-        def counted(s, alpha, critval):
+        def counted(s, critval):
             windows.append((s.lo, s.hi))
-            return real(s, alpha, critval)
+            return real(s, critval)
 
         rounds = []
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,7 +64,7 @@ class TestCusumPath:
 
 class TestOfflineTest:
     def test_constant_series_never_rejects(self, cv_offline_d1):
-        result = offline_test(TimeSeries(np.full(50, 3.0)), 0.05, cv_offline_d1)
+        result = offline_test(TimeSeries(np.full(50, 3.0)), cv_offline_d1)
         assert result.statistic_m == 0.0
         assert not result.reject
         assert result.cp_index is None
@@ -73,7 +75,7 @@ class TestOfflineTest:
         rejections = 0
         for seed in range(reps):
             series = TimeSeries(substream(seed, 3).standard_normal(200))
-            rejections += offline_test(series, 0.05, cv_offline_d1).reject
+            rejections += offline_test(series, cv_offline_d1).reject
         bound = 0.05 + 2 * np.sqrt(0.05 * 0.95 / reps)
         assert rejections / reps <= bound
 
@@ -81,53 +83,52 @@ class TestOfflineTest:
         hits = 0
         for seed in range(200):
             series = step_series(substream(seed, 4), 100, 50, 4.0)
-            result = offline_test(series, 0.05, cv_offline_d1)
+            result = offline_test(series, cv_offline_d1)
             if result.reject and 47 <= result.cp_index <= 53:
                 hits += 1
         assert hits >= 0.95 * 200
 
     def test_cp_fraction(self, cv_offline_d1):
         series = step_series(substream(0, 4), 100, 50, 4.0)
-        result = offline_test(series, 0.05, cv_offline_d1)
+        result = offline_test(series, cv_offline_d1)
         assert result.cp_fraction == result.cp_index / 100
 
     def test_scale_invariance_of_statistic(self, cv_offline_d2, rng):
         values = rng.normal(size=(80, 2))
         values[40:] += [1.0, -2.0]
-        base = offline_test(TimeSeries(values), 0.05, cv_offline_d2)
-        scaled = offline_test(TimeSeries(values * [3.0, 0.2]), 0.05, cv_offline_d2)
+        base = offline_test(TimeSeries(values), cv_offline_d2)
+        scaled = offline_test(TimeSeries(values * [3.0, 0.2]), cv_offline_d2)
         assert scaled.statistic_m == pytest.approx(base.statistic_m, rel=1e-6)
         assert scaled.cp_index == base.cp_index
 
     def test_argmax_recorded_without_rejection(self, cv_offline_d1):
         series = TimeSeries(substream(2, 3).standard_normal(200))
-        result = offline_test(series, 0.05, cv_offline_d1)
+        result = offline_test(series, cv_offline_d1)
         assert not result.reject
         assert result.cp_index is None
         # for d = 1 the quadratic form is the squared CUSUM path over a constant
         assert result.argmax == int(np.argmax(cusum_path(series)[:, 0] ** 2)) + 1
 
     @pytest.mark.parametrize(
-        "statistic, cp_index, reject",
-        [(5.0, None, True), (5.0, 41, True), (1.0, 40, False)],
-        ids=["rejects-without-cp", "cp-not-argmax", "cp-without-rejection"],
+        "statistic, reject", [(2.0, False), (3.0, True), (5.0, True), (math.nan, False)],
+        ids=["below", "tie", "above", "nan"],
     )
-    def test_inconsistent_cp_index_rejected(self, statistic, cp_index, reject):
-        with pytest.raises(ValueError, match="cp_index must be the argmax"):
-            OfflineTestResult(statistic, cp_index, reject, critval_used=3.0, n=100, argmax=40)
+    def test_rejects_at_or_over_the_critical_value(self, statistic, reject):
+        result = OfflineTestResult(statistic, critval_used=3.0, n=100, argmax=40)
+        assert result.reject is reject
+        assert result.cp_index == (40 if reject else None)
+        assert result.cp_fraction == (0.4 if reject else None)
 
     def test_validation_errors(self, cv_offline_d1, cv_standard_d1):
         short = TimeSeries(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="at least 4"):
-            offline_test(short, 0.05, cv_offline_d1)
+            offline_test(short, cv_offline_d1)
         two_dim = TimeSeries(np.zeros((10, 2)))
         with pytest.raises(ValueError, match="d="):
-            offline_test(two_dim, 0.05, cv_offline_d1)
+            offline_test(two_dim, cv_offline_d1)
         ok = TimeSeries(np.arange(10.0))
-        with pytest.raises(ValueError, match="alpha"):
-            offline_test(ok, 0.01, cv_offline_d1)
         with pytest.raises(ValueError, match="offline"):
-            offline_test(ok, 0.05, cv_standard_d1)
+            offline_test(ok, cv_standard_d1)
 
 
 class TestScalarRoute:
@@ -142,7 +143,7 @@ class TestScalarRoute:
                 x[int(gen.integers(1, n)):] += gen.normal(scale=3.0)
             path = cusum_path(x)
             quad = np.einsum("nj,jk,nk->n", path, inverse(bartlett_lrv(x)), path)
-            result = offline_test(TimeSeries(x), 0.05, cv_offline_d1)
+            result = offline_test(TimeSeries(x), cv_offline_d1)
             assert repr(result.statistic_m) == repr(float(quad.max()))
             assert result.argmax == int(np.argmax(quad)) + 1
 
@@ -167,7 +168,7 @@ class TestSegment:
     def test_agrees_with_single_test_on_one_cp(self, cheap_provider, cv_offline_d1):
         for seed in range(20):
             series = step_series(substream(seed, 6), 200, 100, 5.0)
-            single = offline_test(series, 0.05, cv_offline_d1)
+            single = offline_test(series, cv_offline_d1)
             multi = segment(series, 0.05, cheap_provider)
             assert single.reject
             assert len(multi.cps) == 1
@@ -199,7 +200,7 @@ class TestSegment:
         bounds = [0] + list(result.cps) + [400]
         for i, cp in enumerate(result.cps):
             window = series.segment(bounds[i] + 1, bounds[i + 2])
-            assert offline_test(window, validation_alpha, validation_cv).reject
+            assert offline_test(window, validation_cv).reject
 
     def test_provider_resolves_both_levels(self, cheap_provider):
         calls = []
@@ -252,7 +253,7 @@ class TestSegment:
             cv = cheap_provider("offline-max", d, level)
             bounds = [0, *shared.cps, n]
             for i, stat in enumerate(shared.per_cp_stats):
-                assert stat == offline_test(series.segment(bounds[i] + 1, bounds[i + 2]), level, cv)
+                assert stat == offline_test(series.segment(bounds[i] + 1, bounds[i + 2]), cv)
         assert found > 0
 
     def test_changepointset_invariants(self):

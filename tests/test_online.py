@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -45,31 +46,29 @@ class TestBoundaryWeight:
 
 
 class TestVerdict:
-    FIELDS = ("alarm", "detector_value", "threshold", "k_at_eval")
+    FIELDS = ("detector_value", "threshold", "k_at_eval")
 
     def test_fields_are_immutable(self):
-        verdict = Verdict(alarm=True, detector_value=2.0, threshold=1.0, k_at_eval=3)
-        for name in self.FIELDS:
+        verdict = Verdict(detector_value=2.0, threshold=1.0, k_at_eval=3)
+        for name in (*self.FIELDS, "alarm"):
             with pytest.raises(AttributeError):
                 setattr(verdict, name, getattr(verdict, name))
-        assert verdict == Verdict(True, 2.0, 1.0, 3)
+        assert verdict == Verdict(2.0, 1.0, 3)
 
-    @pytest.mark.parametrize("alarm, value", [(True, 0.5), (False, 1.0), (False, 2.0)])
-    def test_inconsistent_alarm_rejected(self, alarm, value):
-        message = "^alarm flag inconsistent with value and threshold$"
-        with pytest.raises(ValueError, match=message):
-            Verdict(alarm=alarm, detector_value=value, threshold=1.0, k_at_eval=1)
-        with pytest.raises(ValueError, match=message):
-            Verdict(alarm, value, 1.0, 1)
-        with pytest.raises(ValueError, match=message):
-            Verdict(not alarm, value, 1.0, 1)._replace(alarm=alarm)
+    @pytest.mark.parametrize(
+        "value, alarm", [(0.5, False), (1.0, True), (2.0, True), (math.nan, False)],
+        ids=["below", "tie", "above", "nan"],
+    )
+    def test_alarm_is_value_at_or_over_threshold(self, value, alarm):
+        assert Verdict(value, 1.0, 1).alarm is alarm
 
     def test_is_a_named_tuple(self):
-        verdict = Verdict(False, 0.5, 1.0, 7)
-        alarm, value, threshold, k = verdict
-        assert (alarm, value, threshold, k) == (False, 0.5, 1.0, 7)
-        assert verdict == (False, 0.5, 1.0, 7)
+        verdict = Verdict(0.5, 1.0, 7)
+        value, threshold, k = verdict
+        assert (value, threshold, k) == (0.5, 1.0, 7)
+        assert verdict == (0.5, 1.0, 7)
         assert verdict._fields == self.FIELDS
+        assert not verdict.alarm
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_step_returns_a_verdict(self, d):
@@ -477,6 +476,14 @@ class TestStacked:
             single = train(prefix[i], kind, 0.25, cv)
             assert (verdicts[i], consumed[i]) == run_batch(single, block[i])
             assert_stream_state_equal(state, i, single)
+
+    def test_alarm_marks_the_stopped_streams(self, kind, d):
+        cv = small_critval(kind, d)
+        stack = stream_stack(d)
+        state = train(stack[:, :100], kind, 0.0, cv)
+        verdicts, _ = run_batch(state, stack[:, 100:])
+        assert verdicts.alarm[2] and not verdicts.alarm[0]
+        assert list(verdicts.alarm) == [at is not None for at in state.stopped_at]
 
     def test_second_block_continues_each_count(self, kind, d):
         cv = small_critval(kind, d)

@@ -6,9 +6,10 @@ import pytest
 from cpstream.critvals import (
     CritValKind,
     CritValRequest,
+    _paths,
+    _stats,
     build_table,
     replication_stat,
-    replication_stats,
 )
 from cpstream.rng import _philox_keys, standard_normal_rows, substream
 
@@ -98,7 +99,7 @@ class TestBlockReplications:
             kind=kind, alpha=0.05, d=d, gamma=gamma, grid_steps=120,
             replications=1000, horizon_T=horizon, seed=6,
         )
-        block = replication_stats(req, 40, 47)
+        block = _stats(req, _paths(req, 40, 47))
         assert block.shape == (7,)
         assert np.array_equal(block, [replication_stat(req, rep) for rep in range(40, 47)])
 
@@ -108,7 +109,7 @@ class TestBlockReplications:
             replications=1000, seed=6,
         )
         t = np.arange(1, 151) / 150
-        for rep, stat in zip(range(40, 47), replication_stats(req, 40, 47)):
+        for rep, stat in zip(range(40, 47), _stats(req, _paths(req, 40, 47))):
             increments = substream(6, rep).standard_normal((2, 150)) * np.sqrt(1 / 150)
             w = np.cumsum(increments, axis=1)
             bridge = w - t * w[:, -1:]

@@ -9,7 +9,7 @@ from cpstream.trend import (
     Direction,
     MacdParams,
     TrendMemo,
-    TrendMode,
+    TrendVerdict,
     trend_interval,
     trend_point,
     trend_series,
@@ -73,12 +73,23 @@ class TestParams:
             MacdParams(9, 12, 26, h=-1)
 
 
+class TestTrendVerdict:
+    @pytest.mark.parametrize(
+        "value, direction",
+        [(1e-300, Direction.UP), (0.0, Direction.DOWN), (-0.0, Direction.DOWN),
+         (-1.0, Direction.DOWN), (np.nan, Direction.DOWN)],
+        ids=["positive", "zero", "negative-zero", "negative", "nan"],
+    )
+    def test_direction_is_up_only_above_zero(self, value, direction):
+        assert TrendVerdict(value, at_index=5).direction is direction
+
+
 class TestTrendPoint:
     def test_constant_is_zero_down(self):
         verdict = trend_point(np.full(60, 2.0), 30, PARAMS)
         assert verdict.value == 0.0
         assert verdict.direction is Direction.DOWN
-        assert verdict.mode is TrendMode.POINT
+        assert verdict.at_index == 30
 
     def test_upward_step_labelled_up(self):
         x = np.zeros(100)
@@ -102,13 +113,16 @@ class TestTrendInterval:
         x = rng.normal(size=80)
         at = 40
         p0 = MacdParams(9, 12, 26, h=0)
-        assert trend_interval(x, at, p0).value == trend_point(x, at, p0).value
+        assert trend_interval(x, at, p0) == trend_point(x, at, p0)
+        # the point form ignores h: its value is the indicator at the index
+        assert trend_point(x, at, PARAMS) == trend_point(x, at, p0)
+        assert trend_point(x, at, PARAMS).value == trend_series(x, PARAMS)[at - 1]
 
     def test_constant_zero_down(self):
         verdict = trend_interval(np.full(60, 1.0), 20, PARAMS)
         assert verdict.value == 0.0
         assert verdict.direction is Direction.DOWN
-        assert verdict.mode is TrendMode.INTERVAL
+        assert verdict.at_index == 20
 
     def test_window_overrun_rejected(self):
         with pytest.raises(ValueError, match="past the series end"):
