@@ -20,10 +20,12 @@ alone, so it is derived when asked (:meth:`TraceSet.log`) instead of stored.
 Every node runs the standard sequential detector on its own series with
 periodic retraining; a node that alarms accuses the most frequent sender
 among the last ten logged, and a suspect accused by every one of its
-neighbours is declared an attacker. All node detectors of a replication (and
-all cluster-head detectors) are trained and run as one stack: each retrain
-round is one ``train`` and one ``run_batch`` call over the series that have
-not alarmed yet.
+neighbours is declared an attacker. Those ten entries come from
+:meth:`TraceSet.senders_up_to`, which walks back from the alarm over only the
+attack periods it needs instead of building the whole log. All node detectors
+of a replication (and all cluster-head detectors) are trained and run as one
+stack: each retrain round is one ``train`` and one ``run_batch`` call over the
+series that have not alarmed yet.
 
 Everything is a pure function of (topology, scenario, seed, settings):
 per-node and per-replication RNG substreams make runs reproducible at any
@@ -124,14 +126,10 @@ class Topology:
         """One deterministic shortest path [node, ..., controller]: rows first."""
         r, c = self.coords(node)
         rc, cc = self.coords(self.controller)
-        path = [self.node_id(r, c)]
-        while r != rc:
-            r += 1 if r < rc else -1
-            path.append(self.node_id(r, c))
-        while c != cc:
-            c += 1 if c < cc else -1
-            path.append(self.node_id(r, c))
-        return tuple(path)
+        turn = self.node_id(rc, c)
+        down = range(node, turn, self.cols if r < rc else -self.cols)
+        across = range(turn, self.controller, 1 if c < cc else -1)
+        return (*down, *across, self.controller)
 
     def cluster_members(self) -> dict[int, tuple[int, ...]]:
         if self.clusters is None:
@@ -251,15 +249,21 @@ class TraceSet:
         ``senders[i]`` arrived; entries are sorted by time, then by sender.
         A node with no attacking neighbour has an empty log.
         """
-        scenario = self.scenario
-        senders = np.array(
-            sorted(set(self.topology.neighbors(node)) & set(scenario.attackers)), dtype=int
-        )
+        senders = np.array(self._attacking_neighbors.get(node, ()), dtype=int)
         if not senders.size:
             return np.empty(0, dtype=int), senders
         periods, counts = self._attack_periods
         times = np.repeat(periods, counts * senders.size)
         return times, np.repeat(np.tile(senders, periods.size), np.repeat(counts, senders.size))
+
+    @cached_property
+    def _attacking_neighbors(self) -> dict[int, tuple[int, ...]]:
+        """Each node with an attacking neighbour -> those neighbours, sorted."""
+        senders: dict[int, tuple[int, ...]] = {}
+        for attacker in self.scenario.attackers:
+            for victim in self.topology.neighbors(attacker):
+                senders[victim] = senders.get(victim, ()) + (attacker,)
+        return senders
 
     @cached_property
     def _attack_periods(self) -> tuple[np.ndarray, np.ndarray]:
@@ -269,24 +273,49 @@ class TraceSet:
         return periods, _packets_per_period(scenario.injection_rate, periods.size)
 
     def senders_up_to(self, node: int, t: int) -> np.ndarray:
-        """The last ten sender entries of ``node``'s log at or before sample t."""
-        times, senders = self.log(node)
-        cut = int(np.searchsorted(times, t, side="right"))
-        return senders[max(0, cut - 10) : cut]
+        """The last ten sender entries of ``node``'s log at or before sample t.
+
+        Walks back from t one attack period at a time until it holds ten
+        entries, so only the tail of :meth:`log` is ever built.
+        """
+        senders = self._attacking_neighbors.get(node)
+        if senders is None:
+            return np.empty(0, dtype=int)
+        start = self.scenario.start
+        counts = self._attack_periods[1]
+        tail: list[int] = []
+        period = min(t, self.scenario.horizon)
+        while period >= start and len(tail) < 10:
+            tail[:0] = [s for s in senders for _ in range(counts[period - start])]
+            period -= 1
+        return np.array(tail[-10:], dtype=int)
 
 
 def attack_lift(topology: Topology, scenario: AttackScenario) -> np.ndarray:
-    """Deterministic post-start mean increase per node under the traffic model."""
-    lift = np.zeros(topology.n_nodes)
+    """Deterministic post-start mean increase per node under the traffic model.
+
+    Each attacker adds to itself, then each of its neighbours adds to itself
+    and to the hops of its path to the controller. All these additions are
+    one ``np.add.at``, which adds in index order, so every node's sum rounds
+    as one ``+=`` per addition in that order would.
+    """
     amount = scenario.injection_rate * scenario.ticks_per_packet
+    # what a victim adds to the node its path reaches after this many hops
+    hop_amount = [
+        amount * scenario.hop_decay**hops for hops in range(topology.rows + topology.cols - 1)
+    ]
+    nodes: list[int] = []
+    amounts: list[float] = []
     for attacker in scenario.attackers:
         neighbors = topology.neighbors(attacker)
-        lift[attacker] += amount * len(neighbors)
+        nodes.append(attacker)
+        amounts.append(amount * len(neighbors))
         for victim in neighbors:
-            lift[victim] += amount
             path = topology.path_to_controller(victim)
-            for hops, relay in enumerate(path[1:], start=1):
-                lift[relay] += amount * scenario.hop_decay**hops
+            nodes += path
+            amounts += hop_amount[: len(path)]
+    lift = np.zeros(topology.n_nodes)
+    np.add.at(lift, np.array(nodes, dtype=np.intp), np.array(amounts))
     return lift
 
 
@@ -306,14 +335,16 @@ def generate_traces(topology: Topology, scenario: AttackScenario, seed: int = 0)
     base = np.broadcast_to(np.asarray(scenario.baseline_mean, dtype=float), (n,))
     lift = attack_lift(topology, scenario)
 
-    # AR(1) noise, one substream per node (row), recursion vectorised across nodes
-    eps = standard_normal_rows(np.empty((n, horizon)), seed, _TRACE_STREAM)
-    eps *= scenario.noise_sigma
+    # AR(1) noise, one substream per node (row), recursion vectorised across
+    # nodes and run in place on the draws: column t becomes e_t + phi * v_{t-1}
+    values = standard_normal_rows(np.empty((n, horizon)), seed, _TRACE_STREAM)
+    values *= scenario.noise_sigma
     phi = scenario.ar_coeff
-    values = np.empty_like(eps)
-    values[:, 0] = eps[:, 0] / np.sqrt(1.0 - phi**2) if phi > 0 else eps[:, 0]
+    if phi > 0:
+        values[:, 0] /= np.sqrt(1.0 - phi**2)
+    carried = np.empty(n)
     for t in range(1, horizon):
-        values[:, t] = phi * values[:, t - 1] + eps[:, t]
+        values[:, t] += np.multiply(values[:, t - 1], phi, out=carried)
 
     values += base[:, None]
     values[:, scenario.start - 1 :] += lift[:, None]
@@ -418,9 +449,10 @@ def identify_attackers(
     accusation count equals its neighbour count.
     """
     accusations: Counter[int] = Counter()
+    attacked = traces._attacking_neighbors
     for node in sorted(per_node_alarm):
         alarm = per_node_alarm[node]
-        if alarm is None:
+        if alarm is None or node not in attacked:
             continue
         recent = traces.senders_up_to(node, alarm)
         if recent.size == 0:

@@ -12,7 +12,7 @@ later request for the window is decided from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def segment(
         if known is None:
             window = parent.segment(w_lo, w_hi)
             known = memo[w_lo, w_hi] = offline_test(window, critval)
-        return replace(known, critval_used=critval.value)
+        return OfflineTestResult(known.statistic_m, critval.value, known.n, known.argmax)
 
     candidates: list[int] = []
 

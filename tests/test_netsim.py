@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -412,6 +413,26 @@ class TestGolden:
             sample_messages=45_000,
         )
 
+    def test_clustered_report_30x30(self, cv_standard_d1):
+        topo = grid_topology(30, 30, cluster_block=2)
+        result = run_experiment(
+            topo, random_scenario(topo, seed=1), SETTINGS, cv_standard_d1,
+            replications=1, seed=1, clustered=True,
+        )
+        fields = json.dumps(
+            [
+                result.detection_probability,
+                result.alarm_fraction,
+                sorted(result.cluster_detection_probability.items()),
+                result.identification_rate,
+                result.zero_false_positive_rate,
+                result.sample_messages,
+            ]
+        )
+        assert hashlib.sha256(fields.encode()).hexdigest() == (
+            "4192d675a4955c001607456cb8b530bdf15f0b336a224aa752bc5d2b5d0d931d"
+        )
+
 
 class TestSharedVictim:
     """Two attackers two hops apart flood one common neighbour."""
@@ -457,3 +478,13 @@ class TestSharedVictim:
         for node in self.topo.neighbors(self.high):
             alarms[node] = 12
         assert identify_attackers(traces, alarms) == frozenset()
+
+    @pytest.mark.parametrize("rate", [0.4, 1.0, 2.5, 3.0])  # 0.4: most periods send nothing
+    def test_tail_matches_the_whole_log(self, rate):
+        traces = self.traces(rate)
+        for node in range(self.topo.n_nodes):
+            times, senders = traces.log(node)
+            for t in range(1, traces.scenario.horizon + 1):
+                tail = traces.senders_up_to(node, t)
+                assert tail.dtype == senders.dtype
+                assert tail.tolist() == senders[times <= t][-10:].tolist(), (node, t)
