@@ -17,13 +17,20 @@ or one whose smallest eigenvalue rounding pushed below zero.
 A one-dimensional series (d = 1) takes a scalar route through the same
 algebra, bit for bit equal to the matrix route. Each centred lag product is
 then one dot product of the centred column, which numpy's ``matmul``
-computes by the same BLAS dot as ``np.dot`` of the 1-D column. A 1 x 1
-matrix's eigenvalue is its entry and its eigenvector is 1.0 exactly (LAPACK
-returns both unchanged for order 1), so the "untouched" test reduces to
-"entry > 0", the inverse square root is ``1.0 / sqrt(entry)``, and the
-inverse is ``1.0 / entry``, what the LU solve of a 1 x 1 system against the
-identity computes. Entries that are zero, negative or NaN take the matrix
-route, so they meet the same ridge and the same LAPACK errors as before.
+computes by the same BLAS dot as ``np.dot`` of the 1-D column, and the
+weighted lag sum is Python float arithmetic; only the result is made a
+1 x 1 matrix. A 1 x 1 matrix's eigenvalue is its entry and its eigenvector
+is 1.0 exactly (LAPACK returns both unchanged for order 1), so the
+"untouched" test reduces to "entry > 0", the inverse square root is
+``1.0 / sqrt(entry)``, and the inverse is ``1.0 / entry``, what the LU
+solve of a 1 x 1 system against the identity computes. Callers that hold a
+single d = 1 estimate (``offline_test``, ``train``) read its entry and, when
+it is positive, invert it in floats with no matrix, no
+:func:`regularize_spd` and no ``np.errstate``; where the inverse of a tiny
+entry overflows, Python float division gives the same inf, with no warning
+to silence. Entries that are
+zero, negative or NaN go through :func:`inverse` or :func:`inverse_sqrt`,
+so they meet the same ridge and the same LAPACK errors as before.
 """
 
 from __future__ import annotations
@@ -90,11 +97,11 @@ def bartlett_lrv(s: SeriesLike, bandwidth: int | None = None) -> np.ndarray:
     # sum / n is how ndarray.mean computes the mean, without its call overhead
     centered = mat - mat.sum(axis=-2, keepdims=True) / n
     if centered.ndim == 2 and centered.shape[1] == 1:
-        # the same operations in the same order, on the 1-D column
+        # the same operations in the same order, on the 1-D column, in floats
         col = centered[:, 0]
-        o = np.dot(col, col) / n
+        o = float(np.dot(col, col)) / n
         for lag in range(1, bandwidth + 1):
-            g = np.dot(col[lag:], col[: n - lag]) / n
+            g = float(np.dot(col[lag:], col[: n - lag])) / n
             o = o + bartlett_weight(lag / (bandwidth + 1)) * (g + g)
         return np.array([[(o + o) / 2.0]])
     transposed = centered.swapaxes(-1, -2)

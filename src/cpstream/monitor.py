@@ -24,10 +24,13 @@ infinite sample, writes it into the buffer and returns it as the detector
 takes it. On a one-column stream that is a float, and a float item
 (``np.float64`` included) skips ``np.asarray``. The training prefix and the
 label look-ahead loop over the intake; a monitored sample comes from the
-buffer when the look-ahead already read it. The stream is never read ahead
-of need: an event for an alarm at a is pushed once samples up to
-min(a + h, n) are read, so a live stream waits for no later row, and the
-stream's end is read once.
+buffer when the look-ahead already read it. The monitored window of a
+one-column stream reads its next item inline and writes a finite float
+straight into the buffer; any other item, and the stream's end, go to the
+intake, which checks and reports it as for every other sample. The stream
+is never read ahead of need: an event for an alarm at a is pushed once
+samples up to min(a + h, n) are read, so a live stream waits for no later
+row, and the stream's end is read once.
 
 The rounds share one :func:`~cpstream.offline.segment` window memo, so no
 window is tested twice in a stream; it grows by one entry per distinct
@@ -186,14 +189,18 @@ def run_monitor(
     size = 0
     one_column = False  # set by sample 1
 
-    def take():
-        """Read the next sample into the buffer; return it as ``step`` takes it.
+    def grow():
+        nonlocal buf
+        buf = np.concatenate((buf, np.empty_like(buf)))
 
-        That is a float on a one-column stream and the row otherwise; None at
-        the stream's end, after which the stream is not read again.
+    def admit(x):
+        """Write item ``x``, sample size + 1, into the buffer; return it as ``step`` takes it.
+
+        That is a float on a one-column stream and the row otherwise. At the
+        stream's end ``x`` is ``_END``: admit returns None, and the stream is
+        not read again.
         """
         nonlocal iterator, buf, size, one_column
-        x = next(iterator, _END)
         if x is _END:
             iterator = iter(())
             return None
@@ -225,8 +232,12 @@ def run_monitor(
             x = values[0] if one_column else row
         size += 1
         if size == len(buf):
-            buf = np.concatenate((buf, np.empty_like(buf)))
+            grow()
         return x
+
+    def take():
+        """Read the next sample into the buffer; None at the stream's end."""
+        return admit(next(iterator, _END))
 
     def ensure(count: int) -> bool:
         while size < count:
@@ -268,15 +279,25 @@ def run_monitor(
 
         alarm_at: int | None = None
         consumed = 0
-        while consumed < config.window_k:
+        window_k = config.window_k
+        while consumed < window_k:
             at = origin + consumed
             if at < size:
                 # pulled already, by the last label's look-ahead
                 x = buf.item(at, 0) if one_column else buf[at]
             else:
-                x = take()
-                if x is None:
-                    break
+                x = next(iterator, _END)
+                if one_column and isinstance(x, float) and math.isfinite(x):
+                    # admit's float route, inline: every monitored sample
+                    # of a one-column stream that is not yet read comes here
+                    buf[size, 0] = x
+                    size += 1
+                    if size == len(buf):
+                        grow()
+                else:
+                    x = admit(x)
+                    if x is None:
+                        break
             step(state, x)
             consumed += 1
             # an alarm stops the detector: one attribute read, where the

@@ -27,12 +27,16 @@ single-stream call on stream i bit for bit.
 
 A one-dimensional detector fed sample by sample, the monitor's case, takes a
 float route in :func:`step`: the same formula in Python floats, in the same
-operation order. A float sample goes from the checks straight to the
-arithmetic and the verdict, with no helper call but the boundary's. With
-d = 1 every reduction of the numpy evaluation runs over one element and so
-is exact, which makes the two routes agree bit for bit. The boundary keeps
-``np.power`` on that route: ``math.pow`` and ``**`` round some powers
-differently in the last bit.
+operation order. A single-stream d = 1 state reads its trained scalars (the
+training sum, the inverse square root or ratio inverse, the critical value
+and sqrt(m)) into floats once, when it is made, and keeps its running sum
+as a float too, which it writes into its own ``cum_sum_post`` in place. A
+float sample then goes from the checks straight to the arithmetic and the
+verdict, with no array made, no array read and no helper call. With d = 1
+every reduction of the numpy evaluation runs over one element and so is
+exact, which makes the two routes agree bit for bit. At gamma != 0 the
+boundary keeps ``np.power`` on that route: ``math.pow`` and ``**`` round
+some powers differently in the last bit.
 
 Each evaluation returns a :class:`Verdict`, an immutable named tuple of the
 detector value, the threshold and the count, whose alarm is derived from
@@ -120,6 +124,9 @@ class OnlineDetectorState:
     Training fields never change after :func:`train`; ``cum_sum_post``, ``k``
     and ``stopped_at`` advance with :func:`step`. One state belongs to one
     logical stream (single writer); distinct states are fully independent.
+    Every state owns its ``cum_sum_post``, which a one-column :func:`step`
+    updates in place, so a copy made with ``dataclasses.replace`` stays
+    independent of the original.
 
     A stacked state, trained on an (S, m, d) stack, holds S streams: every
     array field gains a leading S axis, ``k`` is an (S,) int array and
@@ -137,14 +144,27 @@ class OnlineDetectorState:
     k: int | np.ndarray = 0
     stopped_at: int | None | np.ndarray = None
     stacked: bool = field(init=False, repr=False)
+    # step's d = 1 float route: the trained scalars, and the running sum that
+    # cum_sum_post mirrors; None for a stack or a wider detector
+    _scalars: tuple | None = field(init=False, repr=False)
+    _running: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self) -> None:
         self.stacked = self.training_sum.ndim == 2
         if self.cum_sum_post is None:
             self.cum_sum_post = np.zeros_like(self.training_sum)
+        else:
+            self.cum_sum_post = np.array(self.cum_sum_post, dtype=float)
         for arr in (self.training_sum, self.omega_inv_sqrt, self.ratio_denominator_inv):
             if arr is not None:
                 arr.flags.writeable = False
+        self._scalars = None
+        if self.training_sum.shape == (1,):
+            standard = self.kind is DetectorKind.STANDARD
+            weight = self.omega_inv_sqrt if standard else self.ratio_denominator_inv
+            self._scalars = (standard, self.training_sum.item(), weight.item(),
+                             self.critval.value, math.sqrt(self.m), self.m, self.gamma)
+            self._running = self.cum_sum_post.item()
 
     @property
     def dim(self) -> int:
@@ -214,15 +234,25 @@ def train(
     training_sum = mat.sum(axis=-2)
     omega_inv_sqrt = None
     denom_inv = None
+    # one series of d = 1: a positive 1 x 1 estimate is its own regularized
+    # value, so its inverse (square root) is float arithmetic (see longrun)
+    scalar = mat.shape == (m, 1)
     if kind is DetectorKind.STANDARD:
-        omega_inv_sqrt = inverse_sqrt(bartlett_lrv(mat, bartlett_bandwidth(m)))
+        lrv = bartlett_lrv(mat, bartlett_bandwidth(m))
+        if scalar and lrv.item() > 0:
+            omega_inv_sqrt = np.array([[1.0 / math.sqrt(lrv.item())]])
+        else:
+            omega_inv_sqrt = inverse_sqrt(lrv)
     else:
         counts = np.arange(1, m + 1, dtype=float).reshape(-1, 1)
         partial_dev = np.cumsum(mat, axis=-2) / counts - (training_sum / m)[..., None, :]
         weighted = partial_dev.swapaxes(-1, -2) * counts.ravel() ** 2
         denom = np.matmul(weighted, partial_dev) / m**2
         denom = (denom + denom.swapaxes(-1, -2)) / 2.0
-        denom_inv = inverse(denom)
+        if scalar and denom.item() > 0:
+            denom_inv = np.array([[1.0 / denom.item()]])
+        else:
+            denom_inv = inverse(denom)
     per_stream = {}
     if mat.ndim == 3:
         # every stream of a stack counts its own samples and its own alarm
@@ -255,9 +285,9 @@ def _evaluate(state: OnlineDetectorState, ks, running: np.ndarray):
     (d,) running sum gives scalars (step); (b, S) counts with (b, S, d)
     running sums give (b, S) arrays (run_batch, one stream being S = 1),
     against which a stack's (S, ...) training arrays broadcast as they are.
-    :func:`step`'s d = 1 float route repeats the statistics in the same
-    operation order, so a change here must be made there too. Training
-    already validated m and gamma.
+    :func:`step`'s d = 1 float route repeats the statistics and the boundary
+    in the same operation order, so a change here must be made there too.
+    Training already validated m and gamma.
     """
     m = state.m
     thresholds = state.critval.value * _boundary(state.kind, m, ks, state.gamma)
@@ -289,25 +319,26 @@ def step(state: OnlineDetectorState, x) -> Verdict:
     :func:`run_batch`.
 
     A d = 1 detector takes a float, an ``np.float64``, a (1,) array or a
-    one-item list, and evaluates in Python floats; a float sample goes
-    straight to the arithmetic, with no array conversion and no helper call
-    but the boundary's. The result equals :func:`run_batch`'s bit for bit,
-    because every reduction there runs over one element and the boundary
-    comes from the same :func:`_boundary` formula. A wider detector evaluates in
-    numpy.
+    one-item list, and evaluates in Python floats from the scalars its state
+    read when it was made; a float sample goes straight to the arithmetic,
+    with no array conversion and no helper call. The result equals
+    :func:`run_batch`'s bit for bit, because every reduction there runs over
+    one element and the boundary is :func:`_boundary`'s formula in the same
+    operation order. A wider detector evaluates in numpy.
     """
     if state.stacked:
         raise ValueError("step takes a single-stream state; feed a stacked state with run_batch")
     if state.stopped_at is not None:
         raise DetectorStoppedError(f"detector already alarmed at k={state.stopped_at}")
-    if isinstance(x, float) and state.training_sum.size == 1:
+    scalars = state._scalars
+    if scalars is not None and isinstance(x, float):
         x = float(x)
     else:
         sample = np.asarray(x, dtype=float).reshape(-1)
         d = state.dim
         if sample.shape[0] != d:
             raise ValueError(f"sample has dimension {sample.shape[0]}, detector expects {d}")
-        if d == 1:
+        if scalars is not None:
             x = sample.item()
         else:
             # math.isfinite over a list costs a fraction of one numpy call
@@ -321,16 +352,21 @@ def step(state: OnlineDetectorState, x) -> Verdict:
         raise NonFiniteSampleError(f"non-finite sample {[x]} at k={state.k + 1}")
 
     # d = 1: _evaluate's formula in Python floats, in the same operation order
+    standard, training_sum, weight, critval, sqrt_m, m, gamma = scalars
     state.k = k = state.k + 1
-    m = state.m
-    running = state.cum_sum_post.item() + x
-    state.cum_sum_post = np.array((running,))
-    threshold = state.critval.value * float(_boundary(state.kind, m, k, state.gamma))
-    if state.kind is DetectorKind.STANDARD:
-        value = abs((running - k * state.training_sum.item() / m) * state.omega_inv_sqrt.item())
+    state._running = running = state._running + x
+    state.cum_sum_post[0] = running
+    # _boundary's weight; x**0 is exactly 1, so gamma 0 skips the power
+    g = sqrt_m * (1.0 + k / m)
+    if gamma != 0.0:
+        g = g * float(np.power(k / (k + m), gamma))
+    if standard:
+        threshold = critval * g
+        value = abs((running - k * training_sum / m) * weight)
     else:
-        deviation = running / k - state.training_sum.item() / m
-        value = k**2 / m * (deviation * state.ratio_denominator_inv.item() * deviation)
+        threshold = critval * (g * g / m)
+        deviation = running / k - training_sum / m
+        value = k**2 / m * (deviation * weight * deviation)
     # _verdict's rule, inline
     if value >= threshold:
         state.stopped_at = k
@@ -397,6 +433,8 @@ def run_batch(
     if not state.stacked:
         state.k = int(ks_after[0])
         state.cum_sum_post = running[last[0], 0]
+        if state._scalars is not None:
+            state._running = state.cum_sum_post.item()
         return _verdict(state, values[last[0], 0], thresholds[last[0], 0]), int(consumed[0])
     state.k = ks_after
     state.cum_sum_post = running[last, every]

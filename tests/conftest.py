@@ -14,6 +14,7 @@ from cpstream.critvals import (
     MonteCarloProvider,
     compute_critval,
 )
+from cpstream.timeseries import TimeSeries
 
 
 @pytest.fixture(scope="session")
@@ -84,3 +85,38 @@ def cheap_provider():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def d1_edge_windows():
+    """One-column windows at the edges of the d = 1 routes, as (name, series) pairs.
+
+    Constant windows, whose long-run variance is exactly 0; near-constant
+    windows at tiny scales, whose variance underflows to a subnormal or to
+    0; every length 4..12, where the Bartlett bandwidth is 0 or 1; strided
+    and reversed 1-D views; and segments of a longer series.
+    """
+    gen = np.random.default_rng(20)
+    windows = []
+    for n in (4, 9, 10, 57, 1000):
+        for level in (0.0, 0.1, -3.7, 12345.678):
+            windows.append((f"constant {level} x {n}", np.full(n, level)))
+    for n in (10, 200, 1500):
+        for exponent in (-140, -150, -155, -160, -170):
+            scale = 10.0**exponent
+            windows.append((f"1e{exponent} level x {n}",
+                            scale * (1.0 + 1e-15 * gen.standard_normal(n))))
+            windows.append((f"1e{exponent} noise x {n}", scale * gen.standard_normal(n)))
+    for n in range(4, 13):
+        windows.append((f"noise x {n}", gen.standard_normal(n) * 10.0 ** gen.uniform(-3, 3)))
+    long = gen.standard_normal(6000) + 2.0
+    windows += [
+        ("every third", long[::3][:700]),
+        ("every seventh from 5", long[5::7]),
+        ("reversed every second", long[::-2][:1200]),
+        ("column 1 of 3", long[:4500].reshape(-1, 3)[:, 1]),
+    ]
+    series = TimeSeries(long)
+    windows += [(f"segment [{lo}, {hi}]", series.segment(lo, hi))
+                for lo, hi in ((1, 4), (17, 29), (300, 1299), (2001, 6000), (5990, 6000))]
+    return windows

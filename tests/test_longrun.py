@@ -303,6 +303,30 @@ class TestScalarRoute:
             assert omega.tobytes() == matmul_lrv(x, bandwidth).tobytes()
         assert bartlett_lrv(x).tobytes() == matmul_lrv(x, bartlett_bandwidth(n)).tobytes()
 
+    def test_edge_windows_match_matrix_routes(self, d1_edge_windows, cv_standard_d1, cv_ratio_d1):
+        # the estimate, and what a standard and a ratio detector trained on the
+        # window store, against the matmul estimate and the LAPACK inverses
+        signs = set()
+        for name, window in d1_edge_windows:
+            x = as_matrix(window)
+            omega = bartlett_lrv(window)
+            assert omega.tobytes() == matmul_lrv(x, bartlett_bandwidth(len(x))).tobytes(), name
+            signs.add(omega.item() > 0)
+            safe = lapack_regularized(omega)
+            standard = train(window, DetectorKind.STANDARD, 0.0, cv_standard_d1)
+            expected = lapack_inverse_sqrt(safe)
+            assert standard.omega_inv_sqrt.tobytes() == expected.tobytes(), name
+            ratio = train(window, DetectorKind.RATIO, 0.0, cv_ratio_d1)
+            n = len(x)
+            counts = np.arange(1, n + 1, dtype=float).reshape(-1, 1)
+            partial_dev = np.cumsum(x, axis=0) / counts - x.sum(axis=0) / n
+            denom = (partial_dev.T * counts.ravel() ** 2) @ partial_dev / n**2
+            denom = (denom + denom.T) / 2.0
+            expected = np.linalg.inv(lapack_regularized(denom))
+            assert ratio.ratio_denominator_inv.tobytes() == expected.tobytes(), name
+        # both the float inverse and the ridge run
+        assert signs == {True, False}
+
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_one_by_one_matches_lapack(self, entry):
         m = np.array([[entry]])

@@ -1,4 +1,6 @@
+import hashlib
 import logging
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -432,3 +434,46 @@ class TestRunMonitor:
         assert events[0].action is (
             Action.SCALE_UP if events[0].direction is Direction.UP else Action.SCALE_DOWN
         )
+
+
+def ar1_level_steps(seed, n=4000, every=1000, phi=0.3, levels=(0.0, 3.0, 0.0, -3.0)):
+    """AR(1) noise of unit stationary variance plus a level that steps every ``every`` samples."""
+    gen = np.random.default_rng([seed, 19])
+    eps = (gen.standard_normal(n) * math.sqrt(1.0 - phi * phi)).tolist()
+    noise = [gen.standard_normal()]
+    for e in eps[1:]:
+        noise.append(phi * noise[-1] + e)
+    return [v + levels[(t // every) % len(levels)] for t, v in enumerate(noise)]
+
+
+def event_fingerprint(streams_events) -> str:
+    """sha256 of every event's index, label, trend value, label index and training window."""
+    lines = []
+    for i, events in enumerate(streams_events):
+        lines.append(f"stream {i}")
+        lines.extend(
+            f"{e.detected_at} {e.direction.value} {e.trend.value!r} {e.trend.at_index} "
+            f"{e.training_used[0]} {e.training_used[1]}"
+            for e in events
+        )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "detector, expected",
+    [
+        ("standard", "e6a5b6f13b2652a48f1e274377684427612c388b79d431f1cca38e0e275eb7b4"),
+        ("ratio", "9f42990255f94d559f8cbd0ef3ee55b1a50cdb1a03fdb569522fa3f4e0e49801"),
+    ],
+)
+def test_decision_fingerprint(detector, expected):
+    # a byte-identical change to the monitor, the detectors or the offline
+    # test keeps every event of these three stepping streams, to the last bit
+    # of each trend value
+    config = MonitorConfig(
+        critvals=MonteCarloProvider(seed=0, grid_steps=100, replications=1000),
+        detector=detector,
+    )
+    streams_events = [run_monitor(ar1_level_steps(seed), config) for seed in (1, 2, 3)]
+    assert all(streams_events)
+    assert event_fingerprint(streams_events) == expected

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpstream.longrun import bartlett_lrv, inverse
+from cpstream.longrun import (
+    bartlett_bandwidth,
+    bartlett_lrv,
+    bartlett_weight,
+    inverse,
+    regularize_spd,
+)
 from cpstream.offline import (
     ChangePointSet,
     OfflineTestResult,
@@ -14,7 +20,7 @@ from cpstream.offline import (
     segment,
 )
 from cpstream.rng import substream
-from cpstream.timeseries import TimeSeries
+from cpstream.timeseries import TimeSeries, as_matrix
 
 
 def brute_cusum(values):
@@ -146,6 +152,29 @@ class TestScalarRoute:
             result = offline_test(TimeSeries(x), cv_offline_d1)
             assert repr(result.statistic_m) == repr(float(quad.max()))
             assert result.argmax == int(np.argmax(quad)) + 1
+
+    def test_edge_windows_match_the_matrix_route(self, d1_edge_windows, cv_offline_d1):
+        # constant, near-constant, short, strided and segment windows against
+        # the d x d route: matmul lag products, the LAPACK inverse of the
+        # regularized estimate and einsum's quadratic form
+        for name, window in d1_edge_windows:
+            x = as_matrix(window)
+            n = len(x)
+            bandwidth = bartlett_bandwidth(n)
+            centered = x - x.sum(axis=0, keepdims=True) / n
+            omega = centered.T @ centered / n
+            for lag in range(1, bandwidth + 1):
+                gamma = centered[lag:].T @ centered[: n - lag] / n
+                omega = omega + bartlett_weight(lag / (bandwidth + 1)) * (gamma + gamma.T)
+            omega = (omega + omega.T) / 2.0
+            assert bartlett_lrv(window).tobytes() == omega.tobytes(), name
+            path = cusum_path(x)
+            # a subnormal estimate inverts to inf, and 0 * inf is NaN
+            with np.errstate(invalid="ignore"):
+                quad = np.einsum("nj,jk,nk->n", path, np.linalg.inv(regularize_spd(omega)), path)
+                result = offline_test(window, cv_offline_d1)
+            assert repr(result.statistic_m) == repr(float(quad[np.argmax(quad)])), name
+            assert result.argmax == int(np.argmax(quad)) + 1, name
 
 
 class TestSegment:

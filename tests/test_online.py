@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -404,6 +405,62 @@ def test_step_and_run_batch_agree_exactly(kind, d, gamma):
                 step(fresh, make(row))
             assert fresh.k == 1
             assert fresh.cum_sum_post is running, form
+
+
+@pytest.mark.parametrize("form", list(SAMPLE_FORMS))
+@pytest.mark.parametrize("gamma", [0.0, 0.15, 0.45])
+@pytest.mark.parametrize("kind", list(DetectorKind))
+def test_d1_float_route(kind, gamma, form):
+    """step's d = 1 float route against run_batch, a replace copy and a rejected sample.
+
+    One state takes every sample by step, one by one-sample run_batch
+    blocks, and one alternates between the two: after every sample all
+    three hold the same verdict, count, stop and running sum, to the bit.
+    """
+    cv = small_critval(kind, 1, gamma)
+    values = substream(1, 14).standard_normal((300, 1))
+    values[200:] += 3.0
+    prefix, monitored = values[:100], values[100:]
+    make = SAMPLE_FORMS[form]
+    stepped, batched, mixed = (train(prefix, kind, gamma, cv) for _ in range(3))
+    copy = None
+    for i, row in enumerate(monitored):
+        if i == 20:
+            copy = replace(stepped)
+            kept = (copy.k, copy.stopped_at, copy.cum_sum_post.copy(), copy._running)
+        verdict = step(stepped, make(row))
+        expected, consumed = run_batch(batched, row[None])
+        assert consumed == 1
+        other = step(mixed, make(row)) if i % 2 else run_batch(mixed, row[None])[0]
+        assert repr(tuple(verdict)) == repr(tuple(expected)) == repr(tuple(other))
+        for state in (batched, mixed):
+            assert (stepped.k, stepped.stopped_at) == (state.k, state.stopped_at)
+            assert stepped.cum_sum_post.tobytes() == state.cum_sum_post.tobytes()
+            assert stepped.cum_sum_post.shape == (1,)
+        if verdict.alarm:
+            break
+    assert verdict.alarm and stepped.k > 20
+
+    # the copy taken after 20 samples did not move with the original, and
+    # replays the rest of the stream to the same verdicts
+    assert (copy.k, copy.stopped_at, copy._running) == kept[:2] + kept[3:]
+    assert copy.cum_sum_post.tobytes() == kept[2].tobytes()
+    for row in monitored[20 : stepped.k]:
+        last = step(copy, make(row))
+    assert repr(tuple(last)) == repr(tuple(verdict))
+
+    # a rejected sample leaves the floats and the running sum as they were
+    fresh = train(prefix, kind, gamma, cv)
+    for row in monitored[:5]:
+        step(fresh, make(row))
+    floats = (fresh.k, fresh._running, fresh._scalars)
+    running = fresh.cum_sum_post
+    summed = running.tobytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteSampleError):
+            step(fresh, make(np.array([bad])))
+        assert (fresh.k, fresh._running, fresh._scalars) == floats
+        assert fresh.cum_sum_post is running and running.tobytes() == summed
 
 
 def stream_stack(d, n_prefix=100, n_block=60):
