@@ -23,17 +23,18 @@ weighted lag sum is Python float arithmetic; only the result is made a
 is 1.0 exactly (LAPACK returns both unchanged for order 1), so the
 "untouched" test reduces to "entry > 0", the inverse square root is
 ``1.0 / sqrt(entry)``, and the inverse is ``1.0 / entry``, what the LU
-solve of a 1 x 1 system against the identity computes. Callers that hold a
-single d = 1 estimate (``offline_test``, ``train``) read its entry and, when
-it is positive, invert it in floats with no matrix, no
-:func:`regularize_spd` and no ``np.errstate``; where the inverse of a tiny
-entry overflows, Python float division gives the same inf, with no warning
-to silence. Entries that are
-zero, negative or NaN go through :func:`inverse` or :func:`inverse_sqrt`,
-so they meet the same ridge and the same LAPACK errors as before.
+solve of a 1 x 1 system against the identity computes. :func:`inverse` and
+:func:`inverse_sqrt` take a positive 1 x 1 matrix straight to that float
+arithmetic, with no :func:`regularize_spd` and no ``np.errstate``: where
+the inverse of a tiny entry overflows, Python float division gives the
+same inf as LAPACK, with no warning to silence. Entries that are zero,
+negative or NaN take the matrix route, so they meet the same ridge and the
+same LAPACK errors as before.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -150,6 +151,8 @@ def _positive_scalars(matrix: np.ndarray) -> bool:
 
 def inverse(matrix: np.ndarray) -> np.ndarray:
     """Regularized inverse of a symmetric PSD matrix, or of each in a stack."""
+    if matrix.shape == (1, 1) and (entry := matrix.item()) > 0:
+        return np.array([[1.0 / entry]])
     safe = regularize_spd(matrix)
     if _positive_scalars(safe):
         # LAPACK overflows a subnormal entry to inf without a warning, and so does this
@@ -160,6 +163,8 @@ def inverse(matrix: np.ndarray) -> np.ndarray:
 
 def inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Regularized inverse square root via symmetric eigendecomposition, matrix by matrix."""
+    if matrix.shape == (1, 1) and (entry := matrix.item()) > 0:
+        return np.array([[1.0 / math.sqrt(entry)]])
     safe = regularize_spd(matrix)
     if _positive_scalars(safe):
         return 1.0 / np.sqrt(safe)

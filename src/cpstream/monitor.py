@@ -261,6 +261,7 @@ def run_monitor(
     trend_memo = TrendMemo(config.macd, config.trend_dim)
     online_cv = None  # the same request every round: asked for once
     origin = config.m_min
+    window_k = config.window_k
     while True:
         if not ensure(origin):
             break
@@ -269,7 +270,7 @@ def run_monitor(
             training = select_training(past, config, memo)
         except InsufficientTrainingError as exc:
             logger.warning("skipping window at origin %d: %s", origin, exc)
-            origin += config.window_k
+            origin += window_k
             continue
         if online_cv is None:
             online_cv = config.critvals(
@@ -279,7 +280,6 @@ def run_monitor(
 
         alarm_at: int | None = None
         consumed = 0
-        window_k = config.window_k
         while consumed < window_k:
             at = origin + consumed
             if at < size:
@@ -307,9 +307,9 @@ def run_monitor(
                 break
 
         if alarm_at is None:
-            if consumed < config.window_k:
+            if consumed < window_k:
                 break  # stream ended inside the window
-            origin += config.window_k
+            origin += window_k
             continue
 
         # pull up to h post-alarm samples for the interval label; the stream

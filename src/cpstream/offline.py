@@ -8,10 +8,10 @@ on the window bounded by its neighbouring candidates and dropped or moved
 until the set is stable. Each window's statistic is computed once and every
 later request for the window is decided from it.
 
-A one-column window, the monitor's case, inverts a positive long-run
-variance as a Python float (see :mod:`~cpstream.longrun`) and forms the
-quadratic form on the (n, 1) path in einsum's product order, so the
-statistic and the argmax equal the d x d route bit for bit.
+A one-column window, the monitor's case, forms the quadratic form on the
+(n, 1) path with the inverse long-run variance as a float, in einsum's
+product order, so the statistic and the argmax equal the d x d route bit
+for bit.
 """
 
 from __future__ import annotations
@@ -124,15 +124,13 @@ def offline_test(s: SeriesLike, critval: CritVal) -> OfflineTestResult:
         raise ValueError(f"critical value simulated for d={req.d}, series has d={d}")
 
     path = cusum_path(mat)
-    lrv = bartlett_lrv(mat, bartlett_bandwidth(n))
+    omega_inv = inverse(bartlett_lrv(mat, bartlett_bandwidth(n)))
     if d == 1:
-        # a positive 1 x 1 estimate is its own regularized value, so its
-        # inverse is float division (see longrun); einsum's product over one
-        # term, in its order: (C_n * Omega^-1) * C_n, on the (n, 1) path
-        omega = lrv.item()
-        quad = (path * (1.0 / omega if omega > 0 else inverse(lrv).item())) * path
+        # einsum's product over one term, in its order: (C_n * Omega^-1) * C_n,
+        # on the (n, 1) path
+        quad = (path * omega_inv.item()) * path
     else:
-        quad = np.einsum("nj,jk,nk->n", path, inverse(lrv), path)
+        quad = np.einsum("nj,jk,nk->n", path, omega_inv, path)
     best = int(quad.argmax())
     return OfflineTestResult(quad.item(best), critval.value, n, best + 1)
 

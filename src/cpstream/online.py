@@ -29,10 +29,10 @@ A one-dimensional detector fed sample by sample, the monitor's case, takes a
 float route in :func:`step`: the same formula in Python floats, in the same
 operation order. A single-stream d = 1 state reads its trained scalars (the
 training sum, the inverse square root or ratio inverse, the critical value
-and sqrt(m)) into floats once, when it is made, and keeps its running sum
-as a float too, which it writes into its own ``cum_sum_post`` in place. A
-float sample then goes from the checks straight to the arithmetic and the
-verdict, with no array made, no array read and no helper call. With d = 1
+and sqrt(m)) into floats once, when it is made; :func:`step` reads the
+running sum from ``cum_sum_post`` and writes it back in place. A float
+sample then goes from the checks straight to the arithmetic and the
+verdict, with no array made and no helper call. With d = 1
 every reduction of the numpy evaluation runs over one element and so is
 exact, which makes the two routes agree bit for bit. At gamma != 0 the
 boundary keeps ``np.power`` on that route: ``math.pow`` and ``**`` round
@@ -124,9 +124,10 @@ class OnlineDetectorState:
     Training fields never change after :func:`train`; ``cum_sum_post``, ``k``
     and ``stopped_at`` advance with :func:`step`. One state belongs to one
     logical stream (single writer); distinct states are fully independent.
-    Every state owns its ``cum_sum_post``, which a one-column :func:`step`
-    updates in place, so a copy made with ``dataclasses.replace`` stays
-    independent of the original.
+    Every state owns its ``cum_sum_post``, which :func:`step` updates in
+    place: take ``.copy()`` to keep a value across steps. A copy made with
+    ``dataclasses.replace`` gets its own array and stays independent of the
+    original; a shallow ``copy.copy`` shares it.
 
     A stacked state, trained on an (S, m, d) stack, holds S streams: every
     array field gains a leading S axis, ``k`` is an (S,) int array and
@@ -144,10 +145,9 @@ class OnlineDetectorState:
     k: int | np.ndarray = 0
     stopped_at: int | None | np.ndarray = None
     stacked: bool = field(init=False, repr=False)
-    # step's d = 1 float route: the trained scalars, and the running sum that
-    # cum_sum_post mirrors; None for a stack or a wider detector
+    # step's d = 1 float route: the trained scalars; None for a stack or a
+    # wider detector
     _scalars: tuple | None = field(init=False, repr=False)
-    _running: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self) -> None:
         self.stacked = self.training_sum.ndim == 2
@@ -164,7 +164,6 @@ class OnlineDetectorState:
             weight = self.omega_inv_sqrt if standard else self.ratio_denominator_inv
             self._scalars = (standard, self.training_sum.item(), weight.item(),
                              self.critval.value, math.sqrt(self.m), self.m, self.gamma)
-            self._running = self.cum_sum_post.item()
 
     @property
     def dim(self) -> int:
@@ -234,25 +233,15 @@ def train(
     training_sum = mat.sum(axis=-2)
     omega_inv_sqrt = None
     denom_inv = None
-    # one series of d = 1: a positive 1 x 1 estimate is its own regularized
-    # value, so its inverse (square root) is float arithmetic (see longrun)
-    scalar = mat.shape == (m, 1)
     if kind is DetectorKind.STANDARD:
-        lrv = bartlett_lrv(mat, bartlett_bandwidth(m))
-        if scalar and lrv.item() > 0:
-            omega_inv_sqrt = np.array([[1.0 / math.sqrt(lrv.item())]])
-        else:
-            omega_inv_sqrt = inverse_sqrt(lrv)
+        omega_inv_sqrt = inverse_sqrt(bartlett_lrv(mat, bartlett_bandwidth(m)))
     else:
         counts = np.arange(1, m + 1, dtype=float).reshape(-1, 1)
         partial_dev = np.cumsum(mat, axis=-2) / counts - (training_sum / m)[..., None, :]
         weighted = partial_dev.swapaxes(-1, -2) * counts.ravel() ** 2
         denom = np.matmul(weighted, partial_dev) / m**2
         denom = (denom + denom.swapaxes(-1, -2)) / 2.0
-        if scalar and denom.item() > 0:
-            denom_inv = np.array([[1.0 / denom.item()]])
-        else:
-            denom_inv = inverse(denom)
+        denom_inv = inverse(denom)
     per_stream = {}
     if mat.ndim == 3:
         # every stream of a stack counts its own samples and its own alarm
@@ -316,7 +305,9 @@ def step(state: OnlineDetectorState, x) -> Verdict:
 
     A NaN or infinite sample raises :class:`NonFiniteSampleError` and leaves
     the state unchanged. A stacked state is refused: feed it with
-    :func:`run_batch`.
+    :func:`run_batch`. The new running sum is written into the state's
+    ``cum_sum_post`` in place, so an array taken from it before the call
+    changes with it; take ``.copy()`` to keep a value.
 
     A d = 1 detector takes a float, an ``np.float64``, a (1,) array or a
     one-item list, and evaluates in Python floats from the scalars its state
@@ -346,7 +337,7 @@ def step(state: OnlineDetectorState, x) -> Verdict:
             if not all(map(math.isfinite, values)):
                 raise NonFiniteSampleError(f"non-finite sample {values} at k={state.k + 1}")
             state.k += 1
-            state.cum_sum_post = state.cum_sum_post + sample
+            state.cum_sum_post += sample
             return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
     if not math.isfinite(x):
         raise NonFiniteSampleError(f"non-finite sample {[x]} at k={state.k + 1}")
@@ -354,7 +345,7 @@ def step(state: OnlineDetectorState, x) -> Verdict:
     # d = 1: _evaluate's formula in Python floats, in the same operation order
     standard, training_sum, weight, critval, sqrt_m, m, gamma = scalars
     state.k = k = state.k + 1
-    state._running = running = state._running + x
+    running = state.cum_sum_post.item() + x
     state.cum_sum_post[0] = running
     # _boundary's weight; x**0 is exactly 1, so gamma 0 skips the power
     g = sqrt_m * (1.0 + k / m)
@@ -433,8 +424,6 @@ def run_batch(
     if not state.stacked:
         state.k = int(ks_after[0])
         state.cum_sum_post = running[last[0], 0]
-        if state._scalars is not None:
-            state._running = state.cum_sum_post.item()
         return _verdict(state, values[last[0], 0], thresholds[last[0], 0]), int(consumed[0])
     state.k = ks_after
     state.cum_sum_post = running[last, every]
