@@ -292,6 +292,18 @@ def _cmd_critval(opts: dict) -> int:
     return 0
 
 
+def _request_record(cv) -> dict:
+    """The request a served critical value was made for: a tabulated value
+    keeps its table's seed and budget, not the command's."""
+    req = cv.request
+    return {
+        "alpha": req.alpha,
+        "seed": req.seed,
+        "grid_steps": req.grid_steps,
+        "replications": req.replications,
+    }
+
+
 def _cmd_offline(opts: dict) -> int:
     series = _load_series(opts)
     alpha = opts["alpha"]
@@ -304,6 +316,7 @@ def _cmd_offline(opts: dict) -> int:
         "reject": result.reject,
         "cp_fraction": result.cp_fraction,
         "critval": result.critval_used,
+        "critval_request": _request_record(cv),
         "params": {"command": "offline", "n": result.n, "d": series.dim, **opts},
     }
     _emit(opts["out"], record)
@@ -314,7 +327,18 @@ def _cmd_segment(opts: dict) -> int:
     series = _load_series(opts)
     alpha = opts["alpha"]
     memo: dict[tuple[int, int], OfflineTestResult] = {}
-    result = segment(series, alpha, _provider(opts), opts["min_seg"], memo)
+    provider = _provider(opts)
+    served = []
+
+    def recorded(*request):
+        # the provider's memo serves each level; this keeps what it served
+        cv = provider(*request)
+        served.append(cv)
+        return cv
+
+    result = segment(series, alpha, recorded, opts["min_seg"], memo)
+    # segment asks for its search level, then its validation level, once each
+    search_cv, validation_cv = served
     # segment refuses a series too short to split, so it always tested the full window
     full = memo[1, series.n_samples]
     record = {
@@ -326,6 +350,10 @@ def _cmd_segment(opts: dict) -> int:
             for cp, stat in zip(result.cps, result.per_cp_stats)
         ],
         "hit_round_cap": result.hit_round_cap,
+        "critval_request": {
+            "search": _request_record(search_cv),
+            "validation": _request_record(validation_cv),
+        },
         "params": {"command": "segment", "n": series.n_samples, "d": series.dim, **opts},
     }
     _emit(opts["out"], record)

@@ -15,22 +15,24 @@ Each round works on the stream history up to the current origin m_s:
 
 The history is one (capacity, d) float64 buffer with a fill count: each
 sample is written into it once, as it is read, and the capacity doubles when
-the buffer fills. A round copies the first m_s rows into the series it
-segments, and a label reads the rows it needs from the buffer itself. The
-buffer is not trimmed, so it grows with the stream.
+the buffer fills. A round segments a view of the first m_s rows, not a copy:
+rows below the fill count are never written again, and a view taken before
+the buffer doubles keeps the old array, which holds the same rows. A label
+reads the rows it needs from the buffer itself. The buffer is not trimmed,
+so it grows with the stream.
 
-Every sample enters through one intake: it reads one item, refuses a NaN or
-infinite sample, writes it into the buffer and returns it as the detector
-takes it. On a one-column stream that is a float, and a float item
-(``np.float64`` included) skips ``np.asarray``. The training prefix and the
-label look-ahead loop over the intake; a monitored sample comes from the
-buffer when the look-ahead already read it. The monitored window of a
-one-column stream reads its next item inline and writes a finite float
-straight into the buffer; any other item, and the stream's end, go to the
-intake, which checks and reports it as for every other sample. The stream
-is never read ahead of need: an event for an alarm at a is pushed once
-samples up to min(a + h, n) are read, so a live stream waits for no later
-row, and the stream's end is read once.
+Samples are read in two places: the loop that fills the buffer up to a
+count (the training prefix, the samples a skipped window passes over and
+the label look-ahead) and the monitored window, which takes a sample from
+the buffer when the look-ahead already read it. On a one-column stream both
+write a finite float item (``np.float64`` included) straight into the
+buffer. Every other item, the first sample and the stream's end go to one
+intake, which converts the item, refuses a NaN or infinite sample or a
+width other than the first sample's, writes it and returns it as the
+detector takes it: a float on a one-column stream, the row otherwise. The
+stream is never read ahead of need: an event for an alarm at a is pushed
+once samples up to min(a + h, n) are read, so a live stream waits for no
+later row, and the stream's end is read once.
 
 The rounds share one :func:`~cpstream.offline.segment` window memo, so no
 window is tested twice in a stream; it grows by one entry per distinct
@@ -185,63 +187,69 @@ def run_monitor(
     origin by one window.
     """
     iterator = iter(stream)
-    buf = np.empty((0, 0))  # sample n is row n - 1; rows from size on are unfilled
-    size = 0
-    one_column = False  # set by sample 1
+    # sample n is row n - 1 of buf, and rows from size on are unfilled; column
+    # is buf's first column as one 1-D view, which one-column reads and writes
+    # index with one int, and capacity is len(buf) as an int; sample 1 sets
+    # all three and one_column
+    buf = column = np.empty((0, 0))
+    capacity = size = 0
+    one_column = False
+
+    def use(new_buf):
+        nonlocal buf, column, capacity
+        buf, column, capacity = new_buf, new_buf[:, 0], len(new_buf)
 
     def grow():
-        nonlocal buf
-        buf = np.concatenate((buf, np.empty_like(buf)))
+        use(np.concatenate((buf, np.empty_like(buf))))
 
     def admit(x):
         """Write item ``x``, sample size + 1, into the buffer; return it as ``step`` takes it.
 
         That is a float on a one-column stream and the row otherwise. At the
         stream's end ``x`` is ``_END``: admit returns None, and the stream is
-        not read again.
+        not read again. A finite float on a one-column stream never gets
+        here: the reading loops write it into the buffer themselves.
         """
-        nonlocal iterator, buf, size, one_column
+        nonlocal iterator, size, one_column
         if x is _END:
             iterator = iter(())
             return None
-        if one_column and isinstance(x, float):
-            # a float on a one-column stream skips the array round trip
-            if not math.isfinite(x):
-                raise NonFiniteSampleError(f"sample {size + 1} is not finite: {[float(x)]}")
-            buf[size, 0] = x
-        else:
-            row = np.asarray(x, dtype=float).reshape(-1)
-            if size == 0:
-                if config.trend_dim > row.shape[0]:
-                    raise ValueError(
-                        f"trend_dim {config.trend_dim} exceeds the stream's width "
-                        f"{row.shape[0]} (set by sample 1)"
-                    )
-                buf = np.empty((_FIRST_CAPACITY, row.shape[0]))
-                one_column = row.shape[0] == 1
-            elif row.shape[0] != buf.shape[1]:
+        row = np.asarray(x, dtype=float).reshape(-1)
+        if size == 0:
+            if config.trend_dim > row.shape[0]:
                 raise ValueError(
-                    f"sample {size + 1} has width {row.shape[0]}, "
-                    f"but the stream's width is {buf.shape[1]} (set by sample 1)"
+                    f"trend_dim {config.trend_dim} exceeds the stream's width "
+                    f"{row.shape[0]} (set by sample 1)"
                 )
-            # math.isfinite over a list costs a fraction of one numpy call
-            values = row.tolist()
-            if not all(map(math.isfinite, values)):
-                raise NonFiniteSampleError(f"sample {size + 1} is not finite: {values}")
-            buf[size] = row
-            x = values[0] if one_column else row
+            use(np.empty((_FIRST_CAPACITY, row.shape[0])))
+            one_column = row.shape[0] == 1
+        elif row.shape[0] != buf.shape[1]:
+            raise ValueError(
+                f"sample {size + 1} has width {row.shape[0]}, "
+                f"but the stream's width is {buf.shape[1]} (set by sample 1)"
+            )
+        # math.isfinite over a list costs a fraction of one numpy call
+        values = row.tolist()
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteSampleError(f"sample {size + 1} is not finite: {values}")
+        buf[size] = row
         size += 1
-        if size == len(buf):
+        if size == capacity:
             grow()
-        return x
-
-    def take():
-        """Read the next sample into the buffer; None at the stream's end."""
-        return admit(next(iterator, _END))
+        return values[0] if one_column else row
 
     def ensure(count: int) -> bool:
+        """Read samples until ``count`` are in the buffer; False if the stream ends first."""
+        nonlocal size
         while size < count:
-            if take() is None:
+            x = next(iterator, _END)
+            if one_column and isinstance(x, float) and math.isfinite(x):
+                # the monitored window's inline float route, below
+                column[size] = x
+                size += 1
+                if size == capacity:
+                    grow()
+            elif admit(x) is None:
                 return False
         return True
 
@@ -265,7 +273,7 @@ def run_monitor(
     while True:
         if not ensure(origin):
             break
-        past = TimeSeries(buf[:origin].copy())
+        past = TimeSeries(buf[:origin])
         try:
             training = select_training(past, config, memo)
         except InsufficientTrainingError as exc:
@@ -278,39 +286,34 @@ def run_monitor(
             )
         state = train(training, config.detector, config.gamma, online_cv)
 
-        alarm_at: int | None = None
-        consumed = 0
-        while consumed < window_k:
-            at = origin + consumed
+        for at in range(origin, origin + window_k):
             if at < size:
                 # pulled already, by the last label's look-ahead
-                x = buf.item(at, 0) if one_column else buf[at]
+                x = column.item(at) if one_column else buf[at]
             else:
                 x = next(iterator, _END)
                 if one_column and isinstance(x, float) and math.isfinite(x):
-                    # admit's float route, inline: every monitored sample
-                    # of a one-column stream that is not yet read comes here
-                    buf[size, 0] = x
+                    # a finite float on a one-column stream skips admit:
+                    # written straight into the buffer, as ensure does
+                    column[size] = x
                     size += 1
-                    if size == len(buf):
+                    if size == capacity:
                         grow()
                 else:
                     x = admit(x)
                     if x is None:
                         break
             step(state, x)
-            consumed += 1
             # an alarm stops the detector: one attribute read, where the
             # verdict's alarm is a comparison behind a property call
             if state.stopped_at is not None:
-                alarm_at = origin + consumed
                 break
-
-        if alarm_at is None:
-            if consumed < window_k:
-                break  # stream ended inside the window
-            origin += window_k
+        else:
+            origin += window_k  # a quiet window
             continue
+        if state.stopped_at is None:
+            break  # the stream ended inside the window
+        alarm_at = at + 1
 
         # pull up to h post-alarm samples for the interval label; the stream
         # end clamps the window instead of blocking the loop

@@ -8,10 +8,13 @@ on the window bounded by its neighbouring candidates and dropped or moved
 until the set is stable. Each window's statistic is computed once and every
 later request for the window is decided from it.
 
-A one-column window, the monitor's case, forms the quadratic form on the
-(n, 1) path with the inverse long-run variance as a float, in einsum's
-product order, so the statistic and the argmax equal the d x d route bit
-for bit.
+The CUSUM path is scaled in place. A one-column window, the monitor's case,
+forms the quadratic form on the (n, 1) path with the inverse long-run
+variance as a float, in einsum's product order and in place, so the
+statistic and the argmax equal the d x d route bit for bit. Segmentation
+decides a window it has already tested from the stored statistic and argmax
+alone, and builds an :class:`OfflineTestResult` only for the change points
+it reports.
 """
 
 from __future__ import annotations
@@ -101,8 +104,11 @@ def cusum_path(s: SeriesLike) -> np.ndarray:
     n = mat.shape[0]
     if n < 2:
         raise ValueError("CUSUM path needs at least 2 samples")
-    # sum / n is how ndarray.mean computes the mean, without its call overhead
-    return np.cumsum(mat - mat.sum(axis=0) / n, axis=0) / math.sqrt(n)
+    # sum / n is how ndarray.mean computes the mean, without its call overhead;
+    # dividing in place rounds as a division into a new array does
+    path = np.cumsum(mat - mat.sum(axis=0) / n, axis=0)
+    path /= math.sqrt(n)
+    return path
 
 
 def offline_test(s: SeriesLike, critval: CritVal) -> OfflineTestResult:
@@ -127,8 +133,9 @@ def offline_test(s: SeriesLike, critval: CritVal) -> OfflineTestResult:
     omega_inv = inverse(bartlett_lrv(mat, bartlett_bandwidth(n)))
     if d == 1:
         # einsum's product over one term, in its order: (C_n * Omega^-1) * C_n,
-        # on the (n, 1) path
-        quad = (path * omega_inv.item()) * path
+        # on the (n, 1) path; the second product in place, which rounds alike
+        quad = path * omega_inv.item()
+        quad *= path
     else:
         quad = np.einsum("nj,jk,nk->n", path, omega_inv, path)
     best = int(quad.argmax())
@@ -189,22 +196,30 @@ def segment(
     if memo is None:
         memo = {}
 
-    def test(w_lo: int, w_hi: int, critval: CritVal) -> OfflineTestResult:
+    def tested(w_lo: int, w_hi: int, critval: CritVal) -> OfflineTestResult:
+        """The window's stored result, testing it at ``critval`` on a miss."""
         known = memo.get((w_lo, w_hi))
         if known is None:
             window = parent.segment(w_lo, w_hi)
             known = memo[w_lo, w_hi] = offline_test(window, critval)
-        return OfflineTestResult(known.statistic_m, critval.value, known.n, known.argmax)
+        return known
+
+    def test(w_lo: int, w_hi: int, critval: CritVal) -> int | None:
+        """The window's change point at ``critval``'s level, or None if it does not reject."""
+        known = tested(w_lo, w_hi, critval)
+        # OfflineTestResult's rejection rule, on the stored statistic and argmax
+        if known.statistic_m >= critval.value:
+            return w_lo + known.argmax - 1
+        return None
 
     candidates: list[int] = []
 
     def search(w_lo: int, w_hi: int) -> None:
         if w_hi - w_lo + 1 < 2 * min_seg:
             return
-        result = test(w_lo, w_hi, search_cv)
-        if not result.reject:
+        cp = test(w_lo, w_hi, search_cv)
+        if cp is None:
             return
-        cp = w_lo + result.cp_index - 1
         candidates.append(cp)
         search(w_lo, cp)
         search(cp + 1, w_hi)
@@ -221,10 +236,9 @@ def segment(
                 w_lo, w_hi = bounds[i] + 1, bounds[i + 2]
                 if w_hi - w_lo + 1 < 4:
                     continue
-                result = test(w_lo, w_hi, validation_cv)
-                if not result.reject:
+                moved = test(w_lo, w_hi, validation_cv)
+                if moved is None:
                     continue
-                moved = w_lo + result.cp_index - 1
                 survivors.add(moved if abs(moved - cp) > min_seg else cp)
             updated = sorted(survivors)
             if updated == candidates:
@@ -237,8 +251,9 @@ def segment(
 
     stats = []
     bounds = [lo - 1] + candidates + [hi]
-    for i, cp in enumerate(candidates):
-        stats.append(test(bounds[i] + 1, bounds[i + 2], validation_cv))
+    for i in range(len(candidates)):
+        known = tested(bounds[i] + 1, bounds[i + 2], validation_cv)
+        stats.append(OfflineTestResult(known.statistic_m, validation_cv.value, known.n, known.argmax))
 
     return ChangePointSet(
         cps=tuple(candidates),

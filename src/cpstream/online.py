@@ -30,13 +30,14 @@ float route in :func:`step`: the same formula in Python floats, in the same
 operation order. A single-stream d = 1 state reads its trained scalars (the
 training sum, the inverse square root or ratio inverse, the critical value
 and sqrt(m)) into floats once, when it is made; :func:`step` reads the
-running sum from ``cum_sum_post`` and writes it back in place. A float
-sample then goes from the checks straight to the arithmetic and the
-verdict, with no array made and no helper call. With d = 1
-every reduction of the numpy evaluation runs over one element and so is
-exact, which makes the two routes agree bit for bit. At gamma != 0 the
-boundary keeps ``np.power`` on that route: ``math.pow`` and ``**`` round
-some powers differently in the last bit.
+running sum from ``cum_sum_post`` and writes it back in place. An exact
+float sample then passes only the stop and finiteness checks on its way to
+the arithmetic, with no array made and no helper call, and its verdict is
+made by ``tuple.__new__``, not by the named tuple's slower ``__new__``.
+With d = 1 every reduction of the numpy evaluation runs over one element
+and so is exact, which makes the two routes agree bit for bit. At
+gamma != 0 the boundary keeps ``np.power`` on that route: ``math.pow`` and
+``**`` round some powers differently in the last bit.
 
 Each evaluation returns a :class:`Verdict`, an immutable named tuple of the
 detector value, the threshold and the count, whose alarm is derived from
@@ -77,6 +78,11 @@ class DetectorKind(str, Enum):
         if self is DetectorKind.STANDARD:
             return CritValKind.ONLINE_STANDARD
         return CritValKind.ONLINE_RATIO
+
+
+# _new_tuple(Verdict, fields) is Verdict(*fields) without the named tuple's
+# generated Python-level __new__, which costs about twice as much
+_new_tuple = tuple.__new__
 
 
 class Verdict(NamedTuple):
@@ -311,34 +317,40 @@ def step(state: OnlineDetectorState, x) -> Verdict:
 
     A d = 1 detector takes a float, an ``np.float64``, a (1,) array or a
     one-item list, and evaluates in Python floats from the scalars its state
-    read when it was made; a float sample goes straight to the arithmetic,
-    with no array conversion and no helper call. The result equals
+    read when it was made. An exact ``float`` passes only the stop and
+    finiteness checks on its way to the arithmetic; every other item is
+    checked and converted first. The result equals
     :func:`run_batch`'s bit for bit, because every reduction there runs over
     one element and the boundary is :func:`_boundary`'s formula in the same
     operation order. A wider detector evaluates in numpy.
     """
-    if state.stacked:
-        raise ValueError("step takes a single-stream state; feed a stacked state with run_batch")
-    if state.stopped_at is not None:
-        raise DetectorStoppedError(f"detector already alarmed at k={state.stopped_at}")
     scalars = state._scalars
-    if scalars is not None and isinstance(x, float):
-        x = float(x)
+    if scalars is not None and type(x) is float:
+        # the float route: only a single-stream d = 1 state has scalars
+        if state.stopped_at is not None:
+            raise DetectorStoppedError(f"detector already alarmed at k={state.stopped_at}")
     else:
-        sample = np.asarray(x, dtype=float).reshape(-1)
-        d = state.dim
-        if sample.shape[0] != d:
-            raise ValueError(f"sample has dimension {sample.shape[0]}, detector expects {d}")
-        if scalars is not None:
-            x = sample.item()
+        if state.stacked:
+            raise ValueError("step takes a single-stream state; feed a stacked state with run_batch")
+        if state.stopped_at is not None:
+            raise DetectorStoppedError(f"detector already alarmed at k={state.stopped_at}")
+        if scalars is not None and isinstance(x, float):
+            x = float(x)  # an np.float64
         else:
-            # math.isfinite over a list costs a fraction of one numpy call
-            values = sample.tolist()
-            if not all(map(math.isfinite, values)):
-                raise NonFiniteSampleError(f"non-finite sample {values} at k={state.k + 1}")
-            state.k += 1
-            state.cum_sum_post += sample
-            return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
+            sample = np.asarray(x, dtype=float).reshape(-1)
+            d = state.dim
+            if sample.shape[0] != d:
+                raise ValueError(f"sample has dimension {sample.shape[0]}, detector expects {d}")
+            if scalars is not None:
+                x = sample.item()
+            else:
+                # math.isfinite over a list costs a fraction of one numpy call
+                values = sample.tolist()
+                if not all(map(math.isfinite, values)):
+                    raise NonFiniteSampleError(f"non-finite sample {values} at k={state.k + 1}")
+                state.k += 1
+                state.cum_sum_post += sample
+                return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
     if not math.isfinite(x):
         raise NonFiniteSampleError(f"non-finite sample {[x]} at k={state.k + 1}")
 
@@ -361,7 +373,7 @@ def step(state: OnlineDetectorState, x) -> Verdict:
     # _verdict's rule, inline
     if value >= threshold:
         state.stopped_at = k
-    return Verdict(value, threshold, k)
+    return _new_tuple(Verdict, (value, threshold, k))
 
 
 def run_batch(

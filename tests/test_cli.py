@@ -228,19 +228,21 @@ class TestTrendCommand:
 
 
 # the sha256 of each report's stdout on the series of test_golden_report,
-# recorded when every record stored its verdict next to its measurements
+# recorded when every record stored its verdict next to its measurements; the
+# offline and segment digests were re-recorded when those reports gained
+# critval_request, and with that key removed they hash as before
 GOLDEN_REPORTS = {
     "offline": (
         ["offline", "--columns", "2", *REPORT_BUDGET],
-        "c382daae9baeb7b0b9f9ed0af473c87d31c7dc05156649a74cce3dd22744a31d",
+        "76885bd0bb8e56dcc117c4433ca9c97ea6052418267f5eb167ed90213a57c4de",
     ),
     "segment-1col": (
         ["segment", "--columns", "2", *REPORT_BUDGET],
-        "28944355e7108966613879882828553605da24a608a967cd7f427855c932adf3",
+        "6e0c52da3cf5e1ff153a7c2f5407a5b0218985d368c558607d4d21a002f83c87",
     ),
     "segment-2col": (
         ["segment", "--columns", "2,3", *REPORT_BUDGET],
-        "8091d2b576739c8dab95daae57257d9312f7723c946b635516fc11159f585c91",
+        "4d91759fa9313512e860b33fe566c564d6e80d47e4e2df7ff92dba97842d7462",
     ),
     "trend-point": (
         ["trend", "--columns", "2", "--at", "201", "--mode", "point"],
@@ -768,6 +770,56 @@ class TestTableFlag:
         served = json.loads(run(*argv, "--table", str(path)))["critval"]
         assert served == stored.value
         assert served != simulated
+
+    @pytest.fixture()
+    def seed1_table(self, tmp_path):
+        """A table holding only the offline d = 1 value at alpha 0.05, at seed 1 and grid 150."""
+        path = tmp_path / "seed1.csv"
+        build_table(
+            path, kinds=[CritValKind.OFFLINE_MAX], dims=(1,), alphas=(0.05,),
+            grid_steps=150, replications=1000, seed=1,
+        )
+        return str(path)
+
+    def test_offline_reports_the_served_request(self, run, one_step_csv, seed1_table):
+        argv = ["offline", "--input", one_step_csv, "--seed", "0", *MIN_BUDGET]
+        plain = json.loads(run(*argv))
+        tabled = json.loads(run(*argv, "--table", seed1_table))
+        validate(plain, "offline")
+        validate(tabled, "offline")
+        assert plain["critval_request"] == {
+            "alpha": 0.05, "seed": 0, "grid_steps": 100, "replications": 1000,
+        }
+        # the value applied is the table's, so is the request echoed with it
+        assert tabled["critval_request"] == {
+            "alpha": 0.05, "seed": 1, "grid_steps": 150, "replications": 1000,
+        }
+        assert tabled["params"]["seed"] == 0
+
+    def test_segment_reports_both_served_requests(self, run, steps_csv, seed1_table, monkeypatch):
+        simulated = []
+        real = critvals.compute_critval
+
+        def counted(request, *args, **kwargs):
+            simulated.append(request.alpha)
+            return real(request, *args, **kwargs)
+
+        monkeypatch.setattr(critvals, "compute_critval", counted)
+        argv = ["segment", "--input", steps_csv, "--seed", "0", *MIN_BUDGET]
+        record = json.loads(run(*argv, "--table", seed1_table))
+        validate(record, "segment")
+        # 300 samples at the default min_seg 20: 7 disjoint windows
+        validation_alpha = 0.05 / 7
+        assert record["critval_request"] == {
+            "search": {"alpha": 0.05, "seed": 1, "grid_steps": 150, "replications": 1000},
+            "validation": {
+                "alpha": validation_alpha, "seed": 0, "grid_steps": 100, "replications": 1000,
+            },
+        }
+        # the report reads what the provider served: only the untabulated
+        # validation level was simulated, once
+        assert simulated == [validation_alpha]
+        assert record["per_cp"]
 
     @pytest.mark.parametrize(
         "value, problem",

@@ -218,16 +218,19 @@ class TestRunMonitor:
 
     @pytest.mark.parametrize(
         "bad, where",
-        [(np.nan, "training"), (np.nan, "window"), (np.inf, "window"), (np.nan, "after-alarm")],
-        ids=["nan-in-training-prefix", "nan-in-monitored-window", "inf-in-monitored-window",
-             "nan-after-alarm"],
+        [(np.nan, "first"), (np.nan, "training"), (np.nan, "window"), (np.inf, "window"),
+         (np.nan, "after-alarm")],
+        ids=["nan-in-first-sample", "nan-in-training-prefix", "nan-in-monitored-window",
+             "inf-in-monitored-window", "nan-after-alarm"],
     )
     def test_non_finite_sample_rejected_with_stream_index(self, config, bad, where):
         x = one_step(7, 400, 150, 5.0)
         [event] = run_monitor(x, config)
-        # 1-based stream index: inside the first m_min samples, inside the
-        # first monitored window, and the first sample the label pulls
-        index = {"training": 60, "window": 130, "after-alarm": event.detected_at + 1}[where]
+        # 1-based stream index: the sample that fixes the width, inside the
+        # first m_min samples, inside the first monitored window, and the
+        # first sample the label pulls
+        index = {"first": 1, "training": 60, "window": 130,
+                 "after-alarm": event.detected_at + 1}[where]
         x[index - 1] = bad
         # an ndarray and a list of floats take the scalar intake, one-item lists the array intake
         for stream in (x, x.tolist(), [[v] for v in x.tolist()]):
@@ -237,6 +240,35 @@ class TestRunMonitor:
             ):
                 run_monitor(stream, config, on_event=seen.append)
             assert seen == []
+
+    def test_non_finite_sample_in_a_skipped_window(self, config, caplog):
+        # a window the loop skips is read past without the detector, by the
+        # same loop that reads the training prefix
+        x = one_step(7, 400, 150, 5.0)
+        with caplog.at_level(logging.WARNING, logger="cpstream.monitor"):
+            [event] = run_monitor(x, config)
+        origin = event.detected_at + config.quiet_gap_d
+        assert f"skipping window at origin {origin}:" in caplog.text
+        index = origin + config.window_k // 2
+        x[index - 1] = np.nan
+        for stream in (x, x.tolist(), [[v] for v in x.tolist()]):
+            with pytest.raises(NonFiniteSampleError, match=rf"^sample {index} is not finite: \[nan\]$"):
+                run_monitor(stream, config)
+
+    def test_prefix_item_forms_give_identical_events(self, config):
+        # the prefix and the skipped window pass np.float64, int and
+        # one-item-list items through the intake, and floats inline
+        x = one_step(7, 400, 150, 5.0)
+        x[:300] = np.round(3.0 * x[:300])
+        floats = x.tolist()
+        events = run_monitor(floats, config)
+        assert events
+        forms = (np.float64, int, lambda v: [v])
+        for form in forms:
+            items = [form(v) if i < 300 else v for i, v in enumerate(floats)]
+            assert run_monitor(items, config) == events
+        mixed = [forms[i % 3](v) if i < 300 else v for i, v in enumerate(floats)]
+        assert run_monitor(iter(mixed), config) == events
 
     def test_each_window_tested_once_per_stream(self, config, monkeypatch):
         windows = []

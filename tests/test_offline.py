@@ -285,6 +285,32 @@ class TestSegment:
                 assert stat == offline_test(series.segment(bounds[i] + 1, bounds[i + 2]), cv)
         assert found > 0
 
+    def test_shared_memo_keeps_test_results(self, cheap_provider):
+        # hits are decided from the stored statistic and argmax; the memo keeps
+        # what offline_test returned, and the reported stats carry the
+        # validation level's value
+        x = substream(3, 11).standard_normal((2400, 1))
+        x[700:1500] += 3.0
+        memo = {}
+        search_cv = cheap_provider("offline-max", 1, 0.05)
+        for n in range(400, 2401, 400):
+            series = TimeSeries(x[:n])
+            result = segment(series, 0.05, cheap_provider, memo=memo)
+            validation_cv = cheap_provider("offline-max", 1, 0.05 / (n // 40))
+            assert all(stat.critval_used == validation_cv.value for stat in result.per_cp_stats)
+        assert result.cps
+        levels = {search_cv.value} | {
+            cheap_provider("offline-max", 1, 0.05 / (n // 40)).value for n in range(400, 2401, 400)
+        }
+        for (w_lo, w_hi), stored in memo.items():
+            assert type(stored) is OfflineTestResult
+            assert stored.critval_used in levels
+            # the statistic and the argmax do not depend on the level
+            direct = offline_test(TimeSeries(x).segment(w_lo, w_hi), search_cv)
+            assert (stored.statistic_m, stored.n, stored.argmax) == (
+                direct.statistic_m, direct.n, direct.argmax
+            )
+
     def test_changepointset_invariants(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             ChangePointSet(cps=(5, 5), per_cp_stats=(None, None), alpha=0.05)

@@ -80,6 +80,22 @@ class TestVerdict:
         assert type(step(state, sample)) is Verdict
         assert type(step(state, np.full(d, 1e6))) is Verdict
 
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    def test_float_route_verdict_is_a_real_verdict(self, kind):
+        # the d = 1 float route builds its verdict without Verdict's own
+        # __new__; it is still a Verdict that equals its plain tuple, and
+        # alarm is still derived from its numbers
+        cv = small_critval(kind, 1)
+        state = train(substream(1, 14).standard_normal((50, 1)), kind, 0.0, cv)
+        for sample, alarm in ((0.25, False), (1e6, True)):
+            verdict = step(state, sample)
+            assert type(verdict) is Verdict
+            assert verdict == tuple(verdict) == Verdict(*verdict)
+            assert verdict._fields == self.FIELDS
+            assert type(verdict.detector_value) is float and type(verdict.k_at_eval) is int
+            assert verdict.alarm is alarm is (verdict.detector_value >= verdict.threshold)
+        assert state.stopped_at == verdict.k_at_eval == 2
+
     def test_verdicts_item_is_the_single_stream_verdict(self, cv_standard_d1):
         stack = substream(1, 14).standard_normal((3, 60, 1))
         stack[1, 55] += 1e3
@@ -576,8 +592,10 @@ class TestStacked:
 class TestStackedGuards:
     def test_step_rejects_stack(self, cv_standard_d1):
         state = train(np.zeros((3, 20, 1)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
-        with pytest.raises(ValueError, match="run_batch"):
-            step(state, [0.0])
+        # a stack has no float route: a float is refused as a row is
+        for sample in ([0.0], 0.0):
+            with pytest.raises(ValueError, match="run_batch"):
+                step(state, sample)
 
     def test_stopped_stream_refuses_stack(self, cv_standard_d1, rng):
         state = train(rng.normal(size=(3, 50, 1)), DetectorKind.STANDARD, 0.0, cv_standard_d1)
