@@ -316,7 +316,7 @@ def compute_critval(request: CritValRequest, samples: dict | None = None) -> Cri
 
 
 def _key(kind: CritValKind, d: int, alpha: float, gamma: float) -> tuple:
-    return (CritValKind(kind).value, int(d), float(gamma), float(alpha))
+    return (kind.value, int(d), float(gamma), float(alpha))
 
 
 def _positive(text: str) -> float:
@@ -408,7 +408,8 @@ class MonteCarloProvider:
     ) -> CritVal:
         kind = CritValKind(kind)
         key = _key(kind, d, alpha, gamma)
-        if key not in self._cache:
+        cv = self._cache.get(key)
+        if cv is None:
             request = CritValRequest(
                 kind=kind,
                 alpha=alpha,
@@ -419,8 +420,8 @@ class MonteCarloProvider:
                 horizon_T=self.horizon_T if kind is CritValKind.ONLINE_RATIO else None,
                 seed=self.seed,
             )
-            self._cache[key] = compute_critval(request, self._samples)
-        return self._cache[key]
+            cv = self._cache[key] = compute_critval(request, self._samples)
+        return cv
 
     def save(self, path: str | Path) -> None:
         """Write the memo as a table file, one row per key in key order."""

@@ -15,7 +15,10 @@ inversion sites (:func:`inverse`, :func:`inverse_sqrt`) regularize it via
 or one whose smallest eigenvalue rounding pushed below zero.
 
 A one-dimensional series (d = 1) takes a scalar route through the same
-algebra, bit for bit equal to the matrix route. Each centred lag product is
+algebra, bit for bit equal to the matrix route. It centres the 1-D column
+itself, ``col - col.sum() / N``: a column's sum is the (N, 1) matrix's
+axis-0 sum, because numpy reduces both by one pairwise sum over the same
+strided samples. Each centred lag product is
 then one dot product of the centred column, which numpy's ``matmul``
 computes by the same BLAS dot as ``np.dot`` of the 1-D column, and the
 weighted lag sum is Python float arithmetic; only the result is made a
@@ -74,13 +77,21 @@ def bartlett_weight(x: float) -> float:
     return max(0.0, 1.0 - abs(x))
 
 
-def bartlett_lrv(s: SeriesLike, bandwidth: int | None = None) -> np.ndarray:
+def bartlett_lrv(
+    s: SeriesLike, bandwidth: int | None = None, *, centred: bool = False
+) -> np.ndarray:
     """Bartlett estimate of the long-run covariance of a series, as a (d, d) matrix.
 
     ``bandwidth`` is the truncation lag L; when omitted it defaults to
     ``bartlett_bandwidth(N)``. The result is symmetric and positive
     semidefinite up to rounding. A (near-)singular estimate is not an error
     here; inversion sites regularize via :func:`regularize_spd`.
+
+    ``centred=True`` says that ``s`` is already ``x - x.sum(axis=-2,
+    keepdims=True) / N`` for the series x to be estimated (the 1-D
+    ``col - col.sum() / N`` for a one-column x), so it is not centred
+    again: a caller that centred x for its own use passes that array, and
+    the estimate equals the one of x bit for bit.
 
     An (S, N, d) stack of equal-length series gives an (S, d, d) stack whose
     slice i equals, bit for bit, the estimate of series i alone.
@@ -96,15 +107,17 @@ def bartlett_lrv(s: SeriesLike, bandwidth: int | None = None) -> np.ndarray:
     # every lag product from one centring of the sample, divided by N (not
     # N - lag); matmul over a stack makes the per-slice product of one series.
     # sum / n is how ndarray.mean computes the mean, without its call overhead
-    centered = mat - mat.sum(axis=-2, keepdims=True) / n
-    if centered.ndim == 2 and centered.shape[1] == 1:
+    if mat.ndim == 2 and mat.shape[1] == 1:
         # the same operations in the same order, on the 1-D column, in floats
-        col = centered[:, 0]
+        col = mat[:, 0]
+        if not centred:
+            col = col - col.sum() / n
         o = float(np.dot(col, col)) / n
         for lag in range(1, bandwidth + 1):
             g = float(np.dot(col[lag:], col[: n - lag])) / n
             o = o + bartlett_weight(lag / (bandwidth + 1)) * (g + g)
         return np.array([[(o + o) / 2.0]])
+    centered = mat if centred else mat - mat.sum(axis=-2, keepdims=True) / n
     transposed = centered.swapaxes(-1, -2)
     omega = np.matmul(transposed, centered) / n
     for lag in range(1, bandwidth + 1):

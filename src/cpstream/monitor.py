@@ -17,7 +17,10 @@ The history is one (capacity, d) float64 buffer with a fill count: each
 sample is written into it once, as it is read, and the capacity doubles when
 the buffer fills. A round segments a view of the first m_s rows, not a copy:
 rows below the fill count are never written again, and a view taken before
-the buffer doubles keeps the old array, which holds the same rows. A label
+the buffer doubles keeps the old array, which holds the same rows. Nor does
+a round check those rows again: every sample was refused unless finite as
+it was read, so the round's series is built without the constructor's scan
+of the whole history. A label
 reads the rows it needs from the buffer itself. The buffer is not trimmed,
 so it grows with the stream.
 
@@ -64,7 +67,7 @@ from .critvals import CritValProvider
 from .errors import InsufficientTrainingError, NonFiniteSampleError
 from .offline import DEFAULT_MIN_SEG, OfflineTestResult, _check_min_seg, segment
 from .online import DetectorKind, step, train
-from .timeseries import SeriesSegment, TimeSeries
+from .timeseries import SeriesSegment, TimeSeries, _checked_rows
 from .trend import Direction, MacdParams, TrendMemo, TrendVerdict, trend_interval
 
 __all__ = [
@@ -273,7 +276,8 @@ def run_monitor(
     while True:
         if not ensure(origin):
             break
-        past = TimeSeries(buf[:origin])
+        # every sample was refused unless finite as it was read
+        past = _checked_rows(buf[:origin])
         try:
             training = select_training(past, config, memo)
         except InsufficientTrainingError as exc:

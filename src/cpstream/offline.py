@@ -9,8 +9,10 @@ until the set is stable. Each window's statistic is computed once and every
 later request for the window is decided from it.
 
 The CUSUM path is scaled in place. A one-column window, the monitor's case,
-forms the quadratic form on the (n, 1) path with the inverse long-run
-variance as a float, in einsum's product order and in place, so the
+works on the 1-D column: it centres the column once, and the CUSUM path and
+the long-run variance (:func:`~cpstream.longrun.bartlett_lrv` with
+``centred=True``) share that centring; the quadratic form takes the inverse
+long-run variance as a float, in einsum's product order and in place. The
 statistic and the argmax equal the d x d route bit for bit. Segmentation
 decides a window it has already tested from the stored statistic and argmax
 alone, and builds an :class:`OfflineTestResult` only for the change points
@@ -129,14 +131,21 @@ def offline_test(s: SeriesLike, critval: CritVal) -> OfflineTestResult:
     if req.d != d:
         raise ValueError(f"critical value simulated for d={req.d}, series has d={d}")
 
-    path = cusum_path(mat)
-    omega_inv = inverse(bartlett_lrv(mat, bartlett_bandwidth(n)))
     if d == 1:
-        # einsum's product over one term, in its order: (C_n * Omega^-1) * C_n,
-        # on the (n, 1) path; the second product in place, which rounds alike
-        quad = path * omega_inv.item()
+        # cusum_path's centring, made once for the path and the estimate
+        col = mat[:, 0]
+        centred = col - col.sum() / n
+        omega_inv = inverse(bartlett_lrv(centred, bartlett_bandwidth(n), centred=True)).item()
+        # the method: np.cumsum's dispatch to it costs as much as its sum
+        path = centred.cumsum()
+        path /= math.sqrt(n)
+        # einsum's product over one term, in its order: (C_n * Omega^-1) * C_n;
+        # the second product in place, which rounds alike
+        quad = path * omega_inv
         quad *= path
     else:
+        path = cusum_path(mat)
+        omega_inv = inverse(bartlett_lrv(mat, bartlett_bandwidth(n)))
         quad = np.einsum("nj,jk,nk->n", path, omega_inv, path)
     best = int(quad.argmax())
     return OfflineTestResult(quad.item(best), critval.value, n, best + 1)
@@ -185,13 +194,16 @@ def segment(
     """
     _check_min_seg(min_seg)
     if isinstance(s, TimeSeries):
-        s = s.segment(1, s.n_samples)
-    parent, lo, hi = s.parent, s.lo, s.hi
-    if s.n_samples < 2 * min_seg:
-        raise ValueError(f"series of length {s.n_samples} too short to segment (need {2 * min_seg})")
-    max_windows = max(1, s.n_samples // (2 * min_seg))
-    search_cv = critvals(CritValKind.OFFLINE_MAX, s.dim, alpha)
-    validation_cv = critvals(CritValKind.OFFLINE_MAX, s.dim, alpha / max_windows)
+        parent, lo, hi = s, 1, s.n_samples
+    else:
+        parent, lo, hi = s.parent, s.lo, s.hi
+    n = hi - lo + 1
+    if n < 2 * min_seg:
+        raise ValueError(f"series of length {n} too short to segment (need {2 * min_seg})")
+    max_windows = max(1, n // (2 * min_seg))
+    d = parent.dim
+    search_cv = critvals(CritValKind.OFFLINE_MAX, d, alpha)
+    validation_cv = critvals(CritValKind.OFFLINE_MAX, d, alpha / max_windows)
 
     if memo is None:
         memo = {}

@@ -94,6 +94,20 @@ class SeriesSegment:
 SeriesLike = Union[TimeSeries, SeriesSegment, np.ndarray, Sequence]
 
 
+def _checked_rows(values: np.ndarray) -> TimeSeries:
+    """A TimeSeries over ``values`` as they are: no copy, and no check.
+
+    For a caller whose ``values`` is a non-empty (N, d) C-contiguous
+    float64 array of samples it has already refused unless finite, such
+    as a prefix view of the monitor's sample buffer. The view is made
+    read-only, as the constructor makes its array.
+    """
+    values.flags.writeable = False
+    series = object.__new__(TimeSeries)
+    object.__setattr__(series, "values", values)
+    return series
+
+
 def as_matrix(s: SeriesLike) -> np.ndarray:
     """The (N, d) sample matrix behind a series, segment, or plain array."""
     if isinstance(s, (TimeSeries, SeriesSegment)):

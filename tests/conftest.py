@@ -119,4 +119,9 @@ def d1_edge_windows():
     series = TimeSeries(long)
     windows += [(f"segment [{lo}, {hi}]", series.segment(lo, hi))
                 for lo, hi in ((1, 4), (17, 29), (300, 1299), (2001, 6000), (5990, 6000))]
+    # the monitor's case: row slices of an (capacity, 1) sample buffer, at
+    # lengths on both sides of numpy's 8-way unrolled and 128-block pairwise sum
+    buf = (gen.standard_normal(8192) * 0.37 + 41.5).reshape(-1, 1)
+    windows += [(f"buffer rows [{lo}:{hi}]", buf[lo:hi])
+                for lo, hi in ((1, 5), (3, 130), (37, 165), (100, 1124), (511, 4607), (1000, 8191))]
     return windows

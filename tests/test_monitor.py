@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import logging
 import math
 from collections import Counter
@@ -293,6 +294,40 @@ class TestRunMonitor:
         assert len(rounds) > 10
         assert windows
         assert Counter(windows).most_common(1)[0][1] == 1
+
+    # the module globals a span tracer rebinds from outside the package
+    # (perfbench/spans.py): a route that bypasses one leaves its span empty
+    LAYER_BOUNDARIES = [
+        ("cpstream.monitor", "segment"),
+        ("cpstream.monitor", "train"),
+        ("cpstream.monitor", "step"),
+        ("cpstream.monitor", "trend_interval"),
+        ("cpstream.offline", "offline_test"),
+        ("cpstream.offline", "bartlett_lrv"),
+        ("cpstream.online", "bartlett_lrv"),
+    ]
+
+    def test_every_layer_boundary_is_called_through_its_global(self, config, monkeypatch):
+        calls = Counter()
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        for module_name, attr in self.LAYER_BOUNDARIES:
+            module = importlib.import_module(module_name)
+            name = f"{module_name}.{attr}"
+            monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+        events = run_monitor(one_step(41, 1200, 600, 4.0), config)
+        assert events
+        assert sorted(calls) == sorted(f"{m}.{a}" for m, a in self.LAYER_BOUNDARIES)
+        # every offline test and every standard training estimates a long-run variance
+        assert calls["cpstream.offline.bartlett_lrv"] == calls["cpstream.offline.offline_test"]
+        assert calls["cpstream.online.bartlett_lrv"] == calls["cpstream.monitor.train"]
+        assert calls["cpstream.monitor.trend_interval"] == len(events)
 
     def test_each_indicator_value_computed_once(self, config, monkeypatch):
         # the labels of one stream extend one indicator memo: the samples each

@@ -162,6 +162,10 @@ class TestScalarRoute:
             n = len(x)
             bandwidth = bartlett_bandwidth(n)
             centered = x - x.sum(axis=0, keepdims=True) / n
+            # offline_test's one centring of the 1-D column, shared by the
+            # CUSUM path and the estimate
+            col = x[:, 0]
+            assert (col - col.sum() / n).tobytes() == centered[:, 0].tobytes(), name
             omega = centered.T @ centered / n
             for lag in range(1, bandwidth + 1):
                 gamma = centered[lag:].T @ centered[: n - lag] / n
