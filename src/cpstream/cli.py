@@ -33,7 +33,7 @@ from .critvals import (
 )
 from .errors import CpstreamError
 from .monitor import ChangeEvent, MonitorConfig, run_monitor
-from .offline import DEFAULT_MIN_SEG, OfflineTestResult, offline_test, segment
+from .offline import DEFAULT_MIN_SEG, offline_test, segment
 from .online import DetectorKind
 from .timeseries import TimeSeries, iter_csv, load_csv
 from .trend import MacdParams, trend_interval, trend_point
@@ -326,23 +326,9 @@ def _cmd_offline(opts: dict) -> int:
 def _cmd_segment(opts: dict) -> int:
     series = _load_series(opts)
     alpha = opts["alpha"]
-    memo: dict[tuple[int, int], OfflineTestResult] = {}
-    provider = _provider(opts)
-    served = []
-
-    def recorded(*request):
-        # the provider's memo serves each level; this keeps what it served
-        cv = provider(*request)
-        served.append(cv)
-        return cv
-
-    result = segment(series, alpha, recorded, opts["min_seg"], memo)
-    # segment asks for its search level, then its validation level, once each
-    search_cv, validation_cv = served
-    # segment refuses a series too short to split, so it always tested the full window
-    full = memo[1, series.n_samples]
+    result = segment(series, alpha, _provider(opts), opts["min_seg"])
     record = {
-        "statistic": full.statistic_m,
+        "statistic": result.statistic_m,
         "cps": list(result.cps),
         "alpha": alpha,
         "per_cp": [
@@ -351,8 +337,8 @@ def _cmd_segment(opts: dict) -> int:
         ],
         "hit_round_cap": result.hit_round_cap,
         "critval_request": {
-            "search": _request_record(search_cv),
-            "validation": _request_record(validation_cv),
+            "search": _request_record(result.search_critval),
+            "validation": _request_record(result.validation_critval),
         },
         "params": {"command": "segment", "n": series.n_samples, "d": series.dim, **opts},
     }

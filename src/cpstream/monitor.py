@@ -24,18 +24,15 @@ of the whole history. A label
 reads the rows it needs from the buffer itself. The buffer is not trimmed,
 so it grows with the stream.
 
-Samples are read in two places: the loop that fills the buffer up to a
-count (the training prefix, the samples a skipped window passes over and
-the label look-ahead) and the monitored window, which takes a sample from
-the buffer when the look-ahead already read it. On a one-column stream both
-write a finite float item (``np.float64`` included) straight into the
-buffer. Every other item, the first sample and the stream's end go to one
-intake, which converts the item, refuses a NaN or infinite sample or a
-width other than the first sample's, writes it and returns it as the
-detector takes it: a float on a one-column stream, the row otherwise. The
-stream is never read ahead of need: an event for an alarm at a is pushed
-once samples up to min(a + h, n) are read, so a live stream waits for no
-later row, and the stream's end is read once.
+One reader takes every sample from the stream into the buffer. It fills
+the buffer up to a count (the training prefix, the samples a skipped window
+passes over and the label look-ahead) and, in a monitored window, also steps
+the detector over each sample it reads and stops at the alarm. A window first
+steps over the samples that the last label's look-ahead already read, from
+the buffer. Every sample is checked as it is read, and the stream is read
+no further than an event's label window needs: an event for an alarm at a
+is pushed once samples up to min(a + h, n) are read, so a live stream waits
+for no later row, and the stream's end is read once.
 
 The rounds share one :func:`~cpstream.offline.segment` window memo, so no
 window is tested twice in a stream; it grows by one entry per distinct
@@ -82,7 +79,7 @@ logger = logging.getLogger(__name__)
 
 # rows of the first sample buffer; it doubles whenever it fills
 _FIRST_CAPACITY = 1024
-# what the intake reads at the stream's end
+# what the reader reads at the stream's end
 _END = object()
 
 
@@ -188,6 +185,12 @@ def run_monitor(
     stream order (and pushed to ``on_event`` as they happen). A window
     whose training selection fails is logged and skipped, advancing the
     origin by one window.
+
+    On a one-column stream a finite float item (``np.float64`` included)
+    is written straight into the buffer. Any other item goes through
+    ``np.asarray`` and the width and finiteness checks before it is
+    written. The detector takes a float on a one-column stream and the row
+    otherwise.
     """
     iterator = iter(stream)
     # sample n is row n - 1 of buf, and rows from size on are unfilled; column
@@ -198,65 +201,56 @@ def run_monitor(
     capacity = size = 0
     one_column = False
 
-    def use(new_buf):
-        nonlocal buf, column, capacity
-        buf, column, capacity = new_buf, new_buf[:, 0], len(new_buf)
+    def read(count: int, state=None) -> bool:
+        """Read samples until ``count`` are in the buffer; False if the stream ends first.
 
-    def grow():
-        use(np.concatenate((buf, np.empty_like(buf))))
-
-    def admit(x):
-        """Write item ``x``, sample size + 1, into the buffer; return it as ``step`` takes it.
-
-        That is a float on a one-column stream and the row otherwise. At the
-        stream's end ``x`` is ``_END``: admit returns None, and the stream is
-        not read again. A finite float on a one-column stream never gets
-        here: the reading loops write it into the buffer themselves.
+        Given a running detector ``state``, each sample read is also passed to
+        ``step``, and reading stops at the alarm. The stream is not read
+        again after its end.
         """
-        nonlocal iterator, size, one_column
-        if x is _END:
-            iterator = iter(())
-            return None
-        row = np.asarray(x, dtype=float).reshape(-1)
-        if size == 0:
-            if config.trend_dim > row.shape[0]:
-                raise ValueError(
-                    f"trend_dim {config.trend_dim} exceeds the stream's width "
-                    f"{row.shape[0]} (set by sample 1)"
-                )
-            use(np.empty((_FIRST_CAPACITY, row.shape[0])))
-            one_column = row.shape[0] == 1
-        elif row.shape[0] != buf.shape[1]:
-            raise ValueError(
-                f"sample {size + 1} has width {row.shape[0]}, "
-                f"but the stream's width is {buf.shape[1]} (set by sample 1)"
-            )
-        # math.isfinite over a list costs a fraction of one numpy call
-        values = row.tolist()
-        if not all(map(math.isfinite, values)):
-            raise NonFiniteSampleError(f"sample {size + 1} is not finite: {values}")
-        buf[size] = row
-        size += 1
-        if size == capacity:
-            grow()
-        return values[0] if one_column else row
-
-    def ensure(count: int) -> bool:
-        """Read samples until ``count`` are in the buffer; False if the stream ends first."""
-        nonlocal size
+        nonlocal iterator, buf, column, capacity, size, one_column
         while size < count:
             x = next(iterator, _END)
             if one_column and isinstance(x, float) and math.isfinite(x):
-                # the monitored window's inline float route, below
                 column[size] = x
-                size += 1
-                if size == capacity:
-                    grow()
-            elif admit(x) is None:
+            elif x is _END:
+                iterator = iter(())
                 return False
+            else:
+                row = np.asarray(x, dtype=float).reshape(-1)
+                if size == 0:
+                    if config.trend_dim > row.shape[0]:
+                        raise ValueError(
+                            f"trend_dim {config.trend_dim} exceeds the stream's width "
+                            f"{row.shape[0]} (set by sample 1)"
+                        )
+                    buf = np.empty((_FIRST_CAPACITY, row.shape[0]))
+                    column, capacity = buf[:, 0], _FIRST_CAPACITY
+                    one_column = row.shape[0] == 1
+                elif row.shape[0] != buf.shape[1]:
+                    raise ValueError(
+                        f"sample {size + 1} has width {row.shape[0]}, "
+                        f"but the stream's width is {buf.shape[1]} (set by sample 1)"
+                    )
+                # math.isfinite over a list costs a fraction of one numpy call
+                values = row.tolist()
+                if not all(map(math.isfinite, values)):
+                    raise NonFiniteSampleError(f"sample {size + 1} is not finite: {values}")
+                buf[size] = row
+                x = values[0] if one_column else row
+            size += 1
+            if size == capacity:
+                buf = np.concatenate((buf, np.empty_like(buf)))
+                column, capacity = buf[:, 0], len(buf)
+            if state is not None:
+                step(state, x)
+                # an alarm stops the detector: one attribute read, where the
+                # verdict's alarm is a comparison behind a property call
+                if state.stopped_at is not None:
+                    break
         return True
 
-    if not ensure(config.m_min):
+    if not read(config.m_min):
         logger.warning(
             "stream ended after %d samples, before the %d needed to train (m_min): "
             "nothing was monitored",
@@ -274,7 +268,7 @@ def run_monitor(
     origin = config.m_min
     window_k = config.window_k
     while True:
-        if not ensure(origin):
+        if not read(origin):
             break
         # every sample was refused unless finite as it was read
         past = _checked_rows(buf[:origin])
@@ -290,38 +284,23 @@ def run_monitor(
             )
         state = train(training, config.detector, config.gamma, online_cv)
 
-        for at in range(origin, origin + window_k):
-            if at < size:
-                # pulled already, by the last label's look-ahead
-                x = column.item(at) if one_column else buf[at]
-            else:
-                x = next(iterator, _END)
-                if one_column and isinstance(x, float) and math.isfinite(x):
-                    # a finite float on a one-column stream skips admit:
-                    # written straight into the buffer, as ensure does
-                    column[size] = x
-                    size += 1
-                    if size == capacity:
-                        grow()
-                else:
-                    x = admit(x)
-                    if x is None:
-                        break
-            step(state, x)
-            # an alarm stops the detector: one attribute read, where the
-            # verdict's alarm is a comparison behind a property call
+        end = origin + window_k
+        # the samples the last label's look-ahead read already, then the stream
+        for at in range(origin, min(size, end)):
+            step(state, column.item(at) if one_column else buf[at])
             if state.stopped_at is not None:
                 break
         else:
-            origin += window_k  # a quiet window
-            continue
+            if not read(end, state):
+                break  # the stream ended inside the window
         if state.stopped_at is None:
-            break  # the stream ended inside the window
-        alarm_at = at + 1
+            origin = end  # a quiet window
+            continue
+        alarm_at = origin + state.stopped_at
 
         # pull up to h post-alarm samples for the interval label; the stream
         # end clamps the window instead of blocking the loop
-        ensure(alarm_at + config.macd.h)
+        read(alarm_at + config.macd.h)
         reachable_h = min(config.macd.h, size - alarm_at)
         # through the imported name, which the benchmark tracer rebinds
         verdict_trend = trend_interval(

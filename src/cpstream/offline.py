@@ -77,12 +77,20 @@ class OfflineTestResult:
 
 @dataclass(frozen=True)
 class ChangePointSet:
-    """Validated change points from segmentation, in increasing index order."""
+    """Validated change points from segmentation, in increasing index order.
+
+    :func:`segment` also records the statistic of the whole series
+    (``statistic_m``) and the critical values it applied at its search and
+    validation levels.
+    """
 
     cps: tuple[int, ...]
     per_cp_stats: tuple[OfflineTestResult, ...]
     alpha: float
     hit_round_cap: bool = False
+    statistic_m: float | None = None
+    search_critval: CritVal | None = None
+    validation_critval: CritVal | None = None
 
     def __post_init__(self) -> None:
         if list(self.cps) != sorted(set(self.cps)):
@@ -272,4 +280,8 @@ def segment(
         per_cp_stats=tuple(stats),
         alpha=alpha,
         hit_round_cap=hit_cap,
+        # the search tested the whole series first
+        statistic_m=memo[lo, hi].statistic_m,
+        search_critval=search_cv,
+        validation_critval=validation_cv,
     )

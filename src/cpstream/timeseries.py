@@ -7,6 +7,7 @@ length ``N`` lives at ``values[n - 1]``.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -143,6 +144,7 @@ def iter_csv(
     (the :func:`save_csv` index column) drops column 1; every later row
     must then be exactly as wide.
     Missing, non-numeric and non-finite cells are rejected, never imputed.
+    A UTF-8 byte-order mark (U+FEFF) opening the stream is dropped.
 
     Raises:
         CsvFormatError: empty selection, a short or (with implicit columns)
@@ -151,7 +153,11 @@ def iter_csv(
     """
     if columns is not None and len(columns) == 0:
         raise CsvFormatError("empty column selection")
-    reader = csv.reader(fh)
+    lines = iter(fh)
+    # a byte-order mark would make the first cell non-numeric (a header) or
+    # hide a leading ``t`` index column
+    first_line = next(lines, "").removeprefix("\ufeff")
+    reader = csv.reader(itertools.chain((first_line,), lines))
     first = True
     width = None  # the fixed row width when the columns are implicit
     for row in reader:

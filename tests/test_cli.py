@@ -304,6 +304,24 @@ class TestMonitorCommand:
         out = capsys.readouterr().out
         assert json.loads(out.splitlines()[0])["type"] == "config"
 
+    @pytest.mark.parametrize("header", [False, True], ids=["first-sample", "t-header"])
+    def test_byte_order_mark_on_stdin_changes_nothing(
+        self, one_step_csv, capsys, monkeypatch, header
+    ):
+        # a UTF-8 byte-order mark neither drops sample 1 nor turns the save_csv
+        # index column into data
+        text = open(one_step_csv).read()
+        if not header:
+            text = "".join(line.split(",")[1] + "\n" for line in text.splitlines()[1:])
+        argv = ["monitor", "--input", "-", "--m", "100", "--window", "100", *FAST]
+        outs = []
+        for prefix in ("", "\ufeff"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(prefix + text))
+            assert dispatch(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert sum('"type": "event"' in line for line in outs[0].splitlines()) == 1
+
     @pytest.mark.parametrize("width", [1, 2])
     def test_float_feed_matches_list_feed(self, capsys, monkeypatch, tmp_path, width):
         gen = substream(3, 43)

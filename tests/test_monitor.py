@@ -544,3 +544,77 @@ def test_decision_fingerprint(detector, expected):
     streams_events = [run_monitor(ar1_level_steps(seed), config) for seed in (1, 2, 3)]
     assert all(streams_events)
     assert event_fingerprint(streams_events) == expected
+
+
+def catch_up_stream():
+    """Two moderate mean steps, which segmentation often cannot place just
+    after an alarm: the next round then trains, and its window starts inside
+    the samples the label already read."""
+    x = stationary(42, 1500)
+    x[500:900] += 1.5
+    x[1200:] -= 1.5
+    return x
+
+
+CATCH_UP_FINGERPRINTS = {
+    ("standard", 0, 50): "312481b50e3bc4862a471f8d1b3055425babd56110362805660bc227058c0a8a",
+    ("standard", 0, 200): "154e711263a31462a8e64c5be552a768afef8e3f9f749bcf3db4c378e687b24e",
+    ("standard", 3, 50): "e3f5f76f1cf0a7a824f74f8805870029b6c6ea919d75501f04bf93fe9dab2629",
+    ("standard", 3, 200): "0e565f79dbf89d337681fa1fc7bb627705b4bbf858a97606bcb15eca7100aa3b",
+    ("ratio", 0, 50): "2b14355815eb32b8a1a90d1116b73e9cbb24ab451174535cb3db6d3246a430ac",
+    ("ratio", 0, 200): "e6ab0b03f09635b40a4807d76e9cbe57c9d2bfd7dca05f7d133cbf163c9c4b97",
+    ("ratio", 3, 50): "420d95557fcede1daf66b6692bf4780efb2754dd1f1a6fa0595b9482b85ba2db",
+    ("ratio", 3, 200): "a92f9d8c16624c08051ecf05fa4e23728bfb734980342e011452b118d48dc9e3",
+}
+
+
+@pytest.mark.parametrize("detector, quiet_gap_d, window_k", list(CATCH_UP_FINGERPRINTS))
+def test_window_steps_over_samples_the_label_read(config, caplog, detector, quiet_gap_d, window_k):
+    # quiet_gap_d below h: the next window starts at a + d, inside the
+    # samples a + 1 .. a + h that the label pulled, and the detector steps
+    # over those from the buffer before it reads the stream again
+    config = replace(config, detector=detector, quiet_gap_d=quiet_gap_d, window_k=window_k)
+    h = config.macd.h
+    x = catch_up_stream()
+    n = len(x)
+    forms = {"floats": x.tolist(), "ndarray": x, "one-item lists": [[v] for v in x.tolist()]}
+    runs = {}
+    for form, samples in forms.items():
+        stream = CountingIterator(samples)
+        pushed = []
+        with caplog.at_level(logging.WARNING, logger="cpstream.monitor"):
+            runs[form] = run_monitor(stream, config, on_event=lambda e: pushed.append(stream.pulls))
+        assert pushed == [min(e.detected_at + h, n) for e in runs[form]]
+        assert stream.pulls == n + 1
+        assert stream.pulls_after_end == 0
+    events = runs["floats"]
+    assert runs["ndarray"] == runs["one-item lists"] == events
+    # events recorded from the loop whose monitored window had its own intake
+    assert event_fingerprint([events]) == CATCH_UP_FINGERPRINTS[detector, quiet_gap_d, window_k]
+    # some round after an alarm trained and monitored from inside the label window
+    skipped = {r.args[0] for r in caplog.records if r.msg.startswith("skipping window")}
+    assert any(
+        e.detected_at + h < n and e.detected_at + quiet_gap_d not in skipped for e in events
+    )
+
+
+def test_two_column_stream_across_buffer_growths(cheap_provider):
+    # 2 600 two-column rows cross the buffer's growths at 1 024 and 2 048
+    # rows; the rows take the reader's general route
+    config = MonitorConfig(critvals=cheap_provider, window_k=100, quiet_gap_d=25, m_min=100)
+    x = substream(14, 31).standard_normal((2600, 2))
+    x[700:1500, 0] += 4.0
+    x[2100:, 0] -= 3.0
+    x[1800:, 1] += 2.0
+    events = run_monitor(x, config)
+    assert [
+        (e.detected_at, e.direction.value, repr(e.trend.value), e.training_used)
+        for e in events
+    ] == [
+        (725, "down", "-0.5371071882280336", (1, 700)),
+        (1524, "up", "1.3562388782405228", (702, 1450)),
+        (1831, "down", "-0.00542046407592954", (1501, 1749)),
+        (2116, "up", "2.17279945073545", (1799, 2056)),
+    ]
+    assert run_monitor(x.tolist(), config) == events
+    assert run_monitor(iter(map(tuple, x.tolist())), config) == events

@@ -315,6 +315,21 @@ class TestSegment:
                 direct.statistic_m, direct.n, direct.argmax
             )
 
+    def test_reports_the_whole_series_statistic_and_both_levels(self, cheap_provider):
+        # what segment applied, read off the set itself: a memoised segment of
+        # a longer prefix still reports its own series' statistic
+        x = substream(3, 11).standard_normal((1200, 1))
+        x[400:800] += 3.0
+        memo = {}
+        segment(TimeSeries(x), 0.05, cheap_provider, memo=memo)
+        series = TimeSeries(x[:1000])
+        result = segment(series, 0.05, cheap_provider, memo=memo)
+        assert result.cps
+        search_cv = cheap_provider("offline-max", 1, 0.05)
+        assert result.statistic_m == offline_test(series, search_cv).statistic_m
+        assert result.search_critval == search_cv
+        assert result.validation_critval == cheap_provider("offline-max", 1, 0.05 / 25)
+
     def test_changepointset_invariants(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             ChangePointSet(cps=(5, 5), per_cp_stats=(None, None), alpha=0.05)

@@ -97,6 +97,19 @@ class TestLoadCsv:
         assert ts.values.tolist() == [[1.0, 0.5]]
 
 
+    def test_byte_order_mark_before_a_sample(self, tmp_path):
+        # the first sample is read as data, not taken for a header
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff1.5\n2.5\n3.5\n", encoding="utf-8")
+        assert load_csv(path).values.ravel().tolist() == [1.5, 2.5, 3.5]
+
+    def test_byte_order_mark_before_a_t_header(self, tmp_path):
+        # the save_csv index column is still recognised and dropped
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufefft,x1\n1,0.5\n2,1.5\n", encoding="utf-8")
+        assert load_csv(path).values.tolist() == [[0.5], [1.5]]
+
+
 class TestIterCsv:
     def test_streams_rows_lazily(self):
         rows = iter_csv(iter(["t,x\n", "1,2.5\n", "2,oops\n"]))
