@@ -35,7 +35,7 @@ from .errors import CpstreamError
 from .monitor import ChangeEvent, MonitorConfig, run_monitor
 from .offline import DEFAULT_MIN_SEG, offline_test, segment
 from .online import DetectorKind
-from .timeseries import TimeSeries, iter_csv, load_csv
+from .timeseries import TimeSeries, _text_lines, iter_csv, load_csv
 from .trend import MacdParams, trend_interval, trend_point
 
 __all__ = ["dispatch", "main"]
@@ -185,7 +185,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 def _read_config(path: str, command: str, keys: set[str]) -> dict[str, str]:
     """The ``key = value`` lines of a config file, checked against ``keys``."""
     values = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(_text_lines(Path(path).read_text().splitlines()), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -42,6 +42,7 @@ import numpy as np
 from .errors import CsvFormatError
 from .longrun import inverse as _reg_inverse
 from .rng import standard_normal_rows
+from .timeseries import _text_lines
 
 __all__ = [
     "CritValKind",
@@ -350,7 +351,7 @@ def _read_table(path: str | Path) -> Iterator[CritVal]:
             the column.
     """
     with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(_text_lines(fh))
         if reader.fieldnames is None:
             raise CsvFormatError(f"{path}: empty table file")
         for name in _TABLE_COLUMNS:

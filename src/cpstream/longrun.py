@@ -18,21 +18,20 @@ A one-dimensional series (d = 1) takes a scalar route through the same
 algebra, bit for bit equal to the matrix route. It centres the 1-D column
 itself, ``col - col.sum() / N``: a column's sum is the (N, 1) matrix's
 axis-0 sum, because numpy reduces both by one pairwise sum over the same
-strided samples. Each centred lag product is
-then one dot product of the centred column, which numpy's ``matmul``
-computes by the same BLAS dot as ``np.dot`` of the 1-D column, and the
-weighted lag sum is Python float arithmetic; only the result is made a
-1 x 1 matrix. A 1 x 1 matrix's eigenvalue is its entry and its eigenvector
-is 1.0 exactly (LAPACK returns both unchanged for order 1), so the
-"untouched" test reduces to "entry > 0", the inverse square root is
-``1.0 / sqrt(entry)``, and the inverse is ``1.0 / entry``, what the LU
-solve of a 1 x 1 system against the identity computes. :func:`inverse` and
-:func:`inverse_sqrt` take a positive 1 x 1 matrix straight to that float
-arithmetic, with no :func:`regularize_spd` and no ``np.errstate``: where
-the inverse of a tiny entry overflows, Python float division gives the
-same inf as LAPACK, with no warning to silence. Entries that are zero,
-negative or NaN take the matrix route, so they meet the same ridge and the
-same LAPACK errors as before.
+strided samples. Each centred lag product is then one dot product of the
+centred column, which numpy's ``matmul`` computes by the same BLAS dot as
+``np.dot`` of the 1-D column, and the weighted lag sum is Python float
+arithmetic; only the result is made a 1 x 1 matrix.
+
+Inversion has one rule: :func:`inverse` and :func:`inverse_sqrt` first test
+whether the input is a 1 x 1 matrix, or a stack of them, with every entry
+above zero, and divide it (in Python floats for one matrix, in numpy for a
+stack). All else (a zero, negative or NaN entry, in a stack too, and any
+d > 1) goes through :func:`regularize_spd` and LAPACK, which agree with the
+division bit for bit on a positive entry: LAPACK returns it as the
+eigenvalue, with eigenvector 1.0 exactly, so the ridge leaves it alone,
+and the inverse square root and the LU solve are ``1.0 / sqrt(entry)`` and
+``1.0 / entry``, overflowing a tiny entry to the same inf with no warning.
 """
 
 from __future__ import annotations
@@ -139,8 +138,6 @@ def regularize_spd(matrix: np.ndarray) -> np.ndarray:
     """
     matrix = np.asarray(matrix, dtype=float)
     d = matrix.shape[-1]
-    if _positive_scalars(matrix):
-        return matrix
     trace = np.trace(matrix, axis1=-2, axis2=-1)
     smallest = np.linalg.eigvalsh(matrix).min(axis=-1)
     untouched = (trace > 0) & (smallest >= SINGULAR_RTOL * trace)
@@ -154,32 +151,26 @@ def regularize_spd(matrix: np.ndarray) -> np.ndarray:
 
 
 def _positive_scalars(matrix: np.ndarray) -> bool:
-    """Whether ``matrix`` is a 1 x 1 matrix, or a stack of them, with every entry > 0."""
-    if matrix.shape[-2:] != (1, 1):
-        return False
-    if matrix.ndim == 2:
-        return matrix.item() > 0
-    return bool((matrix > 0).all())
+    """Whether ``matrix`` is a stack of 1 x 1 matrices with every entry > 0."""
+    return matrix.shape[-2:] == (1, 1) and bool((matrix > 0).all())
 
 
 def inverse(matrix: np.ndarray) -> np.ndarray:
     """Regularized inverse of a symmetric PSD matrix, or of each in a stack."""
     if matrix.shape == (1, 1) and (entry := matrix.item()) > 0:
         return np.array([[1.0 / entry]])
-    safe = regularize_spd(matrix)
-    if _positive_scalars(safe):
+    if _positive_scalars(matrix):
         # LAPACK overflows a subnormal entry to inf without a warning, and so does this
         with np.errstate(over="ignore"):
-            return 1.0 / safe
-    return np.linalg.inv(safe)
+            return 1.0 / matrix
+    return np.linalg.inv(regularize_spd(matrix))
 
 
 def inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Regularized inverse square root via symmetric eigendecomposition, matrix by matrix."""
     if matrix.shape == (1, 1) and (entry := matrix.item()) > 0:
         return np.array([[1.0 / math.sqrt(entry)]])
-    safe = regularize_spd(matrix)
-    if _positive_scalars(safe):
-        return 1.0 / np.sqrt(safe)
-    eigvals, eigvecs = np.linalg.eigh(safe)
+    if _positive_scalars(matrix):
+        return 1.0 / np.sqrt(matrix)
+    eigvals, eigvecs = np.linalg.eigh(regularize_spd(matrix))
     return np.matmul(eigvecs * (1.0 / np.sqrt(eigvals))[..., None, :], eigvecs.swapaxes(-1, -2))

@@ -25,9 +25,10 @@ an (S, m, d) stack and :func:`run_batch` on (S, b, d) blocks run every stream
 through the same evaluation at once, and stream i of every result equals the
 single-stream call on stream i bit for bit.
 
-A one-dimensional detector fed sample by sample, the monitor's case, takes a
-float route in :func:`step`: the same formula in Python floats, in the same
-operation order. A single-stream d = 1 state reads its trained scalars (the
+A one-dimensional detector fed float samples one at a time, the monitor's
+case, takes a float route in :func:`step`: the same formula in Python
+floats, in the same operation order; any other sample takes the numpy
+evaluation. A single-stream d = 1 state reads its trained scalars (the
 training sum, the inverse square root or ratio inverse, the critical value
 and sqrt(m)) into floats once, when it is made; :func:`step` reads the
 running sum from ``cum_sum_post`` and writes it back in place. An exact
@@ -315,14 +316,13 @@ def step(state: OnlineDetectorState, x) -> Verdict:
     ``cum_sum_post`` in place, so an array taken from it before the call
     changes with it; take ``.copy()`` to keep a value.
 
-    A d = 1 detector takes a float, an ``np.float64``, a (1,) array or a
-    one-item list, and evaluates in Python floats from the scalars its state
-    read when it was made. An exact ``float`` passes only the stop and
-    finiteness checks on its way to the arithmetic; every other item is
-    checked and converted first. The result equals
-    :func:`run_batch`'s bit for bit, because every reduction there runs over
-    one element and the boundary is :func:`_boundary`'s formula in the same
-    operation order. A wider detector evaluates in numpy.
+    One rule picks the route: a d = 1 detector fed a ``float`` (an
+    ``np.float64`` included) evaluates in Python floats from the scalars its
+    state read when it was made; every other sample, a (1,) array or a
+    one-item list at d = 1 included, is checked and evaluated in numpy. The
+    two agree with :func:`run_batch` bit for bit, because at d = 1 every
+    numpy reduction runs over one element and the float route repeats
+    :func:`_boundary`'s formula in the same operation order.
     """
     scalars = state._scalars
     if scalars is not None and type(x) is float:
@@ -341,16 +341,13 @@ def step(state: OnlineDetectorState, x) -> Verdict:
             d = state.dim
             if sample.shape[0] != d:
                 raise ValueError(f"sample has dimension {sample.shape[0]}, detector expects {d}")
-            if scalars is not None:
-                x = sample.item()
-            else:
-                # math.isfinite over a list costs a fraction of one numpy call
-                values = sample.tolist()
-                if not all(map(math.isfinite, values)):
-                    raise NonFiniteSampleError(f"non-finite sample {values} at k={state.k + 1}")
-                state.k += 1
-                state.cum_sum_post += sample
-                return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
+            # math.isfinite over a list costs a fraction of one numpy call
+            values = sample.tolist()
+            if not all(map(math.isfinite, values)):
+                raise NonFiniteSampleError(f"non-finite sample {values} at k={state.k + 1}")
+            state.k += 1
+            state.cum_sum_post += sample
+            return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
     if not math.isfinite(x):
         raise NonFiniteSampleError(f"non-finite sample {[x]} at k={state.k + 1}")
 

@@ -128,6 +128,16 @@ def _is_numeric_row(row: list[str]) -> bool:
     return True
 
 
+def _text_lines(fh: Iterable[str]) -> Iterator[str]:
+    """The lines of a text stream, less a UTF-8 byte-order mark opening it.
+
+    A mark would join the first cell or key; an empty stream stays empty.
+    """
+    lines = iter(fh)
+    first = next(lines, "").removeprefix("\ufeff")
+    return itertools.chain((first,) if first else (), lines)
+
+
 def iter_csv(
     fh: Iterable[str],
     columns: Sequence[int] | None = None,
@@ -153,11 +163,7 @@ def iter_csv(
     """
     if columns is not None and len(columns) == 0:
         raise CsvFormatError("empty column selection")
-    lines = iter(fh)
-    # a byte-order mark would make the first cell non-numeric (a header) or
-    # hide a leading ``t`` index column
-    first_line = next(lines, "").removeprefix("\ufeff")
-    reader = csv.reader(itertools.chain((first_line,), lines))
+    reader = csv.reader(_text_lines(fh))
     first = True
     width = None  # the fixed row width when the columns are implicit
     for row in reader:

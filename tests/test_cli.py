@@ -453,6 +453,13 @@ class TestMonitorCommand:
         assert captured.err.startswith(f"error: {flag} ")
         assert len(captured.err.splitlines()) == 1
 
+    def test_config_file_with_byte_order_mark(self, run, flat_csv, tmp_path):
+        # a UTF-8 byte-order mark opening the file does not rename its first key
+        cfg = tmp_path / "offline.cfg"
+        cfg.write_text("\ufeffalpha = 0.1\n", encoding="utf-8")
+        out = run("offline", "--input", flat_csv, "--config", str(cfg), *MIN_BUDGET)
+        assert json.loads(out)["params"]["alpha"] == 0.1
+
     def test_unknown_config_key_rejected(self, run, flat_csv, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")
@@ -788,6 +795,15 @@ class TestTableFlag:
         served = json.loads(run(*argv, "--table", str(path)))["critval"]
         assert served == stored.value
         assert served != simulated
+
+    def test_table_with_byte_order_mark(self, run, one_step_csv, table_csv, tmp_path):
+        # a UTF-8 byte-order mark opening the table does not hide its first column
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\ufeff" + Path(table_csv).read_text(), encoding="utf-8")
+        argv = ["offline", "--input", one_step_csv, *MIN_BUDGET]
+        plain = run(*argv, "--table", table_csv)
+        served = run(*argv, "--table", str(marked))
+        assert served == plain.replace(json.dumps(table_csv), json.dumps(str(marked)))
 
     @pytest.fixture()
     def seed1_table(self, tmp_path):

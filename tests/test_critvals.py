@@ -285,6 +285,18 @@ class TestProviders:
         assert a is b
         assert isinstance(a, CritVal)
 
+    def test_table_with_byte_order_mark_loads_the_same_memo(self, tmp_path):
+        path = tmp_path / "t.csv"
+        build_table(
+            path, kinds=[CritValKind.OFFLINE_MAX, CritValKind.ONLINE_RATIO], dims=(1, 2),
+            alphas=(0.05, 0.1), gammas=(0.0,), grid_steps=100, replications=1000, seed=0,
+        )
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\ufeff" + path.read_text(), encoding="utf-8")
+        plain = MonteCarloProvider(table=path)._cache
+        assert len(plain) == 8
+        assert MonteCarloProvider(table=marked)._cache == plain
+
     def test_table_serves_stored_keys_and_simulates_the_rest(self, tmp_path, monkeypatch):
         path = tmp_path / "t.csv"
         built = build_table(
