@@ -23,15 +23,16 @@ centred column, which numpy's ``matmul`` computes by the same BLAS dot as
 ``np.dot`` of the 1-D column, and the weighted lag sum is Python float
 arithmetic; only the result is made a 1 x 1 matrix.
 
-Inversion has one rule: :func:`inverse` and :func:`inverse_sqrt` first test
-whether the input is a 1 x 1 matrix, or a stack of them, with every entry
-above zero, and divide it (in Python floats for one matrix, in numpy for a
-stack). All else (a zero, negative or NaN entry, in a stack too, and any
-d > 1) goes through :func:`regularize_spd` and LAPACK, which agree with the
-division bit for bit on a positive entry: LAPACK returns it as the
-eigenvalue, with eigenvector 1.0 exactly, so the ridge leaves it alone,
-and the inverse square root and the LU solve are ``1.0 / sqrt(entry)`` and
-``1.0 / entry``, overflowing a tiny entry to the same inf with no warning.
+Inversion has one rule: :func:`inverse` and :func:`inverse_sqrt` divide a
+1 x 1 matrix whose entry is above zero in Python floats, and
+:func:`inverse_sqrt` divides a stack of them in numpy, as stacked standard
+training makes. All else (a zero, negative or NaN entry, any stack given to
+:func:`inverse`, and any d > 1) goes through :func:`regularize_spd` and
+LAPACK, which agree with the division bit for bit on a positive entry:
+LAPACK returns it as the eigenvalue, with eigenvector 1.0 exactly, so the
+ridge leaves it alone, and the inverse square root and the LU solve are
+``1.0 / sqrt(entry)`` and ``1.0 / entry``, overflowing a tiny entry to the
+same inf with no warning.
 """
 
 from __future__ import annotations
@@ -150,19 +151,10 @@ def regularize_spd(matrix: np.ndarray) -> np.ndarray:
     return np.where(untouched[..., None, None], matrix, ridged)
 
 
-def _positive_scalars(matrix: np.ndarray) -> bool:
-    """Whether ``matrix`` is a stack of 1 x 1 matrices with every entry > 0."""
-    return matrix.shape[-2:] == (1, 1) and bool((matrix > 0).all())
-
-
 def inverse(matrix: np.ndarray) -> np.ndarray:
     """Regularized inverse of a symmetric PSD matrix, or of each in a stack."""
     if matrix.shape == (1, 1) and (entry := matrix.item()) > 0:
         return np.array([[1.0 / entry]])
-    if _positive_scalars(matrix):
-        # LAPACK overflows a subnormal entry to inf without a warning, and so does this
-        with np.errstate(over="ignore"):
-            return 1.0 / matrix
     return np.linalg.inv(regularize_spd(matrix))
 
 
@@ -170,7 +162,8 @@ def inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Regularized inverse square root via symmetric eigendecomposition, matrix by matrix."""
     if matrix.shape == (1, 1) and (entry := matrix.item()) > 0:
         return np.array([[1.0 / math.sqrt(entry)]])
-    if _positive_scalars(matrix):
+    # a stack of positive 1 x 1 matrices, as stacked standard training makes
+    if matrix.shape[-2:] == (1, 1) and (matrix > 0).all():
         return 1.0 / np.sqrt(matrix)
     eigvals, eigvecs = np.linalg.eigh(regularize_spd(matrix))
     return np.matmul(eigvecs * (1.0 / np.sqrt(eigvals))[..., None, :], eigvecs.swapaxes(-1, -2))

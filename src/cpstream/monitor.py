@@ -186,12 +186,15 @@ def run_monitor(
     whose training selection fails is logged and skipped, advancing the
     origin by one window.
 
-    On a one-column stream a finite float item (``np.float64`` included)
-    is written straight into the buffer. Any other item goes through
-    ``np.asarray`` and the width and finiteness checks before it is
-    written. The detector takes a float on a one-column stream and the row
-    otherwise.
+    A 1-D ndarray stream is read as the Python floats of its ``tolist()``;
+    any other ndarray is read by rows. On a one-column stream a finite
+    exact Python ``float`` item is written straight into the buffer. Any
+    other item, an ``np.float64`` included, goes through ``np.asarray`` and
+    the width and finiteness checks before it is written. The detector
+    takes a Python float on a one-column stream and the row otherwise.
     """
+    if isinstance(stream, np.ndarray) and stream.ndim == 1:
+        stream = stream.tolist()
     iterator = iter(stream)
     # sample n is row n - 1 of buf, and rows from size on are unfilled; column
     # is buf's first column as one 1-D view, which one-column reads and writes
@@ -211,7 +214,7 @@ def run_monitor(
         nonlocal iterator, buf, column, capacity, size, one_column
         while size < count:
             x = next(iterator, _END)
-            if one_column and isinstance(x, float) and math.isfinite(x):
+            if one_column and type(x) is float and math.isfinite(x):
                 column[size] = x
             elif x is _END:
                 iterator = iter(())

@@ -25,9 +25,10 @@ an (S, m, d) stack and :func:`run_batch` on (S, b, d) blocks run every stream
 through the same evaluation at once, and stream i of every result equals the
 single-stream call on stream i bit for bit.
 
-A one-dimensional detector fed float samples one at a time, the monitor's
-case, takes a float route in :func:`step`: the same formula in Python
-floats, in the same operation order; any other sample takes the numpy
+A one-dimensional detector fed exact Python floats one at a time, which
+the monitor hands it on a one-column stream, takes a float route in
+:func:`step`: the same formula in Python floats, in the same operation
+order; any other sample, an ``np.float64`` included, takes the numpy
 evaluation. A single-stream d = 1 state reads its trained scalars (the
 training sum, the inverse square root or ratio inverse, the critical value
 and sqrt(m)) into floats once, when it is made; :func:`step` reads the
@@ -316,11 +317,11 @@ def step(state: OnlineDetectorState, x) -> Verdict:
     ``cum_sum_post`` in place, so an array taken from it before the call
     changes with it; take ``.copy()`` to keep a value.
 
-    One rule picks the route: a d = 1 detector fed a ``float`` (an
-    ``np.float64`` included) evaluates in Python floats from the scalars its
-    state read when it was made; every other sample, a (1,) array or a
-    one-item list at d = 1 included, is checked and evaluated in numpy. The
-    two agree with :func:`run_batch` bit for bit, because at d = 1 every
+    One rule picks the route: a d = 1 detector fed an exact Python
+    ``float`` evaluates in Python floats from the scalars its state read
+    when it was made; every other sample, an ``np.float64``, a (1,) array
+    or a one-item list at d = 1 included, is checked and evaluated in numpy.
+    The two agree with :func:`run_batch` bit for bit, because at d = 1 every
     numpy reduction runs over one element and the float route repeats
     :func:`_boundary`'s formula in the same operation order.
     """
@@ -334,20 +335,17 @@ def step(state: OnlineDetectorState, x) -> Verdict:
             raise ValueError("step takes a single-stream state; feed a stacked state with run_batch")
         if state.stopped_at is not None:
             raise DetectorStoppedError(f"detector already alarmed at k={state.stopped_at}")
-        if scalars is not None and isinstance(x, float):
-            x = float(x)  # an np.float64
-        else:
-            sample = np.asarray(x, dtype=float).reshape(-1)
-            d = state.dim
-            if sample.shape[0] != d:
-                raise ValueError(f"sample has dimension {sample.shape[0]}, detector expects {d}")
-            # math.isfinite over a list costs a fraction of one numpy call
-            values = sample.tolist()
-            if not all(map(math.isfinite, values)):
-                raise NonFiniteSampleError(f"non-finite sample {values} at k={state.k + 1}")
-            state.k += 1
-            state.cum_sum_post += sample
-            return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
+        sample = np.asarray(x, dtype=float).reshape(-1)
+        d = state.dim
+        if sample.shape[0] != d:
+            raise ValueError(f"sample has dimension {sample.shape[0]}, detector expects {d}")
+        # math.isfinite over a list costs a fraction of one numpy call
+        values = sample.tolist()
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteSampleError(f"non-finite sample {values} at k={state.k + 1}")
+        state.k += 1
+        state.cum_sum_post += sample
+        return _verdict(state, *_evaluate(state, state.k, state.cum_sum_post))
     if not math.isfinite(x):
         raise NonFiniteSampleError(f"non-finite sample {[x]} at k={state.k + 1}")
 

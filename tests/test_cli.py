@@ -226,6 +226,12 @@ class TestTrendCommand:
         validate(record, "trend")
         assert record["mode"] == "point"
 
+    def test_missing_at_rejected(self, capsys, one_step_csv):
+        assert dispatch(["trend", "--input", one_step_csv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --at is required"]
+
 
 # the sha256 of each report's stdout on the series of test_golden_report,
 # recorded when every record stored its verdict next to its measurements; the
@@ -382,9 +388,12 @@ class TestMonitorCommand:
             (["--reps", "10"], "replications must be at least 1000"),
             (["--grid", "5"], "grid_steps must be at least 100"),
             (["--seed", "-1"], "seed must be non-negative, got -1"),
+            (["--window", "0"], "window_k must be at least 1"),
+            (["--quiet-gap", "-1"], "quiet_gap_d must be non-negative"),
+            (["--m", "3"], "m_min must be at least 4"),
         ],
         ids=["alpha-2", "alpha-0", "gamma-0.7", "ratio-gamma-0.5", "min-seg-1", "reps-10",
-             "grid-5", "seed-negative"],
+             "grid-5", "seed-negative", "window-0", "quiet-gap-negative", "m-3"],
     )
     def test_bad_setting_refused_before_output(self, capsys, monkeypatch, flags, message):
         simulated = []
@@ -464,6 +473,15 @@ class TestMonitorCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")
         run("monitor", "--input", flat_csv, "--config", str(cfg), expect=1)
+
+    def test_config_line_without_equals_rejected(self, capsys, flat_csv, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("alpha = 0.1\nalpha 0.1\n")
+        status = dispatch(["monitor", "--input", flat_csv, "--config", str(cfg), *FAST])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {cfg}: line 2 is not 'key = value'"]
 
 
 class TestSimulateCommand:
@@ -758,6 +776,18 @@ def table_csv(tmp_path_factory):
     return str(path)
 
 
+def table_cell(row, column, value):
+    """An edit of a table's lines that sets one cell (0-based line and column)."""
+
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[column] = value
+        lines[row] = ",".join(cells)
+        return lines
+
+    return edit
+
+
 class TestTableFlag:
     """``--table`` serves the keys it holds as stored and simulates the rest."""
 
@@ -856,26 +886,28 @@ class TestTableFlag:
         assert record["per_cp"]
 
     @pytest.mark.parametrize(
-        "value, problem",
+        "edit, problem",
         [
-            ("abc", "row 3, column 'value': could not convert string to float: 'abc'"),
-            ("-1", "row 3, column 'value': critical value must be positive"),
+            (table_cell(2, 8, "abc"),
+             "row 3, column 'value': could not convert string to float: 'abc'"),
+            (table_cell(2, 8, "-1"), "row 3, column 'value': critical value must be positive"),
             (None, "row 1 has no column 'kind'"),
+            (lambda lines: [], "empty table file"),
+            (lambda lines: [lines[0], ",".join(lines[1].split(",")[:5])],
+             "row 2 has no column 'replications'"),
+            (table_cell(1, 3, "2.0"), "row 2: alpha must lie in (0, 1), got 2.0"),
         ],
-        ids=["non-numeric", "non-positive", "missing-column"],
+        ids=["non-numeric", "non-positive", "missing-column", "empty", "short-row", "alpha-2"],
     )
     def test_malformed_table_exits_1_naming_row_and_column(
-        self, capsys, table_csv, flat_csv, tmp_path, value, problem
+        self, capsys, table_csv, flat_csv, tmp_path, edit, problem
     ):
-        if value is None:
+        if edit is None:
             path = flat_csv  # a data CSV, not a table
         else:
-            lines = open(table_csv).read().splitlines(keepends=True)
-            cells = lines[2].split(",")
-            cells[8] = value
-            lines[2] = ",".join(cells)
+            lines = edit(open(table_csv).read().splitlines())
             path = tmp_path / "bad.csv"
-            path.write_text("".join(lines))
+            path.write_text("".join(f"{line}\n" for line in lines))
         status = dispatch(["offline", "--input", flat_csv, *MIN_BUDGET, "--table", str(path)])
         captured = capsys.readouterr()
         assert status == 1

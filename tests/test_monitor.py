@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import logging
 import math
 from collections import Counter
@@ -204,8 +205,9 @@ class TestRunMonitor:
 
     @pytest.mark.parametrize("detector", ["standard", "ratio"])
     def test_sample_forms_give_identical_events(self, config, detector):
-        # floats and np.float64 items take the scalar intake, one-item lists
-        # and rows the array intake; 3 200 samples cross two buffer growths
+        # floats, and a 1-D ndarray read as floats, take the scalar intake;
+        # one-item lists and rows the array intake; 3 200 samples cross two
+        # buffer growths
         config = replace(config, detector=detector)
         x = stationary(41, 3200)
         x[900:1900] += 4.0
@@ -608,6 +610,37 @@ def test_window_steps_over_samples_the_label_read(config, caplog, detector, quie
     assert any(
         e.detected_at + h < n and e.detected_at + quiet_gap_d not in skipped for e in events
     )
+
+
+def multi_step_stream(seed, n=3000, every=400, steps=(1.5, 4.0, -1.5, -4.0)):
+    """N(0, 1) noise whose mean moves by the next of ``steps`` every ``every`` samples."""
+    level = np.cumsum([0.0] + [steps[i % len(steps)] for i in range(n // every)])
+    return stationary(seed, n) + level[np.arange(n) // every]
+
+
+def test_label_look_ahead_never_moves_an_alarm(config):
+    # a label reads h samples past its alarm, and at quiet_gap_d < h the next
+    # window first steps over those from the buffer; the alarms and training
+    # windows must be those of h = 0, whose label reads nothing ahead
+    stepped_over = 0
+    for seed in (60, 61):
+        x = multi_step_stream(seed)
+        for detector, quiet_gap_d, h, window_k in itertools.product(
+            ("standard", "ratio"), (0, 3, 9), (10, 25), (50, 200)
+        ):
+            run = replace(config, detector=detector, quiet_gap_d=quiet_gap_d,
+                          window_k=window_k, macd=replace(config.macd, h=h))
+            events = run_monitor(x.tolist(), run)
+            assert run_monitor(x, run) == events
+            assert run_monitor((np.float64(v) for v in x), run) == events
+            no_look_ahead = run_monitor(x.tolist(), replace(run, macd=replace(run.macd, h=0)))
+            assert [(e.detected_at, e.training_used) for e in events] == [
+                (e.detected_at, e.training_used) for e in no_look_ahead
+            ], (seed, detector, quiet_gap_d, h, window_k)
+            stepped_over += sum(b.detected_at - a.detected_at <= h
+                                for a, b in zip(events, events[1:]))
+    # some alarm fell among the samples the last label had already read
+    assert stepped_over > 0
 
 
 def test_two_column_stream_across_buffer_growths(cheap_provider):

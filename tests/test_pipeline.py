@@ -1,16 +1,28 @@
 """Whole-pipeline gates: seeded streams through run_monitor, scored against the truth.
 
-Each stream is N(0, 1) noise with one mean step at sample 451, run through
-the default :class:`~cpstream.monitor.MonitorConfig` with one shared provider.
-The first event in [451, 651) is the change's event; a stream without one
-counts as missed and as mislabelled.
+Each stream of the detection and label gates is N(0, 1) noise with one mean
+step at sample 451, run through the default
+:class:`~cpstream.monitor.MonitorConfig` with one shared provider. The first
+event in [451, 651) is the change's event; a stream without one counts as
+missed and as mislabelled. The size gates hold the offline test and the
+standard detector to their level on null AR(1) series, and the coverage gate
+counts the samples that skipped windows leave unwatched.
+
+A gate that the code fails today is a strict xfail whose reason quotes the
+measured value; the change that mends the defect deletes the marker.
 """
 
+import logging
+import math
+
+import numpy as np
 import pytest
 
-from cpstream.critvals import MonteCarloProvider
+from cpstream.critvals import CritValKind, MonteCarloProvider
 from cpstream.monitor import MonitorConfig, run_monitor
-from cpstream.rng import substream
+from cpstream.offline import offline_test
+from cpstream.online import DetectorKind, run_batch, train
+from cpstream.rng import standard_normal_rows, substream
 from cpstream.trend import Direction
 
 SEEDS = range(40)
@@ -21,11 +33,14 @@ GATE = 38
 
 
 @pytest.fixture(scope="module")
-def first_events():
+def provider():
+    return MonteCarloProvider(seed=0, grid_steps=1000, replications=2000)
+
+
+@pytest.fixture(scope="module")
+def first_events(provider):
     """The first scored event of every seed, by step size (None where none fired)."""
-    config = MonitorConfig(
-        critvals=MonteCarloProvider(seed=0, grid_steps=1000, replications=2000)
-    )
+    config = MonitorConfig(critvals=provider)
     events = {}
     for shift in (4.0, -4.0, 1.0, -1.0):
         events[shift] = []
@@ -60,3 +75,83 @@ def test_labels_follow_the_step(first_events, shift):
     expected = Direction.UP if shift > 0 else Direction.DOWN
     right = sum(e is not None and e.direction is expected for e in first_events[shift])
     assert right >= GATE
+
+
+ALPHA = 0.05
+NULL_SERIES = 2000
+# alpha plus three binomial standard errors over the null series: 0.0646
+SIZE_GATE = ALPHA + 3 * math.sqrt(ALPHA * (1 - ALPHA) / NULL_SERIES)
+PHIS = (0.0, 0.3, 0.6)
+
+
+def ar1_rows(phi, shape, *key):
+    """Stationary AR(1) rows with unit innovations; row i draws from substream (1, *key, i)."""
+    x = standard_normal_rows(np.empty(shape), 1, *key)
+    x[:, 0] /= math.sqrt(1.0 - phi * phi)
+    for t in range(1, shape[1]):
+        x[:, t] += phi * x[:, t - 1]
+    return x
+
+
+def size_params(measured):
+    """The phis, each above 0 a strict xfail that quotes its measured rejection rate."""
+    return [PHIS[0]] + [
+        pytest.param(
+            phi,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason=f"the bandwidth floor(log10 n) ignores the dependence: rejects "
+                f"{rate} of null AR(1) series at phi {phi}",
+            ),
+        )
+        for phi, rate in zip(PHIS[1:], measured)
+    ]
+
+
+@pytest.mark.parametrize("phi", size_params(["0.089", "0.241"]))
+def test_offline_size_under_dependence(provider, phi):
+    critval = provider(CritValKind.OFFLINE_MAX, 1, ALPHA)
+    series = ar1_rows(phi, (NULL_SERIES, 400), 80, PHIS.index(phi))
+    rate = np.mean([offline_test(s, critval).reject for s in series])
+    assert rate <= SIZE_GATE
+
+
+@pytest.mark.parametrize("phi", size_params(["0.0855", "0.2025"]))
+def test_standard_detector_size_under_dependence(provider, phi):
+    # trained at m = 200 and watched for 10 m samples, every stream in one stack
+    critval = provider(CritValKind.ONLINE_STANDARD, 1, ALPHA, 0.0)
+    streams = ar1_rows(phi, (NULL_SERIES, 2200), 81, PHIS.index(phi))[..., None]
+    state = train(streams[:, :200], DetectorKind.STANDARD, 0.0, critval)
+    verdicts, _ = run_batch(state, streams[:, 200:])
+    assert verdicts.alarm.mean() <= SIZE_GATE
+
+
+def level_steps(n, seed, *salt, every=1000, phi=0.3, levels=(0.0, 3.0, 0.0, -3.0)):
+    """The benchmark's monitor stream: AR(1) noise of unit stationary variance
+    plus a level that steps through ``levels`` every ``every`` samples."""
+    rng = np.random.default_rng([seed, *salt])
+    eps = rng.standard_normal(n) * math.sqrt(1.0 - phi**2)
+    noise = np.empty(n)
+    noise[0] = rng.standard_normal()
+    for t in range(1, n):
+        noise[t] = phi * noise[t - 1] + eps[t]
+    return noise + np.asarray(levels)[(np.arange(n) // every) % len(levels)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="after most alarms fewer than m_min samples follow the change point, and the "
+    "monitor skips the window: 11 skips leave 2 200 of 16 000 samples unwatched",
+)
+def test_no_window_is_skipped(provider, caplog):
+    config = MonitorConfig(critvals=provider)
+    n = 4000
+    unwatched = 0
+    for k in range(4):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cpstream.monitor"):
+            run_monitor(level_steps(n, 1, 2, k), config)
+        for record in caplog.records:
+            if record.msg.startswith("skipping window at origin"):
+                unwatched += min(config.window_k, n - record.args[0])
+    assert unwatched == 0
