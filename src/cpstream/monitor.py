@@ -186,15 +186,13 @@ def run_monitor(
     whose training selection fails is logged and skipped, advancing the
     origin by one window.
 
-    A 1-D ndarray stream is read as the Python floats of its ``tolist()``;
-    any other ndarray is read by rows. On a one-column stream a finite
-    exact Python ``float`` item is written straight into the buffer. Any
-    other item, an ``np.float64`` included, goes through ``np.asarray`` and
-    the width and finiteness checks before it is written. The detector
-    takes a Python float on a one-column stream and the row otherwise.
+    The stream is iterated lazily, an ndarray included. On a one-column
+    stream a finite exact Python ``float`` item is written straight into
+    the buffer. Any other item, an ``np.float64`` included, goes through
+    ``np.asarray`` and the width and finiteness checks before it is
+    written. The detector takes a Python float on a one-column stream and
+    the row otherwise.
     """
-    if isinstance(stream, np.ndarray) and stream.ndim == 1:
-        stream = stream.tolist()
     iterator = iter(stream)
     # sample n is row n - 1 of buf, and rows from size on are unfilled; column
     # is buf's first column as one 1-D view, which one-column reads and writes

@@ -205,7 +205,7 @@ class TestRunMonitor:
 
     @pytest.mark.parametrize("detector", ["standard", "ratio"])
     def test_sample_forms_give_identical_events(self, config, detector):
-        # floats, and a 1-D ndarray read as floats, take the scalar intake;
+        # floats take the scalar intake; a 1-D ndarray's np.float64 items,
         # one-item lists and rows the array intake; 3 200 samples cross two
         # buffer growths
         config = replace(config, detector=detector)
