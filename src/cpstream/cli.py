@@ -430,6 +430,7 @@ def _cmd_monitor(opts: dict) -> int:
                 {
                     "type": "event",
                     "index": event.detected_at,
+                    "change_at": event.trend.at_index,
                     "direction": event.direction.value,
                     "action": event.action.value,
                     "ti": event.trend.value,

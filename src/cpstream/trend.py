@@ -48,7 +48,9 @@ class MacdParams:
     """EMA lags p1 < p2 < p3 and interval half-window h.
 
     p2/p3 are the fast/slow MACD lags, p1 smooths the MACD itself. p1 = 1
-    would make the indicator identically zero and is rejected.
+    would make the indicator identically zero and is rejected. The monitor
+    takes h as an upper bound, cutting each label's window at its alarm;
+    the ``trend`` command sums over the full interval.
     """
 
     p1: int = 9

@@ -298,6 +298,7 @@ class TestMonitorCommand:
         assert len(events) == 1
         assert events[0]["action"] == "scale-up"
         assert events[0]["index"] >= 151
+        assert events[0]["change_at"] <= events[0]["index"]
         assert events[0]["training"] == [1, 100]
         assert flag.exists()
 
@@ -420,9 +421,14 @@ class TestMonitorCommand:
         argv = ["monitor", "--input", "-", "--grid", "200", "--reps", "1000", "--seed", "1"]
         assert dispatch(argv) == 0
         out = capsys.readouterr().out
-        assert sum('"type": "event"' in line for line in out.splitlines()) == 4
+        events = [json.loads(line) for line in out.splitlines() if '"type": "event"' in line]
+        # the event at 1868 repeats the change at 1801, from a window that
+        # still holds it
+        assert [(e["index"], e["change_at"], e["direction"]) for e in events] == [
+            (928, 901, "up"), (1813, 1801, "down"), (1868, 1839, "up"), (2455, 2400, "up"),
+        ]
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "6bea0b8c6802650eb5870997dee98afafcecb16202bdb3dc3a410f8f6ed1ddeb"
+            "0131f42c98bc7f737060be9796a7cf0f6784412d7f8bbfc42158924281c479c5"
         )
 
     def test_stream_shorter_than_training_is_reported(self):

@@ -185,20 +185,22 @@ class TestRunMonitor:
         assert run_monitor(list(x), config) == run_monitor(list(x), config)
 
     def test_golden_events(self, config):
-        # events recorded from the loop that kept the history as a list of
-        # per-sample arrays; 3 200 samples cross the sample buffer's first
-        # growth, and the stream has three mean steps
+        # alarms and training windows recorded from the loop that kept the
+        # history as a list of per-sample arrays, labels from the change
+        # estimate; 3 200 samples cross the sample buffer's first growth, and
+        # the stream has three mean steps
         x = stationary(40, 3200)
         x[1100:2200] += 4.0
         x[2700:] -= 3.0
         events = run_monitor(x, config)
         assert [
-            (e.detected_at, e.direction.value, repr(e.trend.value), e.training_used)
+            (e.detected_at, e.direction.value, repr(e.trend.value), e.trend.at_index,
+             e.training_used)
             for e in events
         ] == [
-            (1121, "down", "-1.42758100870799", (1, 1100)),
-            (2217, "up", "2.052318527270475", (1101, 2146)),
-            (2722, "up", "1.0053659777535677", (2201, 2642)),
+            (1121, "up", "4.004641514521678", 1101, (1, 1100)),
+            (2217, "down", "-3.6555539886491886", 2201, (1101, 2146)),
+            (2722, "down", "-3.4736463126339907", 2701, (2201, 2642)),
         ]
         assert run_monitor(x.tolist(), config) == events
         assert run_monitor([[v] for v in x.tolist()], config) == events
@@ -243,7 +245,8 @@ class TestRunMonitor:
         [event] = run_monitor(x, config)
         # 1-based stream index: the sample that fixes the width, inside the
         # first m_min samples, inside the first monitored window, and the
-        # first sample the label pulls
+        # first sample after the alarm, which the label does not read: its
+        # event is pushed before the sample raises
         index = {"first": 1, "training": 60, "window": 130,
                  "after-alarm": event.detected_at + 1}[where]
         x[index - 1] = bad
@@ -254,7 +257,7 @@ class TestRunMonitor:
                 NonFiniteSampleError, match=rf"^sample {index} is not finite: \[{bad}\]$"
             ):
                 run_monitor(stream, config, on_event=seen.append)
-            assert seen == []
+            assert seen == ([event] if where == "after-alarm" else [])
 
     def test_non_finite_sample_in_a_skipped_window(self, config, caplog):
         # a window the loop skips is read past without the detector, by the
@@ -346,7 +349,7 @@ class TestRunMonitor:
     def test_each_indicator_value_computed_once(self, config, monkeypatch):
         # the labels of one stream extend one indicator memo: the samples each
         # extension covers follow on from the last, and stop at the last
-        # labelled index + h
+        # label's window end, its change estimate + h cut at its alarm
         spans = []
         real = trend.TrendMemo._extend
 
@@ -361,7 +364,8 @@ class TestRunMonitor:
         events = run_monitor(x, config)
         assert len(spans) == len(events) == 3
         assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
-        assert spans[-1][1] == events[-1].detected_at + config.macd.h
+        last = events[-1]
+        assert spans[-1][1] == min(last.trend.at_index + config.macd.h, last.detected_at)
 
     def test_detector_critval_requested_once_per_stream(self, config):
         requests = []
@@ -404,8 +408,8 @@ class TestRunMonitor:
 
     @pytest.mark.parametrize("form", ["floats", "ndarray", "one-item lists"])
     def test_event_pushed_after_exactly_its_label_window(self, config, form):
-        # an event for an alarm at a waits for samples up to a + h (clamped
-        # at the stream's end) and for no sample beyond them
+        # a label reads nothing past its alarm: the event for an alarm at a
+        # is pushed once sample a is read, and waits for no later sample
         x = stationary(40, 3200)
         x[1100:2200] += 4.0
         x[2700:] -= 3.0
@@ -414,7 +418,8 @@ class TestRunMonitor:
         pushed = []
         events = run_monitor(stream, config, on_event=lambda e: pushed.append(stream.pulls))
         assert len(events) == 3
-        assert pushed == [min(e.detected_at + config.macd.h, len(x)) for e in events]
+        assert pushed == [e.detected_at for e in events]
+        assert all(e.trend.at_index <= e.detected_at for e in events)
         assert stream.pulls == len(x) + 1  # every sample once, then the end once
         assert stream.pulls_after_end == 0
 
@@ -423,12 +428,15 @@ class TestRunMonitor:
             critvals=cheap_provider, window_k=100, quiet_gap_d=25,
             macd=MacdParams(9, 12, 26, h=10), m_min=100,
         )
+        # the stream ends fewer than h samples after the alarm: the event is
+        # pushed at the alarm, and the loop then reads the end once
         x = one_step(10, 158, 150, 8.0)
         stream = CountingIterator(x.tolist())
         pushed = []
         [event] = run_monitor(stream, config, on_event=lambda e: pushed.append(stream.pulls))
         assert event.detected_at + config.macd.h > len(x)
-        assert pushed == [len(x) + 1]
+        assert pushed == [event.detected_at]
+        assert stream.pulls == len(x) + 1
         assert stream.pulls_after_end == 0
 
     def test_event_callback_invoked(self, config):
@@ -442,12 +450,16 @@ class TestRunMonitor:
             critvals=cheap_provider, window_k=100, quiet_gap_d=25,
             macd=MacdParams(9, 12, 26, h=10), m_min=100,
         )
-        # stream ends right after the alarm: fewer than h samples remain
+        # stream ends right after the alarm: fewer than h samples remain, and
+        # the label's window from the change estimate ends at the alarm
         x = one_step(10, 158, 150, 8.0)
-        events = run_monitor(x, config)
-        assert len(events) == 1
-        assert events[0].trend.at_index == events[0].detected_at
-        assert events[0].detected_at <= 158
+        [event] = run_monitor(x, config)
+        change_at = event.trend.at_index
+        assert 151 <= change_at < event.detected_at <= 158
+        assert event.detected_at - change_at < config.macd.h
+        cut = replace(config.macd, h=event.detected_at - change_at)
+        assert event.trend == trend.trend_interval(x[: event.detected_at], change_at, cut)
+        assert event.direction is Direction.UP
 
     def test_training_windows_are_change_free_post_hoc(self, config):
         violations = 0
@@ -499,8 +511,7 @@ class TestRunMonitor:
 
     def test_ratio_detector_variant(self, cheap_provider):
         # the ratio statistic detects with a longer delay than the standard
-        # one; the event fires, but the trend label at the alarm index is not
-        # asserted (the indicator may have crossed zero again by then)
+        # one; the label reads the change where the estimate puts it
         config = MonitorConfig(
             critvals=cheap_provider,
             detector="ratio",
@@ -512,9 +523,26 @@ class TestRunMonitor:
         events = run_monitor(x, config)
         assert len(events) == 1
         assert events[0].detected_at >= 151
-        assert events[0].action is (
-            Action.SCALE_UP if events[0].direction is Direction.UP else Action.SCALE_DOWN
+        assert events[0].trend.at_index == 151
+        assert events[0].action is Action.SCALE_UP
+
+    @pytest.mark.parametrize("shift", [5.0, -5.0])
+    @pytest.mark.parametrize("trend_dim", [1, 2])
+    @pytest.mark.parametrize("detector", ["standard", "ratio"])
+    def test_change_estimate_on_a_noiseless_step(self, cheap_provider, detector, trend_dim, shift):
+        # a stream without noise, +1 and -1 in turn, steps at sample 151 on
+        # column trend_dim (beside a period-3 column when trend_dim is 2): the
+        # estimate puts the change exactly there, and the label reads its sign
+        t = np.arange(400)
+        x = np.column_stack([t % 3 - 1.0, (-1.0) ** t])[:, 2 - trend_dim :]
+        x[150:, -1] += shift
+        config = MonitorConfig(
+            critvals=cheap_provider, detector=detector, window_k=100, quiet_gap_d=25,
+            m_min=100, trend_dim=trend_dim,
         )
+        [event] = run_monitor(x, config)
+        assert event.trend.at_index == 151 < event.detected_at
+        assert event.direction is (Direction.UP if shift > 0 else Direction.DOWN)
 
 
 def ar1_level_steps(seed, n=4000, every=1000, phi=0.3, levels=(0.0, 3.0, 0.0, -3.0)):
@@ -543,9 +571,10 @@ def event_fingerprint(streams_events) -> str:
 @pytest.mark.parametrize(
     "detector, expected",
     [
-        ("standard", "e6a5b6f13b2652a48f1e274377684427612c388b79d431f1cca38e0e275eb7b4"),
-        ("ratio", "9f42990255f94d559f8cbd0ef3ee55b1a50cdb1a03fdb569522fa3f4e0e49801"),
+        ("standard", "c002230bc39f0bafbb298330c6eb5022d199808b556f59a88f38adfcff9cca06"),
+        ("ratio", "2a6e5aea84cdc83cb01a2f857cf96413cee61381c7ab012a774c0c7fc4e5f1f3"),
     ],
+    ids=["standard", "ratio"],
 )
 def test_decision_fingerprint(detector, expected):
     # a byte-identical change to the monitor, the detectors or the offline
@@ -560,58 +589,6 @@ def test_decision_fingerprint(detector, expected):
     assert event_fingerprint(streams_events) == expected
 
 
-def catch_up_stream():
-    """Two moderate mean steps, which segmentation often cannot place just
-    after an alarm: the next round then trains, and its window starts inside
-    the samples the label already read."""
-    x = stationary(42, 1500)
-    x[500:900] += 1.5
-    x[1200:] -= 1.5
-    return x
-
-
-CATCH_UP_FINGERPRINTS = {
-    ("standard", 0, 50): "312481b50e3bc4862a471f8d1b3055425babd56110362805660bc227058c0a8a",
-    ("standard", 0, 200): "154e711263a31462a8e64c5be552a768afef8e3f9f749bcf3db4c378e687b24e",
-    ("standard", 3, 50): "e3f5f76f1cf0a7a824f74f8805870029b6c6ea919d75501f04bf93fe9dab2629",
-    ("standard", 3, 200): "0e565f79dbf89d337681fa1fc7bb627705b4bbf858a97606bcb15eca7100aa3b",
-    ("ratio", 0, 50): "2b14355815eb32b8a1a90d1116b73e9cbb24ab451174535cb3db6d3246a430ac",
-    ("ratio", 0, 200): "e6ab0b03f09635b40a4807d76e9cbe57c9d2bfd7dca05f7d133cbf163c9c4b97",
-    ("ratio", 3, 50): "420d95557fcede1daf66b6692bf4780efb2754dd1f1a6fa0595b9482b85ba2db",
-    ("ratio", 3, 200): "a92f9d8c16624c08051ecf05fa4e23728bfb734980342e011452b118d48dc9e3",
-}
-
-
-@pytest.mark.parametrize("detector, quiet_gap_d, window_k", list(CATCH_UP_FINGERPRINTS))
-def test_window_steps_over_samples_the_label_read(config, caplog, detector, quiet_gap_d, window_k):
-    # quiet_gap_d below h: the next window starts at a + d, inside the
-    # samples a + 1 .. a + h that the label pulled, and the detector steps
-    # over those from the buffer before it reads the stream again
-    config = replace(config, detector=detector, quiet_gap_d=quiet_gap_d, window_k=window_k)
-    h = config.macd.h
-    x = catch_up_stream()
-    n = len(x)
-    forms = {"floats": x.tolist(), "ndarray": x, "one-item lists": [[v] for v in x.tolist()]}
-    runs = {}
-    for form, samples in forms.items():
-        stream = CountingIterator(samples)
-        pushed = []
-        with caplog.at_level(logging.WARNING, logger="cpstream.monitor"):
-            runs[form] = run_monitor(stream, config, on_event=lambda e: pushed.append(stream.pulls))
-        assert pushed == [min(e.detected_at + h, n) for e in runs[form]]
-        assert stream.pulls == n + 1
-        assert stream.pulls_after_end == 0
-    events = runs["floats"]
-    assert runs["ndarray"] == runs["one-item lists"] == events
-    # events recorded from the loop whose monitored window had its own intake
-    assert event_fingerprint([events]) == CATCH_UP_FINGERPRINTS[detector, quiet_gap_d, window_k]
-    # some round after an alarm trained and monitored from inside the label window
-    skipped = {r.args[0] for r in caplog.records if r.msg.startswith("skipping window")}
-    assert any(
-        e.detected_at + h < n and e.detected_at + quiet_gap_d not in skipped for e in events
-    )
-
-
 def multi_step_stream(seed, n=3000, every=400, steps=(1.5, 4.0, -1.5, -4.0)):
     """N(0, 1) noise whose mean moves by the next of ``steps`` every ``every`` samples."""
     level = np.cumsum([0.0] + [steps[i % len(steps)] for i in range(n // every)])
@@ -619,9 +596,9 @@ def multi_step_stream(seed, n=3000, every=400, steps=(1.5, 4.0, -1.5, -4.0)):
 
 
 def test_label_look_ahead_never_moves_an_alarm(config):
-    # a label reads h samples past its alarm, and at quiet_gap_d < h the next
-    # window first steps over those from the buffer; the alarms and training
-    # windows must be those of h = 0, whose label reads nothing ahead
+    # a label reads nothing past its alarm, so its half-window h cannot
+    # reach the samples that decide the next alarm, even at quiet_gap_d < h;
+    # the alarms and training windows must be those of h = 0
     stepped_over = 0
     for seed in (60, 61):
         x = multi_step_stream(seed)
@@ -639,7 +616,7 @@ def test_label_look_ahead_never_moves_an_alarm(config):
             ], (seed, detector, quiet_gap_d, h, window_k)
             stepped_over += sum(b.detected_at - a.detected_at <= h
                                 for a, b in zip(events, events[1:]))
-    # some alarm fell among the samples the last label had already read
+    # some alarm fell within h samples of the last one
     assert stepped_over > 0
 
 
@@ -652,14 +629,17 @@ def test_two_column_stream_across_buffer_growths(cheap_provider):
     x[2100:, 0] -= 3.0
     x[1800:, 1] += 2.0
     events = run_monitor(x, config)
+    # the label reads column 1, so the change in column 2 at 1801 is labelled
+    # at its alarm with the indicator of a column that did not move
     assert [
-        (e.detected_at, e.direction.value, repr(e.trend.value), e.training_used)
+        (e.detected_at, e.direction.value, repr(e.trend.value), e.trend.at_index,
+         e.training_used)
         for e in events
     ] == [
-        (725, "down", "-0.5371071882280336", (1, 700)),
-        (1524, "up", "1.3562388782405228", (702, 1450)),
-        (1831, "down", "-0.00542046407592954", (1501, 1749)),
-        (2116, "up", "2.17279945073545", (1799, 2056)),
+        (725, "up", "4.32819181797267", 701, (1, 700)),
+        (1524, "down", "-3.3725357536819707", 1501, (702, 1450)),
+        (1831, "up", "0.18344227950998426", 1831, (1501, 1749)),
+        (2116, "down", "-2.698664015294378", 2102, (1799, 2056)),
     ]
     assert run_monitor(x.tolist(), config) == events
     assert run_monitor(iter(map(tuple, x.tolist())), config) == events
