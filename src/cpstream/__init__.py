@@ -18,11 +18,10 @@ from .errors import (
     CpstreamError,
     CsvFormatError,
     DetectorStoppedError,
-    InsufficientTrainingError,
     NonFiniteSampleError,
 )
 from .longrun import bartlett_bandwidth, bartlett_lrv
-from .monitor import Action, ChangeEvent, MonitorConfig, run_monitor, select_training
+from .monitor import Action, ChangeEvent, MonitorConfig, run_monitor
 from .offline import ChangePointSet, OfflineTestResult, cusum_path, offline_test, segment
 from .online import (
     DetectorKind,
@@ -89,12 +88,10 @@ __all__ = [
     "MonitorConfig",
     "ChangeEvent",
     "Action",
-    "select_training",
     "run_monitor",
     # errors
     "CpstreamError",
     "CsvFormatError",
-    "InsufficientTrainingError",
     "DetectorStoppedError",
     "NonFiniteSampleError",
 ]

@@ -9,10 +9,6 @@ class CsvFormatError(CpstreamError):
     """Raised when a delimited input file cannot be parsed."""
 
 
-class InsufficientTrainingError(CpstreamError):
-    """Raised when the change-point-free suffix of the history is too short to train on."""
-
-
 class DetectorStoppedError(CpstreamError):
     """Raised when a sample is fed to a sequential detector that already alarmed."""
 

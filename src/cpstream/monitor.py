@@ -1,45 +1,51 @@
 """Integrated monitoring loop: pick a clean training window, watch, label, restart.
 
-Each round works on the stream history up to the current origin m_s:
+The loop keeps the first sample of the current regime, last_cp (1 at the
+start). Each round works on the regime up to the current origin m_s:
 
-1. segment the history and take the stretch after the last change point as
-   the training sample (the whole history when no change is found); a
-   stretch shorter than ``m_min`` skips the round, and the origin moves on
-   by ``window_k``;
-2. train the sequential detector on it and monitor the next ``window_k``
-   samples;
+1. segment [last_cp, m_s] (a regime shorter than ``2 * min_seg`` counts as
+   change-free); a change point found there moves last_cp to the sample
+   after it, and when fewer than ``m_min`` samples follow, the round waits:
+   the origin moves to last_cp - 1 + m_min, and the samples up to it are
+   read without a detector. Nothing is skipped;
+2. train the sequential detector on [last_cp, m_s] and monitor the next
+   ``window_k`` samples;
 3. on an alarm at stream index a, estimate where the change happened from
    the monitored samples, label its direction with the interval trend
    indicator there (its window cut at a), emit a scale-up/scale-down event,
-   and restart monitoring at a + quiet_gap_d;
+   and start the next regime at the estimate: last_cp moves there, and the
+   origin to max(a + quiet_gap_d, last_cp - 1 + m_min);
 4. on a quiet window, advance the origin to the window end and continue.
 
 The history is one (capacity, d) float64 buffer with a fill count: each
 sample is written into it once, as it is read, and the capacity doubles when
-the buffer fills. A round segments a view of the first m_s rows, not a copy:
-rows below the fill count are never written again, and a view taken before
-the buffer doubles keeps the old array, which holds the same rows. Nor does
-a round check those rows again: every sample was refused unless finite as
-it was read, so the round's series is built without the constructor's scan
-of the whole history. A label reads the rows it needs from the buffer
-itself. The buffer is not trimmed, so it grows with the stream.
+the buffer fills. A round segments its regime within a view of the first
+m_s rows, not a copy: rows below the fill count are never written again,
+and a view taken before the buffer doubles keeps the old array, which
+holds the same rows. Nor does a round check those rows again: every sample
+was refused unless finite as it was read, so the round's series is built
+without the constructor's scan of the whole history. A label reads the rows
+it needs from the buffer itself. The buffer is not trimmed, so it grows
+with the stream; the work of a round does not, since it segments and
+trains on the current regime only.
 
 One reader takes every sample from the stream into the buffer. It fills
-the buffer up to a count (the training prefix and the samples a skipped
-window passes over) and, in a monitored window, also steps the detector over
-each sample it reads and stops at the alarm. Every sample is checked as it
-is read, and a label reads nothing past its alarm: the event for an alarm at
-a is pushed once sample a is read, and the stream's end is read once.
+the buffer up to a count (the training prefix, the samples after a quiet
+gap and the samples a round waits for) and, in a monitored window, also
+steps the detector over each sample it reads and stops at the alarm. Every
+sample is checked as it is read, and a label reads nothing past its alarm:
+the event for an alarm at a is pushed once sample a is read, and the
+stream's end is read once.
 
-The rounds share one :func:`~cpstream.offline.segment` window memo, so no
-window is tested twice in a stream; it grows by one entry per distinct
-window and is dropped when the loop returns. The labels share one
-:class:`~cpstream.trend.TrendMemo`, so each sample's MACD indicator is
-computed once, up to the last label's window end; it holds 8 bytes per
-sample and is dropped with the window memo. Both memos index the buffer
-from sample 1: a loop that trims the buffer must drop or shift the windows
-of the one and trim the indicator of the other to match.
-The detector's critical value is asked for once per stream, at the first
+The rounds share one :func:`~cpstream.offline.segment` window memo, keyed
+by buffer indices, so no window is tested twice in a stream; it grows by
+one entry per distinct window and is dropped when the loop returns. The
+labels share one :class:`~cpstream.trend.TrendMemo`, so each sample's MACD
+indicator is computed once, up to the last label's window end; it holds 8
+bytes per sample and is dropped with the window memo. Both memos index
+the buffer from sample 1: a loop that trims the buffer must drop or shift
+the windows of the one and trim the indicator of the other to match. The
+detector's critical value is asked for once per stream, at the first
 round that trains.
 
 The loop ends when the stream does. Replaying a recorded stream with the
@@ -57,17 +63,16 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .critvals import CritValProvider
-from .errors import InsufficientTrainingError, NonFiniteSampleError
+from .errors import NonFiniteSampleError
 from .offline import DEFAULT_MIN_SEG, OfflineTestResult, _check_min_seg, segment
 from .online import DetectorKind, step, train
-from .timeseries import SeriesSegment, TimeSeries, _checked_rows
+from .timeseries import _checked_rows
 from .trend import Direction, MacdParams, TrendMemo, TrendVerdict, trend_interval
 
 __all__ = [
     "Action",
     "MonitorConfig",
     "ChangeEvent",
-    "select_training",
     "run_monitor",
 ]
 
@@ -132,38 +137,6 @@ class ChangeEvent:
         return Action.SCALE_UP if self.direction is Direction.UP else Action.SCALE_DOWN
 
 
-def select_training(
-    history: TimeSeries,
-    config: MonitorConfig,
-    memo: dict[tuple[int, int], OfflineTestResult] | None = None,
-) -> SeriesSegment:
-    """Longest change-free suffix of the history, as the training window.
-
-    Segments the whole history (histories shorter than one segmentable
-    window count as change-free). With no change point the training window
-    is the full history; otherwise it starts right after the last change
-    point, and a window shorter than ``m_min`` makes training impossible here.
-    ``memo`` is passed to :func:`~cpstream.offline.segment`; share one only
-    between histories that hold the same samples at the same indices.
-    """
-    n = history.n_samples
-    if n < config.m_min:
-        raise ValueError(f"history of length {n} shorter than minimal training {config.m_min}")
-    if n >= 2 * config.min_seg:
-        cps = segment(history, config.alpha, config.critvals, config.min_seg, memo).cps
-    else:
-        cps = ()
-    if not cps:
-        return history.segment(1, n)
-    lo = cps[-1] + 1
-    if n - lo + 1 >= config.m_min:
-        return history.segment(lo, n)
-    raise InsufficientTrainingError(
-        f"only {n - lo + 1} samples after the last change point at {cps[-1]}, "
-        f"need {config.m_min}"
-    )
-
-
 def run_monitor(
     stream: Iterable,
     config: MonitorConfig,
@@ -178,9 +151,9 @@ def run_monitor(
     the stream's width raises ``ValueError`` when sample 1 is read. At
     least ``m_min`` samples must arrive before the first window, and a
     shorter stream is logged and yields no events. Events are returned in
-    stream order (and pushed to ``on_event`` as they happen). A window
-    whose training selection fails is logged and skipped, advancing the
-    origin by one window.
+    stream order (and pushed to ``on_event`` as they happen). A round that
+    finds a change point with fewer than ``m_min`` samples after it waits
+    until ``m_min`` have been read, and then segments the regime again.
 
     The stream is iterated lazily, an ndarray included. On a one-column
     stream a finite exact Python ``float`` item is written straight into
@@ -255,11 +228,12 @@ def run_monitor(
         return []
 
     events: list[ChangeEvent] = []
-    # every round segments a prefix of the same buffer from sample 1, so a
-    # window (w_lo, w_hi) names the same samples in every round
+    # every round segments a regime of the same buffer, indexed from sample
+    # 1, so a window (w_lo, w_hi) names the same samples in every round
     memo: dict[tuple[int, int], OfflineTestResult] = {}
     trend_memo = TrendMemo(config.macd, config.trend_dim)
     online_cv = None  # the same request every round: asked for once
+    last_cp = 1  # the first sample of the current regime
     origin = config.m_min
     window_k = config.window_k
     while True:
@@ -267,12 +241,16 @@ def run_monitor(
             break
         # every sample was refused unless finite as it was read
         past = _checked_rows(buf[:origin])
-        try:
-            training = select_training(past, config, memo)
-        except InsufficientTrainingError as exc:
-            logger.warning("skipping window at origin %d: %s", origin, exc)
-            origin += window_k
-            continue
+        if origin - last_cp + 1 >= 2 * config.min_seg:
+            regime = past.segment(last_cp, origin)
+            cps = segment(regime, config.alpha, config.critvals, config.min_seg, memo).cps
+            if cps:
+                last_cp = cps[-1] + 1
+                if origin - last_cp + 1 < config.m_min:
+                    # wait, reading on, until m_min samples follow the change
+                    origin = last_cp - 1 + config.m_min
+                    continue
+        training = past.segment(last_cp, origin)
         if online_cv is None:
             online_cv = config.critvals(
                 config.detector.critval_kind, past.dim, config.alpha, config.gamma
@@ -308,5 +286,7 @@ def run_monitor(
         events.append(event)
         if on_event is not None:
             on_event(event)
-        origin = alarm_at + config.quiet_gap_d
+        # the new regime starts at the estimate and trains once m_min of it are read
+        last_cp = change_at
+        origin = max(alarm_at + config.quiet_gap_d, change_at - 1 + config.m_min)
     return events

@@ -29,6 +29,7 @@ DELETED = [
     ("cpstream.online", "ratio_boundary_weight"),
     ("cpstream.trend", "TrendMode"),
     ("cpstream.critvals", "replication_stats"),
+    ("cpstream.monitor", "select_training"),
 ]
 
 # attributes of public classes removed for the same reason

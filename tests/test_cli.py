@@ -422,13 +422,14 @@ class TestMonitorCommand:
         assert dispatch(argv) == 0
         out = capsys.readouterr().out
         events = [json.loads(line) for line in out.splitlines() if '"type": "event"' in line]
-        # the event at 1868 repeats the change at 1801, from a window that
-        # still holds it
-        assert [(e["index"], e["change_at"], e["direction"]) for e in events] == [
-            (928, 901, "up"), (1813, 1801, "down"), (1868, 1839, "up"), (2455, 2400, "up"),
+        # one event per change, each labelled right; each training window
+        # starts at the change estimate of the event before
+        assert [(e["index"], e["change_at"], e["direction"], e["training"]) for e in events] == [
+            (928, 901, "up", [1, 800]), (1813, 1801, "down", [901, 1700]),
+            (2441, 2402, "up", [1801, 2400]),
         ]
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0131f42c98bc7f737060be9796a7cf0f6784412d7f8bbfc42158924281c479c5"
+            "1cd899c6efaec0830248ab62b662180b402f981f40e4067d964b98e8fbe1ec9d"
         )
 
     def test_stream_shorter_than_training_is_reported(self):

@@ -9,10 +9,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cpstream import critvals, offline, trend
+from cpstream import critvals, monitor, offline, trend
 from cpstream.critvals import CritValKind, MonteCarloProvider
-from cpstream.errors import InsufficientTrainingError, NonFiniteSampleError
-from cpstream.monitor import Action, ChangeEvent, MonitorConfig, run_monitor, select_training
+from cpstream.errors import NonFiniteSampleError
+from cpstream.monitor import Action, ChangeEvent, MonitorConfig, run_monitor
 from cpstream.offline import segment
 from cpstream.rng import substream
 from cpstream.timeseries import TimeSeries
@@ -76,39 +76,6 @@ def test_event_direction_and_action_follow_the_label(value, direction, action):
     assert event.action is action
 
 
-class TestSelectTraining:
-    def test_change_free_history_uses_everything(self, config):
-        history = TimeSeries(stationary(1, 300))
-        seg = select_training(history, config)
-        assert (seg.lo, seg.hi) == (1, 300)
-
-    def test_training_starts_after_last_cp(self, config):
-        x = one_step(2, 400, 150, 5.0)
-        seg = select_training(TimeSeries(x), config)
-        assert seg.hi == 400
-        assert abs(seg.lo - 151) <= 3
-        # cross-check: the training window itself is change-free
-        cv = config.critvals("offline-max", 1, 0.05)
-        assert segment(TimeSeries(x).segment(seg.lo, seg.hi), 0.05, lambda *_: cv, 20).cps == ()
-
-    def test_late_cp_leaves_too_little_training(self, config):
-        # change 50 samples before the end: detectable, but the remaining
-        # suffix is shorter than m_min
-        x = stationary(3, 300)
-        x[250:] += 5.0
-        with pytest.raises(InsufficientTrainingError):
-            select_training(TimeSeries(x), config)
-
-    def test_short_history_rejected(self, config):
-        with pytest.raises(ValueError, match="shorter than minimal"):
-            select_training(TimeSeries(np.zeros(50)), config)
-
-    def test_history_below_segmentable_length_is_change_free(self, cheap_provider):
-        small = MonitorConfig(critvals=cheap_provider, m_min=10, min_seg=20, window_k=10)
-        seg = select_training(TimeSeries(stationary(4, 15)), small)
-        assert (seg.lo, seg.hi) == (1, 15)
-
-
 class TestRunMonitor:
     def test_default_config_values(self, cheap_provider):
         defaults = MonitorConfig(critvals=cheap_provider)
@@ -168,11 +135,6 @@ class TestRunMonitor:
         assert 201 <= first.detected_at <= 220
         assert 451 <= second.detected_at <= 470
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="at quiet_gap_d 0 the round after the alarm at 513 trains on (1, 513), which "
-        "holds the change at 500, and alarms on it again at 533",
-    )
     @pytest.mark.parametrize("window_k", [50, 100])
     def test_one_event_per_change_without_quiet_gap(self, config, window_k):
         x = one_step(42, 1000, 500, 4.0)
@@ -185,10 +147,10 @@ class TestRunMonitor:
         assert run_monitor(list(x), config) == run_monitor(list(x), config)
 
     def test_golden_events(self, config):
-        # alarms and training windows recorded from the loop that kept the
-        # history as a list of per-sample arrays, labels from the change
-        # estimate; 3 200 samples cross the sample buffer's first growth, and
-        # the stream has three mean steps
+        # recorded from the loop that restarts each regime at its alarm's
+        # change estimate: each training window runs from the last estimate
+        # to its origin; 3 200 samples cross the sample buffer's first
+        # growth, and the stream has three mean steps
         x = stationary(40, 3200)
         x[1100:2200] += 4.0
         x[2700:] -= 3.0
@@ -199,8 +161,8 @@ class TestRunMonitor:
             for e in events
         ] == [
             (1121, "up", "4.004641514521678", 1101, (1, 1100)),
-            (2217, "down", "-3.6555539886491886", 2201, (1101, 2146)),
-            (2722, "down", "-3.4736463126339907", 2701, (2201, 2642)),
+            (2219, "down", "-3.6555539886491886", 2201, (1101, 2200)),
+            (2717, "down", "-3.4736463126339907", 2701, (2201, 2700)),
         ]
         assert run_monitor(x.tolist(), config) == events
         assert run_monitor([[v] for v in x.tolist()], config) == events
@@ -259,19 +221,75 @@ class TestRunMonitor:
                 run_monitor(stream, config, on_event=seen.append)
             assert seen == ([event] if where == "after-alarm" else [])
 
-    def test_non_finite_sample_in_a_skipped_window(self, config, caplog):
-        # a window the loop skips is read past without the detector, by the
-        # same loop that reads the training prefix
-        x = one_step(7, 400, 150, 5.0)
-        with caplog.at_level(logging.WARNING, logger="cpstream.monitor"):
-            [event] = run_monitor(x, config)
-        origin = event.detected_at + config.quiet_gap_d
-        assert f"skipping window at origin {origin}:" in caplog.text
-        index = origin + config.window_k // 2
+    def wait_stream(self, seed=7):
+        """A +5 step at 61, inside the first m_min samples, and a -5 step at 301."""
+        x = one_step(seed, 500, 60, 5.0)
+        x[300:] -= 5.0
+        return x
+
+    def test_change_point_in_training_prefix_waits_for_m_min(self, config, monkeypatch):
+        # the first round segments (1, 100) and finds the change at 60, so the
+        # regime starts at 61 and the loop reads on, with no detector, until
+        # m_min samples of it are in; with no change found after that, each
+        # round trains on everything since 61
+        rounds, stepped = [], []
+        real_step = monitor.step
+
+        def segment_round(history, *args):
+            result = segment(history, *args)
+            rounds.append((history.lo, history.hi, result.cps))
+            return result
+
+        def recorded(state, x):
+            # the reader steps each sample right after pulling it
+            stepped.append(stream.pulls)
+            return real_step(state, x)
+
+        monkeypatch.setattr(monitor, "segment", segment_round)
+        monkeypatch.setattr(monitor, "step", recorded)
+        stream = CountingIterator(self.wait_stream().tolist())
+        [event] = run_monitor(stream, config)
+        assert rounds[:3] == [(1, 100, (60,)), (61, 160, ()), (61, 260, ())]
+        assert event.training_used == (61, 260)
+        assert event.direction is Direction.DOWN
+        # the first detector trains on (61, 160): no sample up to 160 is stepped
+        assert stepped[:101] == list(range(161, 262))
+
+    def test_non_finite_sample_read_while_waiting_after_a_change_point(self, config, monkeypatch):
+        # the samples the loop reads while it waits for m_min samples after a
+        # change point reach no detector, yet each is checked as it is read
+        stepped = []
+        real = monitor.step
+
+        def recorded(state, x):
+            stepped.append(x)
+            return real(state, x)
+
+        monkeypatch.setattr(monitor, "step", recorded)
+        x = self.wait_stream()
+        index = 130
         x[index - 1] = np.nan
         for stream in (x, x.tolist(), [[v] for v in x.tolist()]):
             with pytest.raises(NonFiniteSampleError, match=rf"^sample {index} is not finite: \[nan\]$"):
                 run_monitor(stream, config)
+        assert stepped == []
+
+    def test_regime_shorter_than_two_min_seg_trains_unsegmented(self, cheap_provider, monkeypatch):
+        # a regime too short to segment counts as change-free: the round
+        # trains on all of it, from the regime's first sample
+        small = MonitorConfig(critvals=cheap_provider, m_min=10, min_seg=20, window_k=10)
+        spans = []
+
+        def segment_round(history, *args):
+            spans.append((history.lo, history.hi))
+            return segment(history, *args)
+
+        monkeypatch.setattr(monitor, "segment", segment_round)
+        [event] = run_monitor(one_step(4, 100, 30, 5.0), small)
+        assert event.training_used == (1, 30)
+        change_at = event.trend.at_index
+        assert spans and all(lo == change_at for lo, _ in spans)
+        assert min(hi - lo + 1 for lo, hi in spans) >= 2 * small.min_seg
 
     def test_prefix_item_forms_give_identical_events(self, config):
         # the prefix and the skipped window pass np.float64, int and
@@ -571,8 +589,8 @@ def event_fingerprint(streams_events) -> str:
 @pytest.mark.parametrize(
     "detector, expected",
     [
-        ("standard", "c002230bc39f0bafbb298330c6eb5022d199808b556f59a88f38adfcff9cca06"),
-        ("ratio", "2a6e5aea84cdc83cb01a2f857cf96413cee61381c7ab012a774c0c7fc4e5f1f3"),
+        ("standard", "a6eee363b763d0357445759851b2f69ca662b7e942e7e2747a375d66957b2cc5"),
+        ("ratio", "ea353cde82f525395a2d0d09b942716e879c3c014514924ba3c512e9fd86a2c8"),
     ],
     ids=["standard", "ratio"],
 )
@@ -598,14 +616,16 @@ def multi_step_stream(seed, n=3000, every=400, steps=(1.5, 4.0, -1.5, -4.0)):
 def test_label_look_ahead_never_moves_an_alarm(config):
     # a label reads nothing past its alarm, so its half-window h cannot
     # reach the samples that decide the next alarm, even at quiet_gap_d < h;
-    # the alarms and training windows must be those of h = 0
+    # the alarms and training windows must be those of h = 0. A regime
+    # restarts at its change estimate and trains once m_min of it are read,
+    # so only an m_min below h lets the next alarm fall within h samples
     stepped_over = 0
     for seed in (60, 61):
         x = multi_step_stream(seed)
-        for detector, quiet_gap_d, h, window_k in itertools.product(
-            ("standard", "ratio"), (0, 3, 9), (10, 25), (50, 200)
+        for detector, quiet_gap_d, h, window_k, m_min in itertools.product(
+            ("standard", "ratio"), (0, 3, 9), (10, 25), (50, 200), (100, 8)
         ):
-            run = replace(config, detector=detector, quiet_gap_d=quiet_gap_d,
+            run = replace(config, detector=detector, quiet_gap_d=quiet_gap_d, m_min=m_min,
                           window_k=window_k, macd=replace(config.macd, h=h))
             events = run_monitor(x.tolist(), run)
             assert run_monitor(x, run) == events
@@ -613,7 +633,7 @@ def test_label_look_ahead_never_moves_an_alarm(config):
             no_look_ahead = run_monitor(x.tolist(), replace(run, macd=replace(run.macd, h=0)))
             assert [(e.detected_at, e.training_used) for e in events] == [
                 (e.detected_at, e.training_used) for e in no_look_ahead
-            ], (seed, detector, quiet_gap_d, h, window_k)
+            ], (seed, detector, quiet_gap_d, h, window_k, m_min)
             stepped_over += sum(b.detected_at - a.detected_at <= h
                                 for a, b in zip(events, events[1:]))
     # some alarm fell within h samples of the last one
@@ -630,16 +650,19 @@ def test_two_column_stream_across_buffer_growths(cheap_provider):
     x[1800:, 1] += 2.0
     events = run_monitor(x, config)
     # the label reads column 1, so the change in column 2 at 1801 is labelled
-    # at its alarm with the indicator of a column that did not move
+    # with the indicator of a column that did not move; the change in column
+    # 1 at 2101 falls 14 samples before the origin 2114, inside the training
+    # window (1815, 2114) and too near its end for segmentation to place, so
+    # its estimate lands after the origin and its label reads up
     assert [
         (e.detected_at, e.direction.value, repr(e.trend.value), e.trend.at_index,
          e.training_used)
         for e in events
     ] == [
         (725, "up", "4.32819181797267", 701, (1, 700)),
-        (1524, "down", "-3.3725357536819707", 1501, (702, 1450)),
-        (1831, "up", "0.18344227950998426", 1831, (1501, 1749)),
-        (2116, "down", "-2.698664015294378", 2102, (1799, 2056)),
+        (1523, "down", "-3.3725357536819707", 1501, (701, 1500)),
+        (1830, "down", "-0.45158870503093484", 1815, (1501, 1800)),
+        (2152, "up", "2.17279945073545", 2116, (1815, 2114)),
     ]
     assert run_monitor(x.tolist(), config) == events
     assert run_monitor(iter(map(tuple, x.tolist())), config) == events

@@ -115,10 +115,7 @@ def count_params(measured):
     ]
 
 
-@pytest.mark.parametrize("kind", count_params({
-    "negative-binomial": "21 of 30 changes (0.7) of the overdispersed streams are detected "
-    "within 200 samples",
-}))
+@pytest.mark.parametrize("kind", COUNT_KINDS)
 def test_count_changes_are_detected(count_scores, kind):
     detected, _ = count_scores[kind]
     changes = COUNT_STREAMS * (len(COUNT_MEANS) - 1)
@@ -126,7 +123,7 @@ def test_count_changes_are_detected(count_scores, kind):
 
 
 @pytest.mark.parametrize("kind", count_params({
-    "negative-binomial": "19 of the 21 detected changes (0.905) of the overdispersed streams "
+    "negative-binomial": "27 of the 30 detected changes (0.9) of the overdispersed streams "
     "are labelled right",
 }))
 def test_count_changes_are_labelled(count_scores, kind):
@@ -195,11 +192,6 @@ def level_steps(n, seed, *salt, every=1000, phi=0.3, levels=(0.0, 3.0, 0.0, -3.0
     return noise + np.asarray(levels)[(np.arange(n) // every) % len(levels)]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="after most alarms fewer than m_min samples follow the change point, and the "
-    "monitor skips the window: 11 skips leave 2 200 of 16 000 samples unwatched",
-)
 def test_no_window_is_skipped(provider, caplog):
     config = MonitorConfig(critvals=provider)
     n = 4000
@@ -217,8 +209,10 @@ def test_no_window_is_skipped(provider, caplog):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="after most alarms the monitor skips a whole window past the quiet gap: 11 of 15 "
-    "alarms leave 225 samples unwatched, above max(m_min, quiet_gap_d) = 200",
+    reason="11 of 12 alarms leave 167-173 samples unwatched, but stream k = 3's alarm at "
+    "2030 leaves 349, above max(m_min, quiet_gap_d) = 200: segmenting its regime "
+    "[2003, 2202] places spurious change points at 2114 and 2179 in the AR(1) noise at "
+    "phi 0.3 (the offline test's size defect), and the round waits for m_min samples",
 )
 def test_blind_span_after_each_alarm(provider, monkeypatch):
     config = MonitorConfig(critvals=provider)
