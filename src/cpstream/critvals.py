@@ -15,12 +15,17 @@ simulating paths on a fine grid:
 
 Replication r of a run with seed s draws from the counter-based Philox
 stream keyed by (s, r), so results are bit-identical no matter how the
-replications are scheduled or parallelised. :func:`compute_critval`
-simulates consecutive replications in blocks: each block is a (rows, d, steps) array of Wiener paths
-drawn with :func:`~cpstream.rng.standard_normal_rows`, which derives the rows'
-substream keys in one vectorised pass, and each statistic's formula runs along
-the block's last axis. Every row equals its one-replication value,
-:func:`replication_stat`, bit for bit.
+replications are scheduled or parallelised. :func:`compute_critval` derives
+every replication's substream key in one vectorised pass and splits the
+replications into contiguous ranges of whole blocks, one range per CPU in the
+process's affinity mask, or a single range when a path row is too short to
+repay a thread. The calling thread simulates the first range and a thread of
+its own each other one. Every worker keeps one Philox generator, re-keyed per
+row, and one block buffer: each block, a (rows, d, steps) array of Wiener
+paths, is drawn into it, and each statistic's formula runs along the block's
+last axis. Every row equals its one-replication value,
+:func:`replication_stat`, bit for bit, so the sample is the same at any
+number of CPUs.
 
 Replication r draws the same paths for the offline and the standard kinds at
 the same grid, seed and d. So at d = 1 one offline draw also yields the
@@ -32,16 +37,18 @@ default monitor run needs cost one draw (common random numbers).
 from __future__ import annotations
 
 import csv
+import os
+import threading
 from dataclasses import InitVar, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CsvFormatError
 from .longrun import inverse as _reg_inverse
-from .rng import standard_normal_rows
+from .rng import _philox_keys, _row_drawer, standard_normal_rows
 from .timeseries import _text_lines
 
 __all__ = [
@@ -182,28 +189,39 @@ def _online_standard_stats(w: np.ndarray, grid_steps: int, gamma: float) -> np.n
 def _online_ratio_stats(w: np.ndarray, grid_steps: int, gamma: float) -> np.ndarray:
     total = w.shape[-1]
     u = np.arange(1, total + 1) / grid_steps
-    bridge = np.subtract(w, u * w[..., grid_steps - 1 : grid_steps], out=w)
-
     # trapezoid rule for integral_0^1 B B^T dr; B(0) = 0 drops out of the sum
     weights = np.full(grid_steps, 1.0 / grid_steps)
     weights[-1] /= 2.0
     t = u[grid_steps:] - 1.0
-    eta = (1.0 + t) * (t / (1.0 + t)) ** gamma
-    stats = np.empty(len(bridge))
+    eta_sq = ((1.0 + t) * (t / (1.0 + t)) ** gamma) ** 2
+    stats = np.empty(len(w))
     # row by row: a stacked matmul and einsum need not round like the 2-D ones
-    for row, path in enumerate(bridge):
+    for row, path in enumerate(w):
+        # the bridge B(u) = W(u) - u W(1) in place, one coordinate at a time:
+        # a block-long temporary per block made glibc trim and re-fault its
+        # heap every block (about 90 page faults each in a table build)
+        for coord in path:
+            coord -= u * coord[grid_steps - 1]
         unit = path[:, :grid_steps]
         denom_inv = _reg_inverse((unit * weights) @ unit.T)
         tail = path[:, grid_steps:]
         quad = np.einsum("ji,jk,ki->i", tail, denom_inv, tail)
-        stats[row] = np.max(quad / eta**2)
+        stats[row] = np.max(np.divide(quad, eta_sq, out=quad))
     return stats
 
 
 # Floats in one simulated block (or one row, where a row alone is larger):
 # enough rows to amortise the per-block work, few enough that the block's
-# temporaries leave peak memory flat.
+# temporaries leave peak memory flat. Each worker of :func:`compute_critval`
+# allocates one such block and draws every block of its range into it.
 _BLOCK_FLOATS = 2**15
+
+# Floats per row (d x path steps) from which the replications are split over
+# CPUs. Re-keying a row holds the GIL for about 2 us, and every GIL hand-over
+# between threads costs a wake-up; below this length the row's GIL-free draw
+# and kernel are too short to repay that (two workers on two CPUs: 0.97x at
+# 512 floats, 1.05x at 550, 1.28x at 600, 1.5x at 1 000).
+_PARALLEL_ROW_FLOATS = 600
 
 
 def _path_steps(request: CritValRequest) -> int:
@@ -214,16 +232,29 @@ def _path_steps(request: CritValRequest) -> int:
     return steps
 
 
-def _paths(request: CritValRequest, lo: int, hi: int) -> np.ndarray:
+class _Worker(NamedTuple):
+    """What one thread of a simulation reuses for every block it draws."""
+
+    keys: np.ndarray  # the Philox keys of every replication of the simulation
+    block: np.ndarray  # (rows, d, steps) buffer that each block is drawn into
+    draw: Callable[[np.ndarray, np.ndarray], np.ndarray]  # this thread's re-keyed generator
+
+
+def _paths(request: CritValRequest, lo: int, hi: int, worker: _Worker | None = None) -> np.ndarray:
     """The (hi - lo, d, steps) block of Wiener paths of replications lo..hi-1.
 
-    Replication r draws its (d, steps) increments from substream (seed, r);
-    :func:`~cpstream.rng.standard_normal_rows` draws the whole block at
-    once. Each row is pure in (request, r), so any split of the replications
-    into blocks gives the same paths.
+    Replication r draws its (d, steps) increments from substream (seed, r).
+    Each row is pure in (request, r), so any split of the replications into
+    blocks, and of the blocks over threads, gives the same paths. Without a
+    ``worker`` the block is a fresh array drawn by
+    :func:`~cpstream.rng.standard_normal_rows`; with one, it is the leading
+    rows of the worker's buffer, drawn under its precomputed keys.
     """
-    normals = np.empty((hi - lo, request.d, _path_steps(request)))
-    standard_normal_rows(normals, request.seed, start=lo)
+    if worker is None:
+        normals = np.empty((hi - lo, request.d, _path_steps(request)))
+        standard_normal_rows(normals, request.seed, start=lo)
+    else:
+        normals = worker.draw(worker.block[: hi - lo], worker.keys[lo:hi])
     return _wiener_paths(normals, 1.0 / request.grid_steps)
 
 
@@ -274,6 +305,46 @@ def _sorted(stats: np.ndarray) -> np.ndarray:
     return ordered
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _split(simulate: Callable[[int, int], Iterator[None]], bounds: Sequence[int]) -> None:
+    """Exhaust ``simulate(bounds[i], bounds[i + 1])`` for every i: the first range on
+    this thread, each other on a thread of its own.
+
+    ``simulate`` yields after each block. Once any range has raised, the
+    others stop at their next yield; every thread is joined before this
+    returns, and the first exception raised is re-raised.
+    """
+    errors = []
+
+    def run(lo: int, hi: int) -> None:
+        try:
+            for _ in simulate(lo, hi):
+                if errors:
+                    return
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            thread = threading.Thread(target=run, args=(lo, hi))
+            thread.start()
+            threads.append(thread)
+        run(bounds[0], bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def compute_critval(request: CritValRequest, samples: dict | None = None) -> CritVal:
     """Simulate the limiting functional and return its (1 - alpha) quantile.
 
@@ -288,24 +359,39 @@ def compute_critval(request: CritValRequest, samples: dict | None = None) -> Cri
     also stores the standard sample, sup_t |W(t)|, if it is missing. That
     costs two reductions per block, taken before the offline kernel
     overwrites the paths.
+
+    A simulation runs on up to one thread per CPU the process may use (see
+    the module docstring); its sample does not depend on how many.
     """
     key = _sample_key(request)
     ordered = None if samples is None else samples.get(key)
     if ordered is None:
         reps = request.replications
-        rows = max(1, _BLOCK_FLOATS // (request.d * _path_steps(request)))
+        steps = _path_steps(request)
+        row_floats = request.d * steps
+        rows = max(1, _BLOCK_FLOATS // row_floats)
+        keys = _philox_keys(request.seed, (), 0, reps)
         stats = np.empty(reps)
         sup_abs = companion_key = None
         if samples is not None and request.kind is CritValKind.OFFLINE_MAX and request.d == 1:
             companion_key = _sample_key(replace(request, kind=CritValKind.ONLINE_STANDARD))
             if companion_key not in samples:
                 sup_abs = np.empty(reps)
-        for lo in range(0, reps, rows):
-            hi = min(lo + rows, reps)
-            w = _paths(request, lo, hi)
-            if sup_abs is not None:
-                sup_abs[lo:hi] = _sup_abs(w)
-            stats[lo:hi] = _stats(request, w)
+
+        def simulate(lo: int, hi: int) -> Iterator[None]:
+            worker = _Worker(keys, np.empty((rows, request.d, steps)), _row_drawer())
+            for start in range(lo, hi, rows):
+                stop = min(start + rows, hi)
+                w = _paths(request, start, stop, worker)
+                if sup_abs is not None:
+                    sup_abs[start:stop] = _sup_abs(w)
+                stats[start:stop] = _stats(request, w)
+                yield
+
+        # one contiguous range of whole blocks per worker
+        blocks = -(-reps // rows)
+        workers = min(_cpus(), blocks) if row_floats >= _PARALLEL_ROW_FLOATS else 1
+        _split(simulate, [min(blocks * i // workers * rows, reps) for i in range(workers + 1)])
         ordered = _sorted(stats)
         if samples is not None:
             samples[key] = ordered

@@ -12,13 +12,15 @@ fills many consecutive substreams at once: a path's Philox key is the
 ``SeedSequence`` hash of its words, and that hash is the same few uint32
 operations for every path, so the keys of a whole index column come from
 one vectorised pass. One Philox generator is then re-keyed per row, which
-costs a state assignment instead of a new ``SeedSequence`` and ``Philox``.
+costs a state assignment instead of a new ``SeedSequence`` and ``Philox``;
+that loop is :func:`_row_drawer`'s, which a caller that splits rows over
+threads holds once per thread.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -83,7 +85,12 @@ def _philox_keys(seed: int, prefix: tuple[int, ...], start: int, n: int) -> np.n
     the same for every row, so the pool they leave is hashed once in Python
     ints; the index column is then mixed into it and hashed out to the state
     as (pool word, row) uint32 arrays, each pool word with its own constants.
+
+    Raises:
+        ValueError: an index at or above 2^32 (it would hash as two words).
     """
+    if start + n > 2**32:
+        raise ValueError(f"substream index {start + n - 1} is not below 2^32")
     words = _words(seed)
     words += [0] * (_POOL_SIZE - len(words))
     words += [w for p in prefix for w in _words(p)]
@@ -135,17 +142,27 @@ def standard_normal_rows(out: np.ndarray, seed: int, *prefix: int, start: int = 
     n = out.shape[0]
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
-    if start + n > 2**32:
-        raise ValueError(f"substream index {start + n - 1} is not below 2^32")
-    keys = _philox_keys(seed, prefix, start, n)
+    return _row_drawer()(out, _philox_keys(seed, prefix, start, n))
+
+
+def _row_drawer() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """A function that fills row i of a C-contiguous float64 ``out`` from Philox key ``keys[i]``.
+
+    Row i holds what a fresh generator under that key draws first. The
+    function re-keys one Philox generator of its own per row, so it serves
+    one thread at a time; numpy draws each row with the GIL released.
+    """
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     # a fresh generator's state, counter 0 and an empty buffer, under each row's key
     state = bitgen.state
-    # a row's draws fill it in C order, so each row may be drawn flat
-    flat = out.reshape(n, math.prod(out.shape[1:]))
-    for row, key in zip(flat, keys):
-        state["state"]["key"] = key
-        bitgen.state = state
-        gen.standard_normal(out=row)
-    return out
+
+    def draw(out: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        # a row's draws fill it in C order, so each row may be drawn flat
+        for row, key in zip(out.reshape(len(out), math.prod(out.shape[1:])), keys):
+            state["state"]["key"] = key
+            bitgen.state = state
+            gen.standard_normal(out=row)
+        return out
+
+    return draw

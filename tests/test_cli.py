@@ -553,9 +553,9 @@ class TestSimulateCommand:
         replications = []
         real = critvals._paths
 
-        def counted(request, lo, hi):
+        def counted(request, lo, hi, worker=None):
             replications.extend(range(lo, hi))
-            return real(request, lo, hi)
+            return real(request, lo, hi, worker)
 
         monkeypatch.setattr(critvals, "_paths", counted)
         status = dispatch(["simulate", "--grid", "4x4", "--attackers", "1", "--reps", "1",

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import optimize
 
+from cpstream import critvals
 from cpstream.critvals import (
     CritVal,
     CritValKind,
@@ -231,6 +235,99 @@ class TestDeterminism:
         assert np.sqrt(2) * 0.75 <= ratio <= np.sqrt(2) * 1.25
 
 
+class TestCpuCount:
+    """Replications split over CPUs give the serial sample, bit for bit."""
+
+    # 1000 reps at grid 1000 are 32-row blocks, the last one 8 rows (16-row
+    # blocks and a last of 8 at d = 2 or the ratio's 2 000-step path); every
+    # row is long enough to be split
+    BUDGET = dict(alpha=0.05, grid_steps=1000, replications=1000, seed=9)
+    REQUESTS = {
+        "offline-d1-with-companion": dict(kind=CritValKind.OFFLINE_MAX, d=1),
+        "offline-d2": dict(kind=CritValKind.OFFLINE_MAX, d=2),
+        "standard-d2-gamma0.25": dict(kind=CritValKind.ONLINE_STANDARD, d=2, gamma=0.25),
+        "ratio-d1": dict(kind=CritValKind.ONLINE_RATIO, d=1, horizon_T=1.0),
+    }
+
+    @pytest.mark.parametrize("fields", REQUESTS.values(), ids=REQUESTS.keys())
+    def test_same_bits_at_any_cpu_count(self, monkeypatch, fields):
+        request = CritValRequest(**fields, **self.BUDGET)
+        stored = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(critvals, "_cpus", lambda cpus=cpus: cpus)
+            threads = set()
+
+            def traced(request, lo, hi, worker=None):
+                threads.add(threading.get_ident())
+                return _paths(request, lo, hi, worker)
+
+            monkeypatch.setattr(critvals, "_paths", traced)
+            samples = {}
+            compute_critval(request, samples)
+            assert len(threads) == cpus
+            stored[cpus] = {key: sample.tobytes() for key, sample in samples.items()}
+        assert len(stored[1]) == (2 if fields == self.REQUESTS["offline-d1-with-companion"] else 1)
+        assert stored[1] == stored[2] == stored[3]
+
+    def test_table_bytes_at_one_and_three_cpus(self, tmp_path, monkeypatch):
+        params = dict(
+            dims=(1, 2), alphas=(0.05, 0.10), gammas=(0.0, 0.25), grid_steps=1000,
+            replications=1000, horizon_T=1.0, seed=2,
+        )
+        for cpus in (1, 3):
+            monkeypatch.setattr(critvals, "_cpus", lambda cpus=cpus: cpus)
+            build_table(tmp_path / f"{cpus}.csv", **params)
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "3.csv").read_bytes()
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_failure_is_reraised_and_every_thread_joined(self, monkeypatch, failing):
+        caller = threading.current_thread()
+        real = critvals._stats
+
+        class Failure(Exception):
+            pass
+
+        def failing_stats(request, w):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise Failure
+            return real(request, w)
+
+        monkeypatch.setattr(critvals, "_cpus", lambda: 2)
+        monkeypatch.setattr(critvals, "_stats", failing_stats)
+        before = threading.active_count()
+        samples = {}
+        with pytest.raises(Failure):
+            compute_critval(CritValRequest(kind=CritValKind.OFFLINE_MAX, **self.BUDGET), samples)
+        assert samples == {}
+        assert threading.active_count() == before
+
+    def test_more_workers_than_cpus_with_frequent_switches(self, monkeypatch):
+        request = CritValRequest(kind=CritValKind.OFFLINE_MAX, **self.BUDGET)
+        serial = {}
+        monkeypatch.setattr(critvals, "_cpus", lambda: 1)
+        compute_critval(request, serial)
+        monkeypatch.setattr(critvals, "_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = {}
+            compute_critval(request, split)
+        finally:
+            sys.setswitchinterval(interval)
+        assert {k: v.tobytes() for k, v in split.items()} == {k: v.tobytes() for k, v in serial.items()}
+
+    @pytest.mark.parametrize("cpus, grid_steps", [(1, 1000), (3, 100)], ids=["one-cpu", "short-rows"])
+    def test_no_thread_on_one_cpu_or_below_the_crossover(self, monkeypatch, cpus, grid_steps):
+        def refused(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(critvals, "_cpus", lambda: cpus)
+        monkeypatch.setattr(critvals.threading, "Thread", refused)
+        request = CritValRequest(kind=CritValKind.OFFLINE_MAX, alpha=0.05, grid_steps=grid_steps,
+                                 replications=1000, seed=9)
+        assert compute_critval(request).value > 0
+
+
 class TestTable:
     SMALL = dict(
         kinds=[CritValKind.OFFLINE_MAX, CritValKind.ONLINE_STANDARD],
@@ -311,9 +408,9 @@ class TestProviders:
         stored = built(CritValKind.OFFLINE_MAX, 1, 0.05)
         reps = []
 
-        def counted(request, lo, hi):
+        def counted(request, lo, hi, worker=None):
             reps.extend(range(lo, hi))
-            return _paths(request, lo, hi)
+            return _paths(request, lo, hi, worker)
 
         monkeypatch.setattr("cpstream.critvals._paths", counted)
         provider = MonteCarloProvider(seed=4, grid_steps=150, replications=1000, table=path)
@@ -343,9 +440,9 @@ class TestSampleStore:
     def test_one_simulation_serves_every_alpha(self, monkeypatch):
         calls = []
 
-        def counted(request, lo, hi):
+        def counted(request, lo, hi, worker=None):
             calls.extend(range(lo, hi))
-            return _paths(request, lo, hi)
+            return _paths(request, lo, hi, worker)
 
         monkeypatch.setattr("cpstream.critvals._paths", counted)
         provider = MonteCarloProvider(seed=5, grid_steps=200, replications=2000)
@@ -414,9 +511,9 @@ class TestSharedDraw:
     def counted_replications(monkeypatch):
         reps = []
 
-        def counted(request, lo, hi):
+        def counted(request, lo, hi, worker=None):
             reps.extend(range(lo, hi))
-            return _paths(request, lo, hi)
+            return _paths(request, lo, hi, worker)
 
         monkeypatch.setattr("cpstream.critvals._paths", counted)
         return reps

@@ -88,9 +88,9 @@ class TestRunMonitor:
         # quantiles of the same d = 1 paths, drawn once
         rows = []
 
-        def counted(request, lo, hi):
+        def counted(request, lo, hi, worker=None):
             rows.extend(range(lo, hi))
-            return real(request, lo, hi)
+            return real(request, lo, hi, worker)
 
         real = critvals._paths
         monkeypatch.setattr(critvals, "_paths", counted)
