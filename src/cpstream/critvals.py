@@ -19,11 +19,12 @@ replications are scheduled or parallelised. :func:`compute_critval` derives
 every replication's substream key in one vectorised pass and splits the
 replications into contiguous ranges of whole blocks, one range per CPU in the
 process's affinity mask, or a single range when a path row is too short to
-repay a thread. The calling thread simulates the first range and a thread of
-its own each other one. Every worker keeps one Philox generator, re-keyed per
-row, and one block buffer: each block, a (rows, d, steps) array of Wiener
-paths, is drawn into it, and each statistic's formula runs along the block's
-last axis. Every row equals its one-replication value,
+repay a thread; :mod:`cpstream.rng` holds that rule and the helper that runs
+the ranges, which :func:`~cpstream.rng.standard_normal_rows` shares. Every
+worker keeps one Philox generator, re-keyed per row, and one block buffer:
+each block, a (rows, d, steps) array of Wiener paths, is drawn into it, and
+the statistic's formula runs along the block's last axis, with its grid
+constants built once per simulation. Every row equals its one-replication value,
 :func:`replication_stat`, bit for bit, so the sample is the same at any
 number of CPUs.
 
@@ -37,10 +38,9 @@ default monitor run needs cost one draw (common random numbers).
 from __future__ import annotations
 
 import csv
-import os
-import threading
 from dataclasses import InitVar, dataclass, field, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -48,7 +48,14 @@ import numpy as np
 
 from .errors import CsvFormatError
 from .longrun import inverse as _reg_inverse
-from .rng import _philox_keys, _row_drawer, standard_normal_rows
+from .rng import (
+    _PARALLEL_ROW_FLOATS,
+    _cpus,
+    _philox_keys,
+    _row_drawer,
+    _split,
+    standard_normal_rows,
+)
 from .timeseries import _text_lines
 
 __all__ = [
@@ -161,11 +168,12 @@ def _wiener_paths(normals: np.ndarray, step_var: float) -> np.ndarray:
 
 
 # Each kernel maps a (rows, d, steps) block of Wiener paths, which it may
-# overwrite, to the rows' suprema.
+# overwrite, to the rows' suprema. Its grid constants are arguments, which
+# :func:`_kernel` builds once per simulation: t = (1..grid_steps) / grid_steps,
+# and for the ratio kind the path's u and the trapezoid weights and eta(t)^2.
 
 
-def _offline_stats(w: np.ndarray, grid_steps: int) -> np.ndarray:
-    t = np.arange(1, grid_steps + 1) / grid_steps
+def _offline_stats(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     bridge = np.subtract(w, t * w[..., -1:], out=w)
     return np.max(np.sum(np.square(bridge, out=bridge), axis=-2), axis=-1)
 
@@ -176,24 +184,20 @@ def _sup_abs(w: np.ndarray) -> np.ndarray:
     return np.maximum(np.max(path, axis=-1), -np.min(path, axis=-1))
 
 
-def _online_standard_stats(w: np.ndarray, grid_steps: int, gamma: float) -> np.ndarray:
-    if gamma == 0.0 and w.shape[-2] == 1:
+def _online_standard_stats(w: np.ndarray, t_gamma: np.ndarray | None) -> np.ndarray:
+    """``t_gamma`` is t**gamma, or None at gamma 0, where it would be all ones."""
+    if t_gamma is None and w.shape[-2] == 1:
         return _sup_abs(w)
     path = np.sum(np.abs(w, out=w), axis=-2)
-    if gamma != 0.0:
-        t = np.arange(1, grid_steps + 1) / grid_steps
-        path /= t**gamma
+    if t_gamma is not None:
+        path /= t_gamma
     return np.max(path, axis=-1)
 
 
-def _online_ratio_stats(w: np.ndarray, grid_steps: int, gamma: float) -> np.ndarray:
-    total = w.shape[-1]
-    u = np.arange(1, total + 1) / grid_steps
-    # trapezoid rule for integral_0^1 B B^T dr; B(0) = 0 drops out of the sum
-    weights = np.full(grid_steps, 1.0 / grid_steps)
-    weights[-1] /= 2.0
-    t = u[grid_steps:] - 1.0
-    eta_sq = ((1.0 + t) * (t / (1.0 + t)) ** gamma) ** 2
+def _online_ratio_stats(
+    w: np.ndarray, u: np.ndarray, weights: np.ndarray, eta_sq: np.ndarray
+) -> np.ndarray:
+    grid_steps = weights.size
     stats = np.empty(len(w))
     # row by row: a stacked matmul and einsum need not round like the 2-D ones
     for row, path in enumerate(w):
@@ -215,14 +219,6 @@ def _online_ratio_stats(w: np.ndarray, grid_steps: int, gamma: float) -> np.ndar
 # temporaries leave peak memory flat. Each worker of :func:`compute_critval`
 # allocates one such block and draws every block of its range into it.
 _BLOCK_FLOATS = 2**15
-
-# Floats per row (d x path steps) from which the replications are split over
-# CPUs. Re-keying a row holds the GIL for about 2 us, and every GIL hand-over
-# between threads costs a wake-up; below this length the row's GIL-free draw
-# and kernel are too short to repay that (two workers on two CPUs: 0.97x at
-# 512 floats, 1.05x at 550, 1.28x at 600, 1.5x at 1 000).
-_PARALLEL_ROW_FLOATS = 600
-
 
 def _path_steps(request: CritValRequest) -> int:
     """Grid points of one replication's path: [0, 1], or [0, 1 + T] for the ratio kind."""
@@ -258,13 +254,26 @@ def _paths(request: CritValRequest, lo: int, hi: int, worker: _Worker | None = N
     return _wiener_paths(normals, 1.0 / request.grid_steps)
 
 
-def _stats(request: CritValRequest, w: np.ndarray) -> np.ndarray:
-    """The request's statistic of each row of a block from :func:`_paths`, which it may overwrite."""
+def _kernel(request: CritValRequest) -> Callable[[np.ndarray], np.ndarray]:
+    """The request's statistic of each row of a block from :func:`_paths`, which it may overwrite.
+
+    The kind's grid constants are built here, once for every block of a
+    simulation, and only read by the kernel, so every worker shares them.
+    """
+    steps = request.grid_steps
+    t = np.arange(1, steps + 1) / steps
     if request.kind is CritValKind.OFFLINE_MAX:
-        return _offline_stats(w, request.grid_steps)
+        return partial(_offline_stats, t=t)
+    gamma = request.gamma
     if request.kind is CritValKind.ONLINE_STANDARD:
-        return _online_standard_stats(w, request.grid_steps, request.gamma)
-    return _online_ratio_stats(w, request.grid_steps, request.gamma)
+        return partial(_online_standard_stats, t_gamma=None if gamma == 0.0 else t**gamma)
+    u = np.arange(1, _path_steps(request) + 1) / steps
+    # trapezoid rule for integral_0^1 B B^T dr; B(0) = 0 drops out of the sum
+    weights = np.full(steps, 1.0 / steps)
+    weights[-1] /= 2.0
+    after = u[steps:] - 1.0
+    eta_sq = ((1.0 + after) * (after / (1.0 + after)) ** gamma) ** 2
+    return partial(_online_ratio_stats, u=u, weights=weights, eta_sq=eta_sq)
 
 
 def replication_stat(request: CritValRequest, rep: int) -> float:
@@ -273,7 +282,7 @@ def replication_stat(request: CritValRequest, rep: int) -> float:
     Pure in (request, rep): evaluation order is irrelevant, which is what
     makes parallel table builds reproducible.
     """
-    return float(_stats(request, _paths(request, rep, rep + 1))[0])
+    return float(_kernel(request)(_paths(request, rep, rep + 1))[0])
 
 
 def _quantile_and_stderr(ordered: np.ndarray, p: float) -> tuple[float, float]:
@@ -305,46 +314,6 @@ def _sorted(stats: np.ndarray) -> np.ndarray:
     return ordered
 
 
-def _cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _split(simulate: Callable[[int, int], Iterator[None]], bounds: Sequence[int]) -> None:
-    """Exhaust ``simulate(bounds[i], bounds[i + 1])`` for every i: the first range on
-    this thread, each other on a thread of its own.
-
-    ``simulate`` yields after each block. Once any range has raised, the
-    others stop at their next yield; every thread is joined before this
-    returns, and the first exception raised is re-raised.
-    """
-    errors = []
-
-    def run(lo: int, hi: int) -> None:
-        try:
-            for _ in simulate(lo, hi):
-                if errors:
-                    return
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = []
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            thread = threading.Thread(target=run, args=(lo, hi))
-            thread.start()
-            threads.append(thread)
-        run(bounds[0], bounds[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def compute_critval(request: CritValRequest, samples: dict | None = None) -> CritVal:
     """Simulate the limiting functional and return its (1 - alpha) quantile.
 
@@ -371,6 +340,7 @@ def compute_critval(request: CritValRequest, samples: dict | None = None) -> Cri
         row_floats = request.d * steps
         rows = max(1, _BLOCK_FLOATS // row_floats)
         keys = _philox_keys(request.seed, (), 0, reps)
+        kernel = _kernel(request)
         stats = np.empty(reps)
         sup_abs = companion_key = None
         if samples is not None and request.kind is CritValKind.OFFLINE_MAX and request.d == 1:
@@ -385,7 +355,7 @@ def compute_critval(request: CritValRequest, samples: dict | None = None) -> Cri
                 w = _paths(request, start, stop, worker)
                 if sup_abs is not None:
                     sup_abs[start:stop] = _sup_abs(w)
-                stats[start:stop] = _stats(request, w)
+                stats[start:stop] = kernel(w)
                 yield
 
         # one contiguous range of whole blocks per worker

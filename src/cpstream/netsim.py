@@ -25,11 +25,14 @@ neighbours is declared an attacker. Those ten entries come from
 attack periods it needs instead of building the whole log. All node detectors
 of a replication (and all cluster-head detectors) are trained and run as one
 stack: each retrain round is one ``train`` and one ``run_batch`` call over the
-series that have not alarmed yet.
+series that have not alarmed yet, on views of the stack, which is copied
+smaller only in a round where some series alarmed.
 
 Everything is a pure function of (topology, scenario, seed, settings):
 per-node and per-replication RNG substreams make runs reproducible at any
-parallelism level.
+parallelism level; the node rows of a replication are drawn on every CPU in
+the affinity mask (:func:`~cpstream.rng.standard_normal_rows`), bit for bit
+as on one.
 """
 
 from __future__ import annotations
@@ -382,20 +385,24 @@ def _first_alarms(
     ``retrain_block`` samples is absorbed into the training prefix and the
     statistics recomputed. Each round trains and runs the series still quiet
     as one stack, which gives every series the alarm its own loop would.
+    Rounds train on and feed views of the stack; the quiet rows are copied
+    into a smaller stack only in a round where some series alarmed.
     """
     horizon = series.shape[1]
     m = settings.m
     _check_horizon(horizon, m)
     alarms: list[int | None] = [None] * series.shape[0]
-    quiet = np.arange(series.shape[0])
+    quiet = np.arange(series.shape[0])  # the id of each row of ``series``
     while m < horizon and quiet.size:
-        state = train(series[quiet, :m], DetectorKind.STANDARD, settings.gamma, critval)
+        state = train(series[:, :m], DetectorKind.STANDARD, settings.gamma, critval)
         block = min(settings.retrain_block, horizon - m)
-        verdicts, consumed = run_batch(state, series[quiet, m : m + block])
+        verdicts, consumed = run_batch(state, series[:, m : m + block])
         fired = verdicts.alarm
-        for i, used in zip(quiet[fired].tolist(), consumed[fired].tolist()):
-            alarms[i] = m + used
-        quiet = quiet[~fired]
+        if fired.any():
+            for i, used in zip(quiet[fired].tolist(), consumed[fired].tolist()):
+                alarms[i] = m + used
+            quiet = quiet[~fired]
+            series = series[~fired]
         m += block
     return alarms
 

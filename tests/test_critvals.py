@@ -282,18 +282,23 @@ class TestCpuCount:
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_failure_is_reraised_and_every_thread_joined(self, monkeypatch, failing):
         caller = threading.current_thread()
-        real = critvals._stats
+        real = critvals._kernel
 
         class Failure(Exception):
             pass
 
-        def failing_stats(request, w):
-            if (threading.current_thread() is caller) == (failing == "caller"):
-                raise Failure
-            return real(request, w)
+        def failing_kernel(request):
+            kernel = real(request)
+
+            def stats(w):
+                if (threading.current_thread() is caller) == (failing == "caller"):
+                    raise Failure
+                return kernel(w)
+
+            return stats
 
         monkeypatch.setattr(critvals, "_cpus", lambda: 2)
-        monkeypatch.setattr(critvals, "_stats", failing_stats)
+        monkeypatch.setattr(critvals, "_kernel", failing_kernel)
         before = threading.active_count()
         samples = {}
         with pytest.raises(Failure):
@@ -322,7 +327,7 @@ class TestCpuCount:
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(critvals, "_cpus", lambda: cpus)
-        monkeypatch.setattr(critvals.threading, "Thread", refused)
+        monkeypatch.setattr(threading, "Thread", refused)
         request = CritValRequest(kind=CritValKind.OFFLINE_MAX, alpha=0.05, grid_steps=grid_steps,
                                  replications=1000, seed=9)
         assert compute_critval(request).value > 0
@@ -565,7 +570,7 @@ class TestSharedDraw:
         assert (w[1] > 0).all() and (w[2] < 0).all()
         general = np.max(np.sum(np.abs(w), axis=-2), axis=-1)
         assert np.array_equal(_sup_abs(w), general)
-        assert np.array_equal(_online_standard_stats(w.copy(), 300, 0.0), general)
+        assert np.array_equal(_online_standard_stats(w.copy(), None), general)
         # a zero second coordinate sends the same paths through the d >= 2 route
         padded = np.concatenate([w, np.zeros_like(w)], axis=1)
-        assert np.array_equal(_online_standard_stats(padded, 300, 0.0), general)
+        assert np.array_equal(_online_standard_stats(padded, None), general)

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from cpstream import netsim
+from cpstream import netsim, rng
 from cpstream.netsim import (
     AttackScenario,
     DetectorSettings,
@@ -432,6 +433,56 @@ class TestGolden:
         assert hashlib.sha256(fields.encode()).hexdigest() == (
             "4192d675a4955c001607456cb8b530bdf15f0b336a224aa752bc5d2b5d0d931d"
         )
+
+
+class TestCpuCount:
+    """Node rows drawn on any number of CPUs give the goldens, bit for bit."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_goldens_at_any_cpu_count(self, monkeypatch, topo10, scenario10, cv_standard_d1, cpus):
+        monkeypatch.setattr(rng, "_cpus", lambda: cpus)
+        real = rng._row_drawer
+        ranges = []  # the Thread object that drew each range
+
+        def traced():
+            ranges.append(threading.current_thread())
+            return real()
+
+        monkeypatch.setattr(rng, "_row_drawer", traced)
+        golden = TestGolden()
+        golden.test_trace_matrix_10x10(topo10, scenario10)
+        golden.test_trace_matrix_30x30()
+        golden.test_clustered_report_10x10(cv_standard_d1)
+        golden.test_clustered_report_30x30(cv_standard_d1)
+        # four trace draws, each on the calling thread and cpus - 1 threads of its own
+        assert len(ranges) == 4 * cpus
+        assert len(set(ranges)) == 1 + 4 * (cpus - 1)
+
+
+class TestRoundViews:
+    """Rounds train on and feed views of the stack until a series alarms."""
+
+    def test_no_copy_before_the_first_alarm(self, monkeypatch, topo10, scenario10, cv_standard_d1):
+        traces = generate_traces(topo10, scenario10, seed=3)
+        seen = []
+
+        def wrap(fn, series_arg):
+            def wrapped(*args):
+                series = args[series_arg]
+                seen.append((fn.__name__, len(series), np.shares_memory(series, traces.values)))
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(netsim, "train", wrap(train, 0))
+        monkeypatch.setattr(netsim, "run_batch", wrap(run_batch, 1))
+        alarms = detect_per_node(traces, SETTINGS, cv_standard_d1)
+        # the golden's first alarm is at 404: rounds m = 200..400 hold every node
+        assert min(a for a in alarms.values() if a is not None) == 404
+        full = [(name, shares) for name, rows, shares in seen if rows == 100]
+        assert full == [("train", True), ("run_batch", True)] * 5
+        assert len(seen) > len(full)
+        assert not any(shares for _, rows, shares in seen if rows < 100)
 
 
 class TestSharedVictim:

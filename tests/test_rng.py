@@ -1,13 +1,16 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from cpstream import rng
 from cpstream.critvals import (
     CritValKind,
     CritValRequest,
+    _kernel,
     _paths,
-    _stats,
     build_table,
     replication_stat,
 )
@@ -85,6 +88,78 @@ class TestStandardNormalRows:
             standard_normal_rows(np.empty((2, 4)), 1, start=-1)
 
 
+class TestCpuCount:
+    """Rows split over CPUs are the serial rows, bit for bit."""
+
+    # 7 rows of 600 floats, the shortest that are split: 3 CPUs take 2, 2 and 3
+    SHAPE = (7, 2, 300)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_same_bits_at_any_cpu_count(self, monkeypatch, cpus):
+        monkeypatch.setattr(rng, "_cpus", lambda: cpus)
+        real = rng._row_drawer
+        threads = set()  # Thread objects: a finished thread's ident may be reused
+
+        def traced():
+            threads.add(threading.current_thread())
+            return real()
+
+        monkeypatch.setattr(rng, "_row_drawer", traced)
+        out = standard_normal_rows(np.empty(self.SHAPE), 3, 7, start=5)
+        assert len(threads) == cpus
+        for i, row in enumerate(out):
+            assert np.array_equal(row, substream(3, 7, 5 + i).standard_normal(self.SHAPE[1:]))
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_failure_is_reraised_and_every_thread_joined(self, monkeypatch, failing):
+        caller = threading.current_thread()
+        real = rng._row_drawer
+
+        class Failure(Exception):
+            pass
+
+        def failing_drawer():
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise Failure
+            return real()
+
+        monkeypatch.setattr(rng, "_cpus", lambda: 2)
+        monkeypatch.setattr(rng, "_row_drawer", failing_drawer)
+        before = threading.active_count()
+        with pytest.raises(Failure):
+            standard_normal_rows(np.empty(self.SHAPE), 3)
+        assert threading.active_count() == before
+
+    def test_more_workers_than_cpus_with_frequent_switches(self, monkeypatch):
+        monkeypatch.setattr(rng, "_cpus", lambda: 1)
+        serial = standard_normal_rows(np.empty((40, 600)), 2)
+        monkeypatch.setattr(rng, "_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = standard_normal_rows(np.empty((40, 600)), 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert split.tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize(
+        "cpus, shape",
+        [(1, (7, 600)), (3, (7, 599)), (3, (7, 2, 299)), (3, (1, 600)), (3, (0, 600))],
+        ids=["one-cpu", "short-rows", "short-matrix-rows", "one-row", "no-rows"],
+    )
+    def test_no_thread_on_one_cpu_below_the_crossover_or_for_one_row(
+        self, monkeypatch, cpus, shape
+    ):
+        def refused(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(rng, "_cpus", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", refused)
+        out = standard_normal_rows(np.empty(shape), 4, 1)
+        for i, row in enumerate(out):
+            assert np.array_equal(row, substream(4, 1, i).standard_normal(shape[1:]))
+
+
 class TestBlockReplications:
     @pytest.mark.parametrize(
         "kind, d, gamma, horizon",
@@ -99,7 +174,7 @@ class TestBlockReplications:
             kind=kind, alpha=0.05, d=d, gamma=gamma, grid_steps=120,
             replications=1000, horizon_T=horizon, seed=6,
         )
-        block = _stats(req, _paths(req, 40, 47))
+        block = _kernel(req)(_paths(req, 40, 47))
         assert block.shape == (7,)
         assert np.array_equal(block, [replication_stat(req, rep) for rep in range(40, 47)])
 
@@ -109,7 +184,7 @@ class TestBlockReplications:
             replications=1000, seed=6,
         )
         t = np.arange(1, 151) / 150
-        for rep, stat in zip(range(40, 47), _stats(req, _paths(req, 40, 47))):
+        for rep, stat in zip(range(40, 47), _kernel(req)(_paths(req, 40, 47))):
             increments = substream(6, rep).standard_normal((2, 150)) * np.sqrt(1 / 150)
             w = np.cumsum(increments, axis=1)
             bridge = w - t * w[:, -1:]
