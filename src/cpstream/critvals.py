@@ -38,6 +38,7 @@ default monitor run needs cost one draw (common random numbers).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import InitVar, dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -91,6 +92,11 @@ class CritValKind(str, Enum):
         return self is not CritValKind.OFFLINE_MAX
 
 
+def _tail_steps(grid_steps: int, horizon_T: float) -> int:
+    """Grid points of the ratio kind's path after t = 1: grid_steps * T, rounded."""
+    return int(round(grid_steps * float(horizon_T)))
+
+
 @dataclass(frozen=True)
 class CritValRequest:
     """Everything that pins down one simulated quantile.
@@ -129,8 +135,12 @@ class CritValRequest:
         if self.kind is CritValKind.ONLINE_RATIO:
             if self.horizon_T is None:
                 object.__setattr__(self, "horizon_T", DEFAULT_HORIZON_T)
-            if not self.horizon_T > 0:
-                raise ValueError("horizon_T must be positive")
+            tail = self.grid_steps * float(self.horizon_T)
+            if not (math.isfinite(tail) and _tail_steps(self.grid_steps, self.horizon_T) >= 1):
+                raise ValueError(
+                    f"horizon_T must be finite and add a grid step after t = 1 "
+                    f"(grid_steps * horizon_T above 0.5), got {self.horizon_T}"
+                )
         elif self.horizon_T is not None:
             raise ValueError("horizon_T applies to the ratio statistic only")
 
@@ -224,7 +234,7 @@ def _path_steps(request: CritValRequest) -> int:
     """Grid points of one replication's path: [0, 1], or [0, 1 + T] for the ratio kind."""
     steps = request.grid_steps
     if request.kind is CritValKind.ONLINE_RATIO:
-        steps += int(round(request.grid_steps * float(request.horizon_T)))
+        steps += _tail_steps(request.grid_steps, request.horizon_T)
     return steps
 
 

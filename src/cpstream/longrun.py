@@ -77,21 +77,13 @@ def bartlett_weight(x: float) -> float:
     return max(0.0, 1.0 - abs(x))
 
 
-def bartlett_lrv(
-    s: SeriesLike, bandwidth: int | None = None, *, centred: bool = False
-) -> np.ndarray:
+def bartlett_lrv(s: SeriesLike, bandwidth: int | None = None) -> np.ndarray:
     """Bartlett estimate of the long-run covariance of a series, as a (d, d) matrix.
 
     ``bandwidth`` is the truncation lag L; when omitted it defaults to
     ``bartlett_bandwidth(N)``. The result is symmetric and positive
     semidefinite up to rounding. A (near-)singular estimate is not an error
     here; inversion sites regularize via :func:`regularize_spd`.
-
-    ``centred=True`` says that ``s`` is already ``x - x.sum(axis=-2,
-    keepdims=True) / N`` for the series x to be estimated (the 1-D
-    ``col - col.sum() / N`` for a one-column x), so it is not centred
-    again: a caller that centred x for its own use passes that array, and
-    the estimate equals the one of x bit for bit.
 
     An (S, N, d) stack of equal-length series gives an (S, d, d) stack whose
     slice i equals, bit for bit, the estimate of series i alone.
@@ -110,14 +102,13 @@ def bartlett_lrv(
     if mat.ndim == 2 and mat.shape[1] == 1:
         # the same operations in the same order, on the 1-D column, in floats
         col = mat[:, 0]
-        if not centred:
-            col = col - col.sum() / n
+        col = col - col.sum() / n
         o = float(np.dot(col, col)) / n
         for lag in range(1, bandwidth + 1):
             g = float(np.dot(col[lag:], col[: n - lag])) / n
             o = o + bartlett_weight(lag / (bandwidth + 1)) * (g + g)
         return np.array([[(o + o) / 2.0]])
-    centered = mat if centred else mat - mat.sum(axis=-2, keepdims=True) / n
+    centered = mat - mat.sum(axis=-2, keepdims=True) / n
     transposed = centered.swapaxes(-1, -2)
     omega = np.matmul(transposed, centered) / n
     for lag in range(1, bandwidth + 1):

@@ -19,15 +19,15 @@ start). Each round works on the regime up to the current origin m_s:
 
 The history is one (capacity, d) float64 buffer with a fill count: each
 sample is written into it once, as it is read, and the capacity doubles when
-the buffer fills. A round segments its regime within a view of the first
-m_s rows, not a copy: rows below the fill count are never written again,
-and a view taken before the buffer doubles keeps the old array, which
-holds the same rows. Nor does a round check those rows again: every sample
-was refused unless finite as it was read, so the round's series is built
-without the constructor's scan of the whole history. A label reads the rows
-it needs from the buffer itself. The buffer is not trimmed, so it grows
-with the stream; the work of a round does not, since it segments and
-trains on the current regime only.
+the buffer fills. A round builds its regime as a series over a view of the
+buffer's rows [last_cp, m_s], not a copy: rows below the fill count are
+never written again, and a view taken before the buffer doubles keeps the
+old array, which holds the same rows. Building the series checks that the
+regime's rows are finite; the round segments it in regime-local indices
+and trains the detector on it, re-sliced after a change point. A label
+reads the rows it needs from the buffer itself. The buffer is not trimmed,
+so it grows with the stream; the work of a round does not, since it
+segments and trains on the current regime only.
 
 One reader takes every sample from the stream into the buffer. It fills
 the buffer up to a count (the training prefix, the samples after a quiet
@@ -37,16 +37,12 @@ sample is checked as it is read, and a label reads nothing past its alarm:
 the event for an alarm at a is pushed once sample a is read, and the
 stream's end is read once.
 
-The rounds share one :func:`~cpstream.offline.segment` window memo, keyed
-by buffer indices, so no window is tested twice in a stream; it grows by
-one entry per distinct window and is dropped when the loop returns. The
-labels share one :class:`~cpstream.trend.TrendMemo`, so each sample's MACD
-indicator is computed once, up to the last label's window end; it holds 8
-bytes per sample and is dropped with the window memo. Both memos index
-the buffer from sample 1: a loop that trims the buffer must drop or shift
-the windows of the one and trim the indicator of the other to match. The
-detector's critical value is asked for once per stream, at the first
-round that trains.
+The labels share one :class:`~cpstream.trend.TrendMemo`, so each sample's
+MACD indicator is computed once, up to the last label's window end; it
+holds 8 bytes per sample from sample 1 and is dropped when the loop
+returns, so a loop that trims the buffer must trim it to match. The
+detector's critical value is asked for once per stream, at the first round
+that trains.
 
 The loop ends when the stream does. Replaying a recorded stream with the
 same configuration reproduces the identical event list.
@@ -64,9 +60,9 @@ import numpy as np
 
 from .critvals import CritValProvider
 from .errors import NonFiniteSampleError
-from .offline import DEFAULT_MIN_SEG, OfflineTestResult, _check_min_seg, segment
+from .offline import DEFAULT_MIN_SEG, _check_min_seg, segment
 from .online import DetectorKind, step, train
-from .timeseries import _checked_rows
+from .timeseries import TimeSeries
 from .trend import Direction, MacdParams, TrendMemo, TrendVerdict, trend_interval
 
 __all__ = [
@@ -228,9 +224,6 @@ def run_monitor(
         return []
 
     events: list[ChangeEvent] = []
-    # every round segments a regime of the same buffer, indexed from sample
-    # 1, so a window (w_lo, w_hi) names the same samples in every round
-    memo: dict[tuple[int, int], OfflineTestResult] = {}
     trend_memo = TrendMemo(config.macd, config.trend_dim)
     online_cv = None  # the same request every round: asked for once
     last_cp = 1  # the first sample of the current regime
@@ -239,23 +232,21 @@ def run_monitor(
     while True:
         if not read(origin):
             break
-        # every sample was refused unless finite as it was read
-        past = _checked_rows(buf[:origin])
-        if origin - last_cp + 1 >= 2 * config.min_seg:
-            regime = past.segment(last_cp, origin)
-            cps = segment(regime, config.alpha, config.critvals, config.min_seg, memo).cps
+        regime = TimeSeries(buf[last_cp - 1 : origin])
+        if regime.n_samples >= 2 * config.min_seg:
+            cps = segment(regime, config.alpha, config.critvals, config.min_seg).cps
             if cps:
-                last_cp = cps[-1] + 1
+                last_cp += cps[-1]
                 if origin - last_cp + 1 < config.m_min:
                     # wait, reading on, until m_min samples follow the change
                     origin = last_cp - 1 + config.m_min
                     continue
-        training = past.segment(last_cp, origin)
+                regime = regime.segment(cps[-1] + 1, regime.n_samples)
         if online_cv is None:
             online_cv = config.critvals(
-                config.detector.critval_kind, past.dim, config.alpha, config.gamma
+                config.detector.critval_kind, regime.dim, config.alpha, config.gamma
             )
-        state = train(training, config.detector, config.gamma, online_cv)
+        state = train(regime, config.detector, config.gamma, online_cv)
 
         end = origin + window_k
         if not read(end, state):
@@ -282,7 +273,7 @@ def run_monitor(
             dim=config.trend_dim,
             memo=trend_memo,
         )
-        event = ChangeEvent(alarm_at, verdict_trend, (training.lo, training.hi))
+        event = ChangeEvent(alarm_at, verdict_trend, (last_cp, origin))
         events.append(event)
         if on_event is not None:
             on_event(event)

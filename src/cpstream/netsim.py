@@ -37,6 +37,7 @@ as on one.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -188,6 +189,12 @@ class AttackScenario:
             raise ValueError("attack start must lie inside the horizon")
         if not 0.0 <= self.ar_coeff < 1.0:
             raise ValueError("AR coefficient must lie in [0, 1)")
+        for name in ("injection_rate", "ticks_per_packet", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for mean in np.ravel(self.baseline_mean).tolist():
+            if not math.isfinite(mean):
+                raise ValueError(f"baseline_mean must be finite, got {mean}")
         if self.noise_sigma < 0 or self.injection_rate < 0 or self.ticks_per_packet < 0:
             raise ValueError("rates and noise scale must be non-negative")
         if not 0.0 <= self.hop_decay <= 1.0:

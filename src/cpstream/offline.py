@@ -9,14 +9,13 @@ until the set is stable. Each window's statistic is computed once and every
 later request for the window is decided from it.
 
 The CUSUM path is scaled in place. A one-column window, the monitor's case,
-works on the 1-D column: it centres the column once, and the CUSUM path and
-the long-run variance (:func:`~cpstream.longrun.bartlett_lrv` with
-``centred=True``) share that centring; the quadratic form takes the inverse
-long-run variance as a float, in einsum's product order and in place. The
-statistic and the argmax equal the d x d route bit for bit. Segmentation
-decides a window it has already tested from the stored statistic and argmax
-alone, and builds an :class:`OfflineTestResult` only for the change points
-it reports.
+works on the 1-D column: it centres the column for the CUSUM path, and
+:func:`~cpstream.longrun.bartlett_lrv` centres it alike on its own d = 1
+route; the quadratic form takes the inverse long-run variance as a float,
+in einsum's product order and in place. The statistic and the argmax equal
+the d x d route bit for bit. Segmentation decides a window it has already
+tested from the stored statistic and argmax alone, and builds an
+:class:`OfflineTestResult` only for the change points it reports.
 """
 
 from __future__ import annotations
@@ -140,10 +139,10 @@ def offline_test(s: SeriesLike, critval: CritVal) -> OfflineTestResult:
         raise ValueError(f"critical value simulated for d={req.d}, series has d={d}")
 
     if d == 1:
-        # cusum_path's centring, made once for the path and the estimate
+        # cusum_path's centring, on the 1-D column
         col = mat[:, 0]
         centred = col - col.sum() / n
-        omega_inv = inverse(bartlett_lrv(centred, bartlett_bandwidth(n), centred=True)).item()
+        omega_inv = inverse(bartlett_lrv(mat, bartlett_bandwidth(n))).item()
         # the method: np.cumsum's dispatch to it costs as much as its sum
         path = centred.cumsum()
         path /= math.sqrt(n)
@@ -169,7 +168,6 @@ def segment(
     alpha: float,
     critvals: CritValProvider,
     min_seg: int = DEFAULT_MIN_SEG,
-    memo: dict[tuple[int, int], OfflineTestResult] | None = None,
 ) -> ChangePointSet:
     """Find every mean change in a series.
 
@@ -193,12 +191,9 @@ def segment(
     ``critvals(CritValKind.OFFLINE_MAX, d, level)``.
 
     Each window [w_lo, w_hi] (1-based indices into the series behind ``s``)
-    is tested by :func:`offline_test` at most once: ``memo`` maps a window
-    to its result, and every later request for that window, at either
-    level, is decided from the stored statistic and argmax. Without a memo
-    the call uses a fresh one. A memo may be shared only by calls on series
-    that hold the same samples at the same indices, such as the growing
-    prefixes of one stream; it grows by one entry per distinct window.
+    is tested by :func:`offline_test` at most once per call: every later
+    request for that window, at either level, is decided from the stored
+    statistic and argmax.
     """
     _check_min_seg(min_seg)
     if isinstance(s, TimeSeries):
@@ -213,8 +208,7 @@ def segment(
     search_cv = critvals(CritValKind.OFFLINE_MAX, d, alpha)
     validation_cv = critvals(CritValKind.OFFLINE_MAX, d, alpha / max_windows)
 
-    if memo is None:
-        memo = {}
+    memo: dict[tuple[int, int], OfflineTestResult] = {}
 
     def tested(w_lo: int, w_hi: int, critval: CritVal) -> OfflineTestResult:
         """The window's stored result, testing it at ``critval`` on a miss."""

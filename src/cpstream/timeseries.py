@@ -45,7 +45,7 @@ class TimeSeries:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"series must be a non-empty N x d matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("series values must all be finite (no NaN/Inf)")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
@@ -93,20 +93,6 @@ class SeriesSegment:
 
 
 SeriesLike = Union[TimeSeries, SeriesSegment, np.ndarray, Sequence]
-
-
-def _checked_rows(values: np.ndarray) -> TimeSeries:
-    """A TimeSeries over ``values`` as they are: no copy, and no check.
-
-    For a caller whose ``values`` is a non-empty (N, d) C-contiguous
-    float64 array of samples it has already refused unless finite, such
-    as a prefix view of the monitor's sample buffer. The view is made
-    read-only, as the constructor makes its array.
-    """
-    values.flags.writeable = False
-    series = object.__new__(TimeSeries)
-    object.__setattr__(series, "values", values)
-    return series
 
 
 def as_matrix(s: SeriesLike) -> np.ndarray:

@@ -51,6 +51,8 @@ DELETED_PARAMETERS = [
     ("cpstream.timeseries", "load_csv", "label"),
     ("cpstream.netsim", "random_scenario", "max_tries"),
     ("cpstream.offline", "offline_test", "alpha"),
+    ("cpstream.offline", "segment", "memo"),
+    ("cpstream.longrun", "bartlett_lrv", "centred"),
 ]
 
 

@@ -101,6 +101,18 @@ class TestCritvalCommand:
             "error: gamma does not apply to the offline statistic"
         ]
 
+    @pytest.mark.parametrize("horizon", ["inf", "1e-9"])
+    def test_ratio_horizon_without_a_finite_grid_step_refused(self, capsys, monkeypatch, horizon):
+        monkeypatch.setattr(critvals, "_paths", pytest.fail)
+        status = dispatch(["critval", "--kind", "ratio", "--horizon", horizon,
+                           "--grid", "100", "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: horizon_T must be finite and add a grid step")
+        assert line.endswith(f"got {float(horizon)}")
+
     def test_tail_count_without_warning(self, capsys):
         status = dispatch(["critval", "--alpha", "0.05", "--seed", "7", *FAST])
         captured = capsys.readouterr()
@@ -545,9 +557,15 @@ class TestSimulateCommand:
             (["--attackers", "-1"], "error: n_attackers must be at least 1, got -1"),
             (["--grid", "30x30", "--attackers", "900"],
              "error: n_attackers must be at most 899 (every node but the controller), got 900"),
+            (["--sigma", "inf"], "error: noise_sigma must be finite, got inf"),
+            (["--sigma", "nan"], "error: noise_sigma must be finite, got nan"),
+            (["--injection-rate", "nan"], "error: injection_rate must be finite, got nan"),
+            (["--ticks", "inf"], "error: ticks_per_packet must be finite, got inf"),
+            (["--baseline", "nan"], "error: baseline_mean must be finite, got nan"),
         ],
         ids=["cluster-block-0", "m-equals-horizon", "attackers-0", "attackers-negative",
-             "attackers-above-nodes"],
+             "attackers-above-nodes", "sigma-inf", "sigma-nan", "injection-rate-nan", "ticks-inf",
+             "baseline-nan"],
     )
     def test_bad_setting_rejected_before_simulating(self, capsys, monkeypatch, argv, message):
         replications = []

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -101,6 +102,16 @@ class TestRequestValidation:
             CritValRequest(kind=CritValKind.ONLINE_STANDARD, alpha=0.05, horizon_T=5.0)
         req = CritValRequest(kind=CritValKind.ONLINE_RATIO, alpha=0.05)
         assert req.horizon_T == 10.0
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 1e307, 1e-9, 0.005, 0.0, -1.0])
+    def test_ratio_horizon_must_add_a_finite_grid_step(self, horizon):
+        # at 100 grid steps, T = 1e307 overflows the step count and T = 0.005
+        # rounds to no step after t = 1
+        with pytest.raises(ValueError, match=r"^horizon_T must be finite and add a grid step"):
+            CritValRequest(kind=CritValKind.ONLINE_RATIO, alpha=0.05, grid_steps=100, horizon_T=horizon)
+        # a horizon of one grid step adds one step after t = 1
+        req = CritValRequest(kind=CritValKind.ONLINE_RATIO, alpha=0.05, grid_steps=100, horizon_T=0.01)
+        assert critvals._path_steps(req) == 101
 
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):

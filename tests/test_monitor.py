@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cpstream import critvals, monitor, offline, trend
+from cpstream import critvals, monitor, trend
 from cpstream.critvals import CritValKind, MonteCarloProvider
 from cpstream.errors import NonFiniteSampleError
 from cpstream.monitor import Action, ChangeEvent, MonitorConfig, run_monitor
@@ -235,9 +235,12 @@ class TestRunMonitor:
         rounds, stepped = [], []
         real_step = monitor.step
 
-        def segment_round(history, *args):
-            result = segment(history, *args)
-            rounds.append((history.lo, history.hi, result.cps))
+        def segment_round(regime, *args):
+            # a round reads up to its origin, then segments the regime that
+            # ends there; its change points are regime-local
+            result = segment(regime, *args)
+            lo = stream.pulls - regime.n_samples + 1
+            rounds.append((lo, stream.pulls, tuple(lo - 1 + cp for cp in result.cps)))
             return result
 
         def recorded(state, x):
@@ -280,12 +283,14 @@ class TestRunMonitor:
         small = MonitorConfig(critvals=cheap_provider, m_min=10, min_seg=20, window_k=10)
         spans = []
 
-        def segment_round(history, *args):
-            spans.append((history.lo, history.hi))
-            return segment(history, *args)
+        def segment_round(regime, *args):
+            # a round reads up to its origin, then segments the regime that ends there
+            spans.append((stream.pulls - regime.n_samples + 1, stream.pulls))
+            return segment(regime, *args)
 
         monkeypatch.setattr(monitor, "segment", segment_round)
-        [event] = run_monitor(one_step(4, 100, 30, 5.0), small)
+        stream = CountingIterator(one_step(4, 100, 30, 5.0))
+        [event] = run_monitor(stream, small)
         assert event.training_used == (1, 30)
         change_at = event.trend.at_index
         assert spans and all(lo == change_at for lo, _ in spans)
@@ -305,30 +310,6 @@ class TestRunMonitor:
             assert run_monitor(items, config) == events
         mixed = [forms[i % 3](v) if i < 300 else v for i, v in enumerate(floats)]
         assert run_monitor(iter(mixed), config) == events
-
-    def test_each_window_tested_once_per_stream(self, config, monkeypatch):
-        windows = []
-        real = offline.offline_test
-
-        def counted(s, critval):
-            windows.append((s.lo, s.hi))
-            return real(s, critval)
-
-        rounds = []
-
-        def segment_round(history, *args):
-            rounds.append(history.n_samples)
-            return segment(history, *args)
-
-        monkeypatch.setattr(offline, "offline_test", counted)
-        monkeypatch.setattr("cpstream.monitor.segment", segment_round)
-        x = stationary(40, 3200)
-        x[1100:2200] += 4.0
-        x[2700:] -= 3.0
-        assert len(run_monitor(x, config)) == 3
-        assert len(rounds) > 10
-        assert windows
-        assert Counter(windows).most_common(1)[0][1] == 1
 
     # the module globals a span tracer rebinds from outside the package
     # (perfbench/spans.py): a route that bypasses one leaves its span empty

@@ -111,6 +111,22 @@ class TestScenario:
         with pytest.raises(ValueError):
             AttackScenario(attackers=(1,), ar_coeff=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("injection_rate", float("nan")),
+            ("ticks_per_packet", float("inf")),
+            ("noise_sigma", float("inf")),
+            ("noise_sigma", float("nan")),
+            ("baseline_mean", float("nan")),
+            ("baseline_mean", (10.0, float("-inf"), 10.0)),
+        ],
+        ids=["rate-nan", "ticks-inf", "sigma-inf", "sigma-nan", "baseline-nan", "baseline-entry-inf"],
+    )
+    def test_non_finite_traffic_value_refused(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got (nan|-?inf)$"):
+            AttackScenario(attackers=(1,), **{field: value})
+
 
 class TestTrafficModel:
     def test_no_attackers_means_no_lift(self, topo10):

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpstream import offline
 from cpstream.longrun import (
     bartlett_bandwidth,
     bartlett_lrv,
@@ -162,8 +164,8 @@ class TestScalarRoute:
             n = len(x)
             bandwidth = bartlett_bandwidth(n)
             centered = x - x.sum(axis=0, keepdims=True) / n
-            # offline_test's one centring of the 1-D column, shared by the
-            # CUSUM path and the estimate
+            # offline_test's centring of the 1-D column for the CUSUM path,
+            # which the estimate's d = 1 route makes alike
             col = x[:, 0]
             assert (col - col.sum() / n).tobytes() == centered[:, 0].tobytes(), name
             omega = centered.T @ centered / n
@@ -266,64 +268,37 @@ class TestSegment:
         assert abs(result.cps[0] - 300) <= 3
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_shared_memo_matches_fresh_calls(self, cheap_provider, d):
-        # growing prefixes of one stream, as the monitor loop segments them
-        x = substream(d, 11).standard_normal((3200, d))
-        for k, start in enumerate(range(300, 3200, 450)):
-            x[start:] += 3.0 if k % 2 == 0 else -3.0
-        memo = {}
-        found = 0
-        for n in range(400, 3201, 200):
-            series = TimeSeries(x[:n])
-            shared = segment(series, 0.05, cheap_provider, memo=memo)
-            fresh = segment(series, 0.05, cheap_provider)
-            assert shared.cps == fresh.cps
-            assert shared.per_cp_stats == fresh.per_cp_stats
-            assert shared.hit_round_cap == fresh.hit_round_cap
-            found += len(shared.cps)
-            # stored results re-decided at the validation level match a direct test
-            level = 0.05 / (n // 40)
-            cv = cheap_provider("offline-max", d, level)
-            bounds = [0, *shared.cps, n]
-            for i, stat in enumerate(shared.per_cp_stats):
-                assert stat == offline_test(series.segment(bounds[i] + 1, bounds[i + 2]), cv)
-        assert found > 0
+    def test_each_window_tested_at_most_once(self, cheap_provider, monkeypatch, d):
+        # one call tests a window once and decides every later request for it,
+        # at either level, from the stored statistic and argmax
+        windows = []
+        real = offline.offline_test
 
-    def test_shared_memo_keeps_test_results(self, cheap_provider):
-        # hits are decided from the stored statistic and argmax; the memo keeps
-        # what offline_test returned, and the reported stats carry the
-        # validation level's value
-        x = substream(3, 11).standard_normal((2400, 1))
-        x[700:1500] += 3.0
-        memo = {}
-        search_cv = cheap_provider("offline-max", 1, 0.05)
-        for n in range(400, 2401, 400):
-            series = TimeSeries(x[:n])
-            result = segment(series, 0.05, cheap_provider, memo=memo)
-            validation_cv = cheap_provider("offline-max", 1, 0.05 / (n // 40))
-            assert all(stat.critval_used == validation_cv.value for stat in result.per_cp_stats)
-        assert result.cps
-        levels = {search_cv.value} | {
-            cheap_provider("offline-max", 1, 0.05 / (n // 40)).value for n in range(400, 2401, 400)
-        }
-        for (w_lo, w_hi), stored in memo.items():
-            assert type(stored) is OfflineTestResult
-            assert stored.critval_used in levels
-            # the statistic and the argmax do not depend on the level
-            direct = offline_test(TimeSeries(x).segment(w_lo, w_hi), search_cv)
-            assert (stored.statistic_m, stored.n, stored.argmax) == (
-                direct.statistic_m, direct.n, direct.argmax
-            )
+        def counted(s, critval):
+            windows.append((s.lo, s.hi))
+            return real(s, critval)
+
+        monkeypatch.setattr(offline, "offline_test", counted)
+        n = 3200
+        x = substream(d, 11).standard_normal((n, d))
+        for k, start in enumerate(range(300, n, 450)):
+            x[start:] += 3.0 if k % 2 == 0 else -3.0
+        series = TimeSeries(x)
+        result = segment(series, 0.05, cheap_provider)
+        assert len(result.cps) >= 5
+        assert max(Counter(windows).values()) == 1
+        # the reported results equal a direct test at the validation level
+        cv = cheap_provider("offline-max", d, 0.05 / (n // 40))
+        bounds = [0, *result.cps, n]
+        for i, stat in enumerate(result.per_cp_stats):
+            assert stat == real(series.segment(bounds[i] + 1, bounds[i + 2]), cv)
 
     def test_reports_the_whole_series_statistic_and_both_levels(self, cheap_provider):
-        # what segment applied, read off the set itself: a memoised segment of
-        # a longer prefix still reports its own series' statistic
+        # what segment applied, read off the set itself
         x = substream(3, 11).standard_normal((1200, 1))
         x[400:800] += 3.0
-        memo = {}
-        segment(TimeSeries(x), 0.05, cheap_provider, memo=memo)
         series = TimeSeries(x[:1000])
-        result = segment(series, 0.05, cheap_provider, memo=memo)
+        result = segment(series, 0.05, cheap_provider)
         assert result.cps
         search_cv = cheap_provider("offline-max", 1, 0.05)
         assert result.statistic_m == offline_test(series, search_cv).statistic_m
