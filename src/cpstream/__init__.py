@@ -32,7 +32,7 @@ from .online import (
     step,
     train,
 )
-from .timeseries import SeriesSegment, TimeSeries, load_csv, save_csv
+from .timeseries import TimeSeries, load_csv, save_csv
 from .trend import (
     Direction,
     MacdParams,
@@ -49,7 +49,6 @@ __all__ = [
     "__version__",
     # data model
     "TimeSeries",
-    "SeriesSegment",
     "load_csv",
     "save_csv",
     # long-run covariance

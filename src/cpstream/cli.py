@@ -550,6 +550,11 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except (CpstreamError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's message names the allocation; a bare MemoryError has none
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -19,15 +19,15 @@ start). Each round works on the regime up to the current origin m_s:
 
 The history is one (capacity, d) float64 buffer with a fill count: each
 sample is written into it once, as it is read, and the capacity doubles when
-the buffer fills. A round builds its regime as a series over a view of the
-buffer's rows [last_cp, m_s], not a copy: rows below the fill count are
+the buffer fills. A round's regime is the view of the buffer's rows
+[last_cp, m_s], not a copy and not a series: rows below the fill count are
 never written again, and a view taken before the buffer doubles keeps the
-old array, which holds the same rows. Building the series checks that the
-regime's rows are finite; the round segments it in regime-local indices
-and trains the detector on it, re-sliced after a change point. A label
-reads the rows it needs from the buffer itself. The buffer is not trimmed,
-so it grows with the stream; the work of a round does not, since it
-segments and trains on the current regime only.
+old array, which holds the same rows. Every row was checked once, when the
+reader read it, so a round scans nothing again. The round segments the view
+in regime-local indices and trains the detector on it, re-sliced after a
+change point. A label reads the rows it needs from the buffer itself. The
+buffer is not trimmed, so it grows with the stream; the work of a round
+does not, since it segments and trains on the current regime only.
 
 One reader takes every sample from the stream into the buffer. It fills
 the buffer up to a count (the training prefix, the samples after a quiet
@@ -62,7 +62,6 @@ from .critvals import CritValProvider
 from .errors import NonFiniteSampleError
 from .offline import DEFAULT_MIN_SEG, _check_min_seg, segment
 from .online import DetectorKind, step, train
-from .timeseries import TimeSeries
 from .trend import Direction, MacdParams, TrendMemo, TrendVerdict, trend_interval
 
 __all__ = [
@@ -232,8 +231,8 @@ def run_monitor(
     while True:
         if not read(origin):
             break
-        regime = TimeSeries(buf[last_cp - 1 : origin])
-        if regime.n_samples >= 2 * config.min_seg:
+        regime = buf[last_cp - 1 : origin]
+        if len(regime) >= 2 * config.min_seg:
             cps = segment(regime, config.alpha, config.critvals, config.min_seg).cps
             if cps:
                 last_cp += cps[-1]
@@ -241,10 +240,10 @@ def run_monitor(
                     # wait, reading on, until m_min samples follow the change
                     origin = last_cp - 1 + config.m_min
                     continue
-                regime = regime.segment(cps[-1] + 1, regime.n_samples)
+                regime = regime[cps[-1] :]
         if online_cv is None:
             online_cv = config.critvals(
-                config.detector.critval_kind, regime.dim, config.alpha, config.gamma
+                config.detector.critval_kind, buf.shape[1], config.alpha, config.gamma
             )
         state = train(regime, config.detector, config.gamma, online_cv)
 

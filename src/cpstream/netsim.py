@@ -197,6 +197,14 @@ class AttackScenario:
                 raise ValueError(f"baseline_mean must be finite, got {mean}")
         if self.noise_sigma < 0 or self.injection_rate < 0 or self.ticks_per_packet < 0:
             raise ValueError("rates and noise scale must be non-negative")
+        # a period's packet count, an int64, is at most the rate plus the
+        # rounding of two running totals; that rounding is below the rate at
+        # fewer than 2**52 periods, so a rate below 2**62 keeps it in range
+        if self.injection_rate >= 2**62:
+            raise ValueError(
+                f"injection_rate must be below 2**62 packets per period, "
+                f"got {self.injection_rate:g}"
+            )
         if not 0.0 <= self.hop_decay <= 1.0:
             raise ValueError("hop decay must lie in [0, 1]")
 
@@ -286,7 +294,8 @@ class TraceSet:
         """The last ten sender entries of ``node``'s log at or before sample t.
 
         Walks back from t one attack period at a time until it holds ten
-        entries, so only the tail of :meth:`log` is ever built.
+        entries, so only the tail of :meth:`log` is ever built: a period
+        adds at most ten entries per sender, the ones that can end the tail.
         """
         senders = self._attacking_neighbors.get(node)
         if senders is None:
@@ -296,7 +305,7 @@ class TraceSet:
         tail: list[int] = []
         period = min(t, self.scenario.horizon)
         while period >= start and len(tail) < 10:
-            tail[:0] = [s for s in senders for _ in range(counts[period - start])]
+            tail[:0] = [s for s in senders for _ in range(min(counts[period - start], 10))]
             period -= 1
         return np.array(tail[-10:], dtype=int)
 

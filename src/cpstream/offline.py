@@ -27,7 +27,7 @@ import numpy as np
 
 from .critvals import CritVal, CritValKind, CritValProvider
 from .longrun import bartlett_bandwidth, bartlett_lrv, inverse
-from .timeseries import SeriesLike, SeriesSegment, TimeSeries, as_matrix
+from .timeseries import SeriesLike, as_matrix
 
 __all__ = [
     "OfflineTestResult",
@@ -164,7 +164,7 @@ def _check_min_seg(min_seg: int) -> None:
 
 
 def segment(
-    s: TimeSeries | SeriesSegment,
+    s: SeriesLike,
     alpha: float,
     critvals: CritValProvider,
     min_seg: int = DEFAULT_MIN_SEG,
@@ -190,21 +190,18 @@ def segment(
     ``critvals`` resolves both levels as
     ``critvals(CritValKind.OFFLINE_MAX, d, level)``.
 
-    Each window [w_lo, w_hi] (1-based indices into the series behind ``s``)
-    is tested by :func:`offline_test` at most once per call: every later
-    request for that window, at either level, is decided from the stored
-    statistic and argmax.
+    Each window [w_lo, w_hi] (1-based indices into ``s``) is tested by
+    :func:`offline_test` on the row view ``mat[w_lo - 1 : w_hi]`` of the
+    sample matrix, at most once per call: every later request for that
+    window, at either level, is decided from the stored statistic and
+    argmax. The change points are 1-based indices into ``s`` too.
     """
     _check_min_seg(min_seg)
-    if isinstance(s, TimeSeries):
-        parent, lo, hi = s, 1, s.n_samples
-    else:
-        parent, lo, hi = s.parent, s.lo, s.hi
-    n = hi - lo + 1
+    mat = as_matrix(s)
+    n, d = mat.shape
     if n < 2 * min_seg:
         raise ValueError(f"series of length {n} too short to segment (need {2 * min_seg})")
     max_windows = max(1, n // (2 * min_seg))
-    d = parent.dim
     search_cv = critvals(CritValKind.OFFLINE_MAX, d, alpha)
     validation_cv = critvals(CritValKind.OFFLINE_MAX, d, alpha / max_windows)
 
@@ -214,8 +211,7 @@ def segment(
         """The window's stored result, testing it at ``critval`` on a miss."""
         known = memo.get((w_lo, w_hi))
         if known is None:
-            window = parent.segment(w_lo, w_hi)
-            known = memo[w_lo, w_hi] = offline_test(window, critval)
+            known = memo[w_lo, w_hi] = offline_test(mat[w_lo - 1 : w_hi], critval)
         return known
 
     def test(w_lo: int, w_hi: int, critval: CritVal) -> int | None:
@@ -238,13 +234,13 @@ def segment(
         search(w_lo, cp)
         search(cp + 1, w_hi)
 
-    search(lo, hi)
+    search(1, n)
     candidates.sort()
 
     hit_cap = False
     if candidates:
         for _ in range(MAX_VALIDATION_ROUNDS):
-            bounds = [lo - 1] + candidates + [hi]
+            bounds = [0] + candidates + [n]
             survivors: set[int] = set()
             for i, cp in enumerate(candidates):
                 w_lo, w_hi = bounds[i] + 1, bounds[i + 2]
@@ -264,7 +260,7 @@ def segment(
             hit_cap = True
 
     stats = []
-    bounds = [lo - 1] + candidates + [hi]
+    bounds = [0] + candidates + [n]
     for i in range(len(candidates)):
         known = tested(bounds[i] + 1, bounds[i + 2], validation_cv)
         stats.append(OfflineTestResult(known.statistic_m, validation_cv.value, known.n, known.argmax))
@@ -275,7 +271,7 @@ def segment(
         alpha=alpha,
         hit_round_cap=hit_cap,
         # the search tested the whole series first
-        statistic_m=memo[lo, hi].statistic_m,
+        statistic_m=memo[1, n].statistic_m,
         search_critval=search_cv,
         validation_critval=validation_cv,
     )

@@ -1,5 +1,12 @@
 """Core data model for metric streams: immutable series plus CSV ingestion/export.
 
+A block of samples is a :data:`SeriesLike`: a :class:`TimeSeries`, an
+ndarray or a sequence, one row per sample. Every layer takes any of them
+through :func:`as_matrix`. :class:`TimeSeries` is the checked, frozen form
+of outside input: its constructor, :func:`iter_csv` and :func:`load_csv`
+refuse a non-finite sample, and a plain array is taken as it is. A window
+of a series is a row slice of its matrix, ``values[lo - 1 : hi]``.
+
 Indices in all public contracts are 1-based: sample ``n`` of a series of
 length ``N`` lives at ``values[n - 1]``.
 """
@@ -9,7 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -19,7 +26,6 @@ from .errors import CsvFormatError
 
 __all__ = [
     "TimeSeries",
-    "SeriesSegment",
     "SeriesLike",
     "as_matrix",
     "iter_csv",
@@ -59,45 +65,13 @@ class TimeSeries:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def segment(self, lo: int, hi: int) -> "SeriesSegment":
-        """Inclusive 1-based window [lo, hi] of this series."""
-        return SeriesSegment(self, lo, hi)
 
-
-@dataclass(frozen=True, eq=False)
-class SeriesSegment:
-    """A contiguous 1-based inclusive slice [lo, hi] of a parent series."""
-
-    parent: TimeSeries = field(repr=False)
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.lo <= self.hi <= self.parent.n_samples):
-            raise ValueError(
-                f"segment bounds [{self.lo}, {self.hi}] invalid for series of "
-                f"length {self.parent.n_samples}"
-            )
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.parent.values[self.lo - 1 : self.hi]
-
-    @property
-    def n_samples(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
-    def dim(self) -> int:
-        return self.parent.dim
-
-
-SeriesLike = Union[TimeSeries, SeriesSegment, np.ndarray, Sequence]
+SeriesLike = Union[TimeSeries, np.ndarray, Sequence]
 
 
 def as_matrix(s: SeriesLike) -> np.ndarray:
-    """The (N, d) sample matrix behind a series, segment, or plain array."""
-    if isinstance(s, (TimeSeries, SeriesSegment)):
+    """The (N, d) sample matrix behind a series or a plain array; a 1-D array is one column."""
+    if isinstance(s, TimeSeries):
         return s.values
     arr = np.asarray(s, dtype=float)
     if arr.ndim == 1:
@@ -209,7 +183,7 @@ def load_csv(path: str | Path, columns: Sequence[int] | None = None) -> TimeSeri
     return TimeSeries(np.array(rows))
 
 
-def save_csv(s: TimeSeries | SeriesSegment, path: str | Path) -> None:
+def save_csv(s: SeriesLike, path: str | Path) -> None:
     """Write a series as CSV with header ``t,x1..xd``.
 
     Values are written with shortest round-trip formatting, so reading the

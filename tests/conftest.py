@@ -117,7 +117,7 @@ def d1_edge_windows():
         ("column 1 of 3", long[:4500].reshape(-1, 3)[:, 1]),
     ]
     series = TimeSeries(long)
-    windows += [(f"segment [{lo}, {hi}]", series.segment(lo, hi))
+    windows += [(f"segment [{lo}, {hi}]", series.values[lo - 1 : hi])
                 for lo, hi in ((1, 4), (17, 29), (300, 1299), (2001, 6000), (5990, 6000))]
     # the monitor's case: row slices of an (capacity, 1) sample buffer, at
     # lengths on both sides of numpy's 8-way unrolled and 128-block pairwise sum

@@ -30,6 +30,7 @@ DELETED = [
     ("cpstream.trend", "TrendMode"),
     ("cpstream.critvals", "replication_stats"),
     ("cpstream.monitor", "select_training"),
+    ("cpstream.timeseries", "SeriesSegment"),
 ]
 
 # attributes of public classes removed for the same reason
@@ -43,6 +44,7 @@ DELETED_ATTRIBUTES = [
     ("cpstream.online", "OnlineDetectorState", "training_mean"),
     ("cpstream.online", "OnlineDetectorState", "ratio_denominator"),
     ("cpstream.trend", "TrendVerdict", "mode"),
+    ("cpstream.timeseries", "TimeSeries", "segment"),
 ]
 
 # parameters no caller set, or that restated another argument

@@ -201,7 +201,9 @@ class TestSegmentCommand:
         real = offline.offline_test
 
         def counted(s, critval):
-            windows.append((s.lo, s.hi))
+            # a window is a row view of the loaded series: its rows from the view's offset
+            lo = (s.ctypes.data - s.base.ctypes.data) // s.strides[0] + 1
+            windows.append((lo, lo + len(s) - 1))
             return real(s, critval)
 
         monkeypatch.setattr(offline, "offline_test", counted)
@@ -562,10 +564,12 @@ class TestSimulateCommand:
             (["--injection-rate", "nan"], "error: injection_rate must be finite, got nan"),
             (["--ticks", "inf"], "error: ticks_per_packet must be finite, got inf"),
             (["--baseline", "nan"], "error: baseline_mean must be finite, got nan"),
+            (["--injection-rate", "1e19"],
+             "error: injection_rate must be below 2**62 packets per period, got 1e+19"),
         ],
         ids=["cluster-block-0", "m-equals-horizon", "attackers-0", "attackers-negative",
              "attackers-above-nodes", "sigma-inf", "sigma-nan", "injection-rate-nan", "ticks-inf",
-             "baseline-nan"],
+             "baseline-nan", "injection-rate-1e19"],
     )
     def test_bad_setting_rejected_before_simulating(self, capsys, monkeypatch, argv, message):
         replications = []
@@ -630,6 +634,38 @@ class TestExitCodes:
         assert captured.err.strip().splitlines() == [
             f"error: --columns: {token!r} is not a 1-based column number"
         ]
+
+    @pytest.mark.parametrize(
+        "argv, module, layer",
+        [
+            (["critval", "--kind", "ratio", *FAST], critvals, "_paths"),
+            (["simulate", "--grid", "4x4", "--attackers", "1", "--reps", "1",
+              "--mc-grid", "300", "--mc-reps", "2000"],
+             netsim, "generate_traces"),
+        ],
+        ids=["critval", "simulate"],
+    )
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000100,)"),
+             "error: out of memory: Unable to allocate 745. GiB for an array with shape "
+             "(100000000100,)"),
+            (MemoryError(), "error: out of memory"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_memory_error_is_one_error_line(self, capsys, monkeypatch, argv, module, layer,
+                                            exc, line):
+        # a layer that runs out of memory: one error line and exit 1, no traceback
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(module, layer, exhausted)
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
 
     def test_output_file(self, run, flat_csv, tmp_path):
         out_path = tmp_path / "report.json"

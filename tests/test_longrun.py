@@ -252,7 +252,7 @@ class TestRankDeficientSeries:
                 seed=0,
             )
         )
-        state = train(series.segment(1, 200), DetectorKind.STANDARD, 0.0, cv)
+        state = train(series.values[:200], DetectorKind.STANDARD, 0.0, cv)
         assert np.all(np.isfinite(state.omega_inv_sqrt))
 
 

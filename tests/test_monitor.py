@@ -239,7 +239,7 @@ class TestRunMonitor:
             # a round reads up to its origin, then segments the regime that
             # ends there; its change points are regime-local
             result = segment(regime, *args)
-            lo = stream.pulls - regime.n_samples + 1
+            lo = stream.pulls - len(regime) + 1
             rounds.append((lo, stream.pulls, tuple(lo - 1 + cp for cp in result.cps)))
             return result
 
@@ -285,7 +285,7 @@ class TestRunMonitor:
 
         def segment_round(regime, *args):
             # a round reads up to its origin, then segments the regime that ends there
-            spans.append((stream.pulls - regime.n_samples + 1, stream.pulls))
+            spans.append((stream.pulls - len(regime) + 1, stream.pulls))
             return segment(regime, *args)
 
         monkeypatch.setattr(monitor, "segment", segment_round)

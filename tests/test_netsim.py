@@ -1,6 +1,8 @@
 import hashlib
 import json
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +128,21 @@ class TestScenario:
     def test_non_finite_traffic_value_refused(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got (nan|-?inf)$"):
             AttackScenario(attackers=(1,), **{field: value})
+
+    @pytest.mark.parametrize("rate", [2.0**62, 1e19, np.nextafter(2.0**63, 0), 1e300],
+                             ids=["2**62", "1e19", "below-2**63", "1e300"])
+    def test_packet_count_beyond_int64_refused(self, rate):
+        # at 1e19 every count was cast to -2**63, and identification read 0
+        with pytest.raises(ValueError, match=r"^injection_rate must be below 2\*\*62 packets"):
+            AttackScenario(attackers=(1,), injection_rate=rate)
+
+    def test_largest_rate_counts_in_int64(self):
+        rate = np.nextafter(2.0**62, 0)
+        scenario = AttackScenario(attackers=(1,), start=2, horizon=100_000, injection_rate=rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a cast out of range
+            counts = netsim._packets_per_period(scenario.injection_rate, scenario.horizon)
+        assert counts.min() > 0
 
 
 class TestTrafficModel:
@@ -546,7 +563,9 @@ class TestSharedVictim:
             alarms[node] = 12
         assert identify_attackers(traces, alarms) == frozenset()
 
-    @pytest.mark.parametrize("rate", [0.4, 1.0, 2.5, 3.0])  # 0.4: most periods send nothing
+    # 0.4: most periods send nothing; from 12.5 a period holds more than ten
+    # entries per sender, and the walk builds ten of them
+    @pytest.mark.parametrize("rate", [0.4, 1.0, 2.5, 3.0, 12.5, 40.0])
     def test_tail_matches_the_whole_log(self, rate):
         traces = self.traces(rate)
         for node in range(self.topo.n_nodes):
@@ -555,3 +574,16 @@ class TestSharedVictim:
                 tail = traces.senders_up_to(node, t)
                 assert tail.dtype == senders.dtype
                 assert tail.tolist() == senders[times <= t][-10:].tolist(), (node, t)
+
+    def test_walk_back_builds_only_the_tail(self):
+        # a million packets per period from each attacker: the walk builds
+        # ten entries per sender, where the whole period holds two million
+        traces = self.traces(1e6)
+        tracemalloc.start()
+        try:
+            tail = traces.senders_up_to(self.victim, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tail.tolist() == [self.high] * 10
+        assert peak < 1_000_000

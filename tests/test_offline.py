@@ -234,7 +234,7 @@ class TestSegment:
         validation_cv = cheap_provider("offline-max", 1, validation_alpha)
         bounds = [0] + list(result.cps) + [400]
         for i, cp in enumerate(result.cps):
-            window = series.segment(bounds[i] + 1, bounds[i + 2])
+            window = series.values[bounds[i] : bounds[i + 2]]
             assert offline_test(window, validation_cv).reject
 
     def test_provider_resolves_both_levels(self, cheap_provider):
@@ -258,14 +258,21 @@ class TestSegment:
         with pytest.raises(ValueError, match="too short"):
             segment(TimeSeries(np.zeros(30)), 0.05, cheap_provider, min_seg=20)
 
-    def test_segment_of_segment_uses_parent_indices(self, cheap_provider):
-        gen = substream(5, 10)
-        x = gen.normal(size=500)
-        x[300:] += 5.0  # change at parent index 300
-        window = TimeSeries(x).segment(101, 500)
-        result = segment(window, 0.05, cheap_provider)
-        assert len(result.cps) == 1
-        assert abs(result.cps[0] - 300) <= 3
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_plain_rows_segment_like_their_series(self, cheap_provider, d):
+        # segment takes rows in any form; its indices are into the rows passed
+        x = substream(d, 12).standard_normal((600, d))
+        x[200:] += 3.0
+        x[420:] -= 5.0
+        expected = segment(TimeSeries(x), 0.05, cheap_provider)
+        assert len(expected.cps) == 2
+        # the monitor's form: a row slice of a longer buffer
+        buffer = np.concatenate((np.zeros((100, d)), x))
+        forms = [x, x.tolist(), buffer[100:]]
+        if d == 1:
+            forms += [x[:, 0], x[:, 0].tolist()]
+        for rows in forms:
+            assert segment(rows, 0.05, cheap_provider) == expected
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_each_window_tested_at_most_once(self, cheap_provider, monkeypatch, d):
@@ -275,7 +282,9 @@ class TestSegment:
         real = offline.offline_test
 
         def counted(s, critval):
-            windows.append((s.lo, s.hi))
+            # a window is a row view of the series: its rows from the view's offset
+            lo = (s.ctypes.data - series.values.ctypes.data) // s.strides[0] + 1
+            windows.append((lo, lo + len(s) - 1))
             return real(s, critval)
 
         monkeypatch.setattr(offline, "offline_test", counted)
@@ -291,7 +300,7 @@ class TestSegment:
         cv = cheap_provider("offline-max", d, 0.05 / (n // 40))
         bounds = [0, *result.cps, n]
         for i, stat in enumerate(result.per_cp_stats):
-            assert stat == real(series.segment(bounds[i] + 1, bounds[i + 2]), cv)
+            assert stat == real(series.values[bounds[i] : bounds[i + 2]], cv)
 
     def test_reports_the_whole_series_statistic_and_both_levels(self, cheap_provider):
         # what segment applied, read off the set itself

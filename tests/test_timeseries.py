@@ -5,7 +5,6 @@ import pytest
 
 from cpstream.errors import CsvFormatError
 from cpstream.timeseries import (
-    SeriesSegment,
     TimeSeries,
     iter_csv,
     load_csv,
@@ -150,12 +149,4 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(np.empty((0, 1)))
 
-    def test_segment_bounds(self):
-        ts = TimeSeries(np.arange(10.0))
-        seg = ts.segment(3, 7)
-        assert seg.n_samples == 5
-        assert seg.values[0, 0] == 2.0  # 1-based index 3
-        for lo, hi in [(0, 5), (5, 11), (7, 3)]:
-            with pytest.raises(ValueError):
-                SeriesSegment(ts, lo, hi)
 
