@@ -19,8 +19,8 @@ replications are scheduled or parallelised. :func:`compute_critval` derives
 every replication's substream key in one vectorised pass and splits the
 replications into contiguous ranges of whole blocks, one range per CPU in the
 process's affinity mask, or a single range when a path row is too short to
-repay a thread; :mod:`cpstream.rng` holds that rule and the helper that runs
-the ranges, which :func:`~cpstream.rng.standard_normal_rows` shares. Every
+repay a thread; ``cpstream.rng._in_ranges`` holds that rule and runs the
+ranges, for :func:`~cpstream.rng.standard_normal_rows` too. Every
 worker keeps one Philox generator, re-keyed per row, and one block buffer:
 each block, a (rows, d, steps) array of Wiener paths, is drawn into it, and
 the statistic's formula runs along the block's last axis, with its grid
@@ -49,14 +49,7 @@ import numpy as np
 
 from .errors import CsvFormatError
 from .longrun import inverse as _reg_inverse
-from .rng import (
-    _PARALLEL_ROW_FLOATS,
-    _cpus,
-    _philox_keys,
-    _row_drawer,
-    _split,
-    standard_normal_rows,
-)
+from .rng import _in_ranges, _philox_keys, _row_drawer, standard_normal_rows
 from .timeseries import _text_lines
 
 __all__ = [
@@ -130,6 +123,8 @@ class CritValRequest:
             raise ValueError("grid_steps must be at least 100")
         if self.replications < 1000:
             raise ValueError("replications must be at least 1000")
+        if self.replications > 2**32:
+            raise ValueError(f"replications must be at most 2**32, got {self.replications}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.kind is CritValKind.ONLINE_RATIO:
@@ -143,6 +138,12 @@ class CritValRequest:
                 )
         elif self.horizon_T is not None:
             raise ValueError("horizon_T applies to the ratio statistic only")
+        limit = np.iinfo(np.intp).max // 8
+        if self.d * _path_steps(self) > limit:
+            sizes = f"d={self.d}, grid_steps={self.grid_steps}"
+            if self.horizon_T is not None:
+                sizes += f", horizon_T={self.horizon_T}"
+            raise ValueError(f"the path row of {sizes} exceeds the {limit} floats numpy can address")
 
 
 @dataclass(frozen=True)
@@ -368,10 +369,7 @@ def compute_critval(request: CritValRequest, samples: dict | None = None) -> Cri
                 stats[start:stop] = kernel(w)
                 yield
 
-        # one contiguous range of whole blocks per worker
-        blocks = -(-reps // rows)
-        workers = min(_cpus(), blocks) if row_floats >= _PARALLEL_ROW_FLOATS else 1
-        _split(simulate, [min(blocks * i // workers * rows, reps) for i in range(workers + 1)])
+        _in_ranges(simulate, reps, row_floats, unit=rows)
         ordered = _sorted(stats)
         if samples is not None:
             samples[key] = ordered

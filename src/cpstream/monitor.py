@@ -38,9 +38,9 @@ the event for an alarm at a is pushed once sample a is read, and the
 stream's end is read once.
 
 The labels share one :class:`~cpstream.trend.TrendMemo`, so each sample's
-MACD indicator is computed once, up to the last label's window end; it
-holds 8 bytes per sample from sample 1 and is dropped when the loop
-returns, so a loop that trims the buffer must trim it to match. The
+MACD indicator is computed once, up to the last label's window end: a
+label's window starts after its round's origin, so after the window of the
+label before, which ends at that label's alarm at the latest. The
 detector's critical value is asked for once per stream, at the first round
 that trains.
 

@@ -339,7 +339,11 @@ def attack_lift(topology: Topology, scenario: AttackScenario) -> np.ndarray:
 
 
 def _packets_per_period(rate: float, periods: int) -> np.ndarray:
-    """Integer packet counts whose running total tracks rate * t exactly."""
+    """Integer packet counts whose running total after t periods is floor(rate * t).
+
+    That total is exact only while rate * periods stays below 2**53; past it
+    the float product rounds, and so do the counts.
+    """
     totals = np.floor(rate * np.arange(periods + 1))
     return np.diff(totals).astype(int)
 

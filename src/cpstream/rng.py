@@ -17,9 +17,9 @@ and ``Philox``; that loop is :func:`_row_drawer`'s, one per thread.
 
 Rows of at least ``_PARALLEL_ROW_FLOATS`` floats are split into contiguous
 ranges, one per CPU in the process's affinity mask (:func:`_cpus`), which
-:func:`_split` runs on the calling thread and a thread each. A row is pure in
-its key, so the rows are the same at any number of CPUs. The Monte-Carlo
-critical values split their replications with the same two helpers.
+:func:`_in_ranges` runs on the calling thread and a thread each. A row is
+pure in its key, so the rows are the same at any number of CPUs. The
+Monte-Carlo critical values split their replications with the same helper.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -150,14 +150,21 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _split(work: Callable[[int, int], Iterator[None]], bounds: Sequence[int]) -> None:
-    """Exhaust ``work(bounds[i], bounds[i + 1])`` for every i: the first range on
-    this thread, each other on a thread of its own.
+def _in_ranges(
+    work: Callable[[int, int], Iterator[None]], n: int, row_floats: int, unit: int = 1
+) -> None:
+    """Exhaust ``work(lo, hi)`` over ranges of whole ``unit``-row blocks that cover rows 0..n-1.
 
-    ``work`` yields after each unit of work (a block, a range). Once any range
-    has raised, the others stop at their next yield; every thread is joined
-    before this returns, and the first exception raised is re-raised.
+    One range per CPU, or one in all when a row of ``row_floats`` floats is
+    shorter than ``_PARALLEL_ROW_FLOATS``; the first runs on this thread,
+    each other on a thread of its own. ``work`` yields after each unit of
+    work (a block, a range). Once any range has raised, the others stop at
+    their next yield; every thread is joined before this returns, and the
+    first exception raised is re-raised.
     """
+    blocks = -(-n // unit)
+    workers = max(1, min(_cpus(), blocks)) if row_floats >= _PARALLEL_ROW_FLOATS else 1
+    bounds = [min(blocks * i // workers * unit, n) for i in range(workers + 1)]
     errors = []
 
     def run(lo: int, hi: int) -> None:
@@ -206,8 +213,7 @@ def standard_normal_rows(out: np.ndarray, seed: int, *prefix: int, start: int = 
         _row_drawer()(out[lo:hi], keys[lo:hi])
         yield
 
-    workers = max(1, min(_cpus(), n)) if math.prod(out.shape[1:]) >= _PARALLEL_ROW_FLOATS else 1
-    _split(draw, [n * i // workers for i in range(workers + 1)])
+    _in_ranges(draw, n, math.prod(out.shape[1:]))
     return out
 
 

@@ -13,9 +13,10 @@ p1 < p2 < p3:
 
     line_n = EMA_p2(x)_n - EMA_p3(x)_n,   ti_n = line_n - EMA_p1(line)_n,
 
-so ti_1 = 0. A :class:`TrendMemo` passed to :func:`trend_interval` keeps the
-indicator of the prefix seen so far, so a caller labelling the growing
-prefixes of one stream computes each sample's value once.
+so ti_1 = 0. A :class:`TrendMemo` passed to :func:`trend_interval` is that
+recursion's cursor: it moves forward only and holds three floats, the EMA
+values after the last sample it read, so a caller labelling windows that
+follow one another along a stream computes each sample's value once.
 """
 
 from __future__ import annotations
@@ -100,39 +101,27 @@ def _lags(params: MacdParams) -> tuple[int, int, int]:
 
 
 class TrendMemo:
-    """The indicator of a stream's prefix, and the three EMA values after it.
+    """The EMA values after a stream's first ``size`` samples: three floats.
 
-    It is bound to the lags of ``params`` and to ``dim``: :func:`trend_interval`
-    raises ``ValueError`` for a memo of other lags or another dimension. The
-    interval half-window ``params.h`` only picks which values are summed, so
-    it is not part of the binding. Share one memo only between series that hold the same samples
-    at the same indices, such as the growing prefixes of one stream. It
-    stores 8 bytes per sample it has seen, in one float64 buffer that
-    doubles when it fills, and lives as long as the caller keeps it.
+    A cursor that moves forward only: :func:`trend_interval` reads on from
+    sample ``size + 1`` and raises ``ValueError`` for a window that starts
+    at or before it, or for a memo of other lags or another ``dim`` (the
+    half-window ``params.h`` is not bound). Share one memo only between
+    series that hold the same samples at the same indices, such as the
+    growing prefixes of one stream.
     """
 
     def __init__(self, params: MacdParams, dim: int = 1) -> None:
         self.lags = _lags(params)
         self.dim = dim
-        self.size = 0  # samples whose indicator is known
-        self._ti = np.empty(64)  # ti of sample n is entry n - 1; entries from size on are unfilled
+        self.size = 0  # samples read
         self._emas = (0.0, 0.0, 0.0)  # fast, slow and signal EMA after sample `size`
 
-    def indicator(self, x: np.ndarray, stop: int) -> np.ndarray:
-        """Indicator values of samples 1..stop, a view into the memo.
-
-        ``x`` is the stream's column ``dim`` (1-D). The memo is extended over
-        its samples past the memo's end, up to ``stop``; the samples it
-        already holds are not read again.
-        """
-        if stop > self.size:
-            self._extend(x[self.size : stop].tolist())
-        return self._ti[:stop]
-
-    def _extend(self, values: list[float]) -> None:
+    def _extend(self, values: list[float]) -> list[float]:
+        """The indicator of the next ``len(values)`` samples; the EMAs move past them."""
         (g1, k1), (g2, k2), (g3, k3) = map(_ema_weights, self.lags)
         out = []
-        if self.size == 0:
+        if self.size == 0 and values:
             # sample 1 seeds every EMA: the fast and slow ones with x_1, the
             # signal with the first MACD value, so its indicator is 0
             fast = slow = values[0]
@@ -150,20 +139,14 @@ class TrendMemo:
             line = fast - slow
             signal = g1 * line + k1 * signal
             out.append(line - signal)
-        start, stop = self.size, self.size + len(out)
-        if stop > len(self._ti):
-            grown = np.empty(max(stop, 2 * len(self._ti)))
-            grown[:start] = self._ti[:start]
-            self._ti = grown
-        self._ti[start:stop] = out
         self._emas = (fast, slow, signal)
-        self.size = stop
+        self.size += len(out)
+        return out
 
 
 def trend_series(s: SeriesLike, params: MacdParams, dim: int = 1) -> np.ndarray:
     """Indicator series: MACD minus its own p1-lag EMA."""
-    x = _as_1d(s, dim)
-    return TrendMemo(params, dim).indicator(x, x.shape[0]).copy()
+    return np.array(TrendMemo(params, dim)._extend(_as_1d(s, dim).tolist()))
 
 
 def trend_point(s: SeriesLike, n: int, params: MacdParams, dim: int = 1) -> TrendVerdict:
@@ -184,9 +167,9 @@ def trend_interval(
     """Direction verdict from the indicator summed over [cp_index, cp_index + h].
 
     The window must fit inside the series; h = 0 reduces to the point form.
-    Only samples up to cp_index + h are read. ``memo`` keeps the indicator
-    between calls (see :class:`TrendMemo`); without one the call uses a
-    fresh memo.
+    Only samples up to cp_index + h are read. ``memo`` carries the EMAs
+    from the last call's window end (see :class:`TrendMemo`), so its window
+    must start after that end; without one the call uses a fresh memo.
     """
     x = _as_1d(s, dim)
     n = x.shape[0]
@@ -202,5 +185,8 @@ def trend_interval(
             f"memo holds the indicator for lags {memo.lags} of dimension {memo.dim}, "
             f"asked for lags {_lags(params)} of dimension {dim}"
         )
-    ti = memo.indicator(x, stop)
-    return TrendVerdict(float(np.sum(ti[cp_index - 1 : stop])), cp_index)
+    start = memo.size
+    if cp_index <= start:
+        raise ValueError(f"window starts at {cp_index}, not after the memo's {start} samples read")
+    ti = memo._extend(x[start:stop].tolist())
+    return TrendVerdict(float(np.sum(ti[cp_index - 1 - start :])), cp_index)

@@ -45,6 +45,7 @@ DELETED_ATTRIBUTES = [
     ("cpstream.online", "OnlineDetectorState", "ratio_denominator"),
     ("cpstream.trend", "TrendVerdict", "mode"),
     ("cpstream.timeseries", "TimeSeries", "segment"),
+    ("cpstream.trend", "TrendMemo", "indicator"),
 ]
 
 # parameters no caller set, or that restated another argument

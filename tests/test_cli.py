@@ -113,6 +113,31 @@ class TestCritvalCommand:
         assert line.startswith("error: horizon_T must be finite and add a grid step")
         assert line.endswith(f"got {float(horizon)}")
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--kind", "ratio", "--horizon", "1e306", "--grid", "100", "--reps", "1000"],
+             "horizon_T=1e+306"),
+            (["--kind", "ratio", "--horizon", "1e17", "--grid", "100", "--reps", "1000"],
+             "horizon_T=1e+17"),
+            (["--grid", "100000000000000000000", "--reps", "1000"],
+             "grid_steps=100000000000000000000"),
+            (["--d", "100000000000000000000"], "d=100000000000000000000"),
+            (["--grid", "100", "--reps", "100000000000000000000"],
+             "replications must be at most 2**32"),
+        ],
+        ids=["horizon-1e306", "horizon-1e17", "grid-1e20", "d-1e20", "reps-1e20"],
+    )
+    def test_unaddressable_budget_refused_naming_its_field(self, capsys, monkeypatch, flags, named):
+        monkeypatch.setattr(critvals, "_paths", pytest.fail)
+        status = dispatch(["critval", *flags])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert named in line
+
     def test_tail_count_without_warning(self, capsys):
         status = dispatch(["critval", "--alpha", "0.05", "--seed", "7", *FAST])
         captured = capsys.readouterr()
@@ -403,12 +428,17 @@ class TestMonitorCommand:
             (["--reps", "10"], "replications must be at least 1000"),
             (["--grid", "5"], "grid_steps must be at least 100"),
             (["--seed", "-1"], "seed must be non-negative, got -1"),
+            (["--reps", "4294967297"], "replications must be at most 2**32, got 4294967297"),
+            (["--grid", "100000000000000000000"],
+             f"the path row of d=1, grid_steps=100000000000000000000 exceeds the {2**60 - 1} "
+             "floats numpy can address"),
             (["--window", "0"], "window_k must be at least 1"),
             (["--quiet-gap", "-1"], "quiet_gap_d must be non-negative"),
             (["--m", "3"], "m_min must be at least 4"),
         ],
         ids=["alpha-2", "alpha-0", "gamma-0.7", "ratio-gamma-0.5", "min-seg-1", "reps-10",
-             "grid-5", "seed-negative", "window-0", "quiet-gap-negative", "m-3"],
+             "grid-5", "seed-negative", "reps-above-2**32", "grid-1e20", "window-0",
+             "quiet-gap-negative", "m-3"],
     )
     def test_bad_setting_refused_before_output(self, capsys, monkeypatch, flags, message):
         simulated = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from cpstream import critvals
+from cpstream import critvals, rng
 from cpstream.critvals import (
     CritVal,
     CritValKind,
@@ -112,6 +112,41 @@ class TestRequestValidation:
         # a horizon of one grid step adds one step after t = 1
         req = CritValRequest(kind=CritValKind.ONLINE_RATIO, alpha=0.05, grid_steps=100, horizon_T=0.01)
         assert critvals._path_steps(req) == 101
+
+    def test_replications_fit_below_the_substream_index_bound(self):
+        with pytest.raises(ValueError, match=r"^replications must be at most 2\*\*32, got 4294967297$"):
+            CritValRequest(kind=CritValKind.OFFLINE_MAX, alpha=0.05, replications=2**32 + 1)
+        assert CritValRequest(kind=CritValKind.OFFLINE_MAX, alpha=0.05, replications=2**32)
+
+    LIMIT = np.iinfo(np.intp).max // 8
+
+    @pytest.mark.parametrize(
+        "fields, sizes",
+        [
+            (dict(kind=CritValKind.ONLINE_RATIO, grid_steps=100, horizon_T=1e306),
+             "d=1, grid_steps=100, horizon_T=1e+306"),
+            (dict(kind=CritValKind.ONLINE_RATIO, grid_steps=100, horizon_T=1e17),
+             "d=1, grid_steps=100, horizon_T=1e+17"),
+            (dict(kind=CritValKind.OFFLINE_MAX, grid_steps=10**20), f"d=1, grid_steps={10**20}"),
+            (dict(kind=CritValKind.ONLINE_STANDARD, d=10**20, grid_steps=100),
+             f"d={10**20}, grid_steps=100"),
+            (dict(kind=CritValKind.OFFLINE_MAX, grid_steps=LIMIT + 1), f"d=1, grid_steps={LIMIT + 1}"),
+            (dict(kind=CritValKind.OFFLINE_MAX, d=2, grid_steps=LIMIT // 2 + 1),
+             f"d=2, grid_steps={LIMIT // 2 + 1}"),
+        ],
+        ids=["ratio-1e306", "ratio-1e17", "grid-1e20", "d-1e20", "grid-limit+1", "d2-half-limit+1"],
+    )
+    def test_path_row_must_be_addressable(self, fields, sizes):
+        # numpy's own errors name no field: "Maximum allowed size exceeded"
+        with pytest.raises(ValueError) as info:
+            CritValRequest(alpha=0.05, replications=1000, **fields)
+        assert str(info.value) == (
+            f"the path row of {sizes} exceeds the {self.LIMIT} floats numpy can address"
+        )
+
+    def test_path_row_at_the_address_bound_accepted(self):
+        request = CritValRequest(kind=CritValKind.OFFLINE_MAX, alpha=0.05, grid_steps=self.LIMIT)
+        assert critvals._path_steps(request) == self.LIMIT
 
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
@@ -265,7 +300,7 @@ class TestCpuCount:
         request = CritValRequest(**fields, **self.BUDGET)
         stored = {}
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(critvals, "_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(rng, "_cpus", lambda cpus=cpus: cpus)
             threads = set()
 
             def traced(request, lo, hi, worker=None):
@@ -286,7 +321,7 @@ class TestCpuCount:
             replications=1000, horizon_T=1.0, seed=2,
         )
         for cpus in (1, 3):
-            monkeypatch.setattr(critvals, "_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(rng, "_cpus", lambda cpus=cpus: cpus)
             build_table(tmp_path / f"{cpus}.csv", **params)
         assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "3.csv").read_bytes()
 
@@ -308,7 +343,7 @@ class TestCpuCount:
 
             return stats
 
-        monkeypatch.setattr(critvals, "_cpus", lambda: 2)
+        monkeypatch.setattr(rng, "_cpus", lambda: 2)
         monkeypatch.setattr(critvals, "_kernel", failing_kernel)
         before = threading.active_count()
         samples = {}
@@ -320,9 +355,9 @@ class TestCpuCount:
     def test_more_workers_than_cpus_with_frequent_switches(self, monkeypatch):
         request = CritValRequest(kind=CritValKind.OFFLINE_MAX, **self.BUDGET)
         serial = {}
-        monkeypatch.setattr(critvals, "_cpus", lambda: 1)
+        monkeypatch.setattr(rng, "_cpus", lambda: 1)
         compute_critval(request, serial)
-        monkeypatch.setattr(critvals, "_cpus", lambda: 8)
+        monkeypatch.setattr(rng, "_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -337,7 +372,7 @@ class TestCpuCount:
         def refused(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(critvals, "_cpus", lambda: cpus)
+        monkeypatch.setattr(rng, "_cpus", lambda: cpus)
         monkeypatch.setattr(threading, "Thread", refused)
         request = CritValRequest(kind=CritValKind.OFFLINE_MAX, alpha=0.05, grid_steps=grid_steps,
                                  replications=1000, seed=9)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,14 +205,38 @@ class TestTrendMemo:
         x = multi_step(4000)
         memo = TrendMemo(params)
         for n in [*range(300, 4000, 200), 4000]:
-            # the newest window, and one the memo already holds
-            for cp in (n - h, n - h - 150):
-                with_memo = trend_interval(x[:n], cp, params, memo=memo)
-                fresh = trend_interval(x[:n], cp, params)
-                assert (repr(with_memo.value), with_memo.direction, with_memo.at_index) == (
-                    repr(fresh.value), fresh.direction, fresh.at_index
-                )
+            # the newest window of each prefix
+            cp = n - h
+            with_memo = trend_interval(x[:n], cp, params, memo=memo)
+            fresh = trend_interval(x[:n], cp, params)
+            assert (repr(with_memo.value), with_memo.direction, with_memo.at_index) == (
+                repr(fresh.value), fresh.direction, fresh.at_index
+            )
         assert memo.size == 4000
+
+    @pytest.mark.parametrize("cp", [1, 300, 310], ids=["first", "inside", "at-size"])
+    def test_window_at_or_before_the_memo_end_refused(self, cp):
+        x = multi_step(1000)
+        memo = TrendMemo(PARAMS)
+        trend_interval(x, 300, PARAMS, memo=memo)
+        with pytest.raises(ValueError, match=f"window starts at {cp}, not after the memo's 310"):
+            trend_interval(x, cp, PARAMS, memo=memo)
+        assert memo.size == 310
+        # the memo moves on from where it stood
+        assert trend_interval(x, 311, PARAMS, memo=memo) == trend_interval(x, 311, PARAMS)
+
+    def test_memo_holds_no_value_per_sample(self):
+        n = 10**6
+        x = substream(8, 24).standard_normal(n)
+        memo = TrendMemo(PARAMS)
+        tracemalloc.start()
+        try:
+            trend_interval(x, n - PARAMS.h, PARAMS, memo=memo)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert memo.size == n
+        assert retained < 64 * 1024
 
     def test_memo_reads_only_up_to_the_window_end(self):
         x = multi_step(1000)
