@@ -20,13 +20,14 @@ alone, so it is derived when asked (:meth:`TraceSet.log`) instead of stored.
 Every node runs the standard sequential detector on its own series with
 periodic retraining; a node that alarms accuses the most frequent sender
 among the last ten logged, and a suspect accused by every one of its
-neighbours is declared an attacker. Those ten entries come from
-:meth:`TraceSet.senders_up_to`, which walks back from the alarm over only the
-attack periods it needs instead of building the whole log. All node detectors
-of a replication (and all cluster-head detectors) are trained and run as one
-stack: each retrain round is one ``train`` and one ``run_batch`` call over the
-series that have not alarmed yet, on views of the stack, which is copied
-smaller only in a round where some series alarmed.
+neighbours is declared an attacker. No entry is built for that: a period
+logs the same number of packets from each sender, so the senders' shares of
+the last ten entries are tallied from the period counts, walking back from
+the alarm. All node detectors of a replication (and all cluster-head
+detectors) are trained and run as one stack: each retrain round is one
+``train`` and one ``run_batch`` call over the series that have not alarmed
+yet, on views of the stack, which is copied smaller only in a round where
+some series alarmed.
 
 Everything is a pure function of (topology, scenario, seed, settings):
 per-node and per-replication RNG substreams make runs reproducible at any
@@ -290,25 +291,6 @@ class TraceSet:
         periods = np.arange(scenario.start, scenario.horizon + 1)
         return periods, _packets_per_period(scenario.injection_rate, periods.size)
 
-    def senders_up_to(self, node: int, t: int) -> np.ndarray:
-        """The last ten sender entries of ``node``'s log at or before sample t.
-
-        Walks back from t one attack period at a time until it holds ten
-        entries, so only the tail of :meth:`log` is ever built: a period
-        adds at most ten entries per sender, the ones that can end the tail.
-        """
-        senders = self._attacking_neighbors.get(node)
-        if senders is None:
-            return np.empty(0, dtype=int)
-        start = self.scenario.start
-        counts = self._attack_periods[1]
-        tail: list[int] = []
-        period = min(t, self.scenario.horizon)
-        while period >= start and len(tail) < 10:
-            tail[:0] = [s for s in senders for _ in range(min(counts[period - start], 10))]
-            period -= 1
-        return np.array(tail[-10:], dtype=int)
-
 
 def attack_lift(topology: Topology, scenario: AttackScenario) -> np.ndarray:
     """Deterministic post-start mean increase per node under the traffic model.
@@ -320,21 +302,34 @@ def attack_lift(topology: Topology, scenario: AttackScenario) -> np.ndarray:
     """
     amount = scenario.injection_rate * scenario.ticks_per_packet
     # what a victim adds to the node its path reaches after this many hops
-    hop_amount = [
-        amount * scenario.hop_decay**hops for hops in range(topology.rows + topology.cols - 1)
-    ]
-    nodes: list[int] = []
-    amounts: list[float] = []
+    hop_amount = np.array(
+        [amount * scenario.hop_decay**hops for hops in range(topology.rows + topology.cols - 1)]
+    )
+    # one run of additions per attacker's own entry, then one per path of
+    # each of its sorted neighbours, in that order
+    firsts: list[int] = []
+    owns: list[bool] = []
+    degrees: list[int] = []
     for attacker in scenario.attackers:
         neighbors = topology.neighbors(attacker)
-        nodes.append(attacker)
-        amounts.append(amount * len(neighbors))
-        for victim in neighbors:
-            path = topology.path_to_controller(victim)
-            nodes += path
-            amounts += hop_amount[: len(path)]
+        firsts += (attacker, *neighbors)
+        owns += (True, *[False] * len(neighbors))
+        degrees.append(len(neighbors))
+    first = np.array(firsts, dtype=np.intp)
+    own = np.array(owns, dtype=bool)
+    r, c = np.divmod(first, topology.cols)
+    rc, cc = topology.coords(topology.controller)
+    down = np.abs(r - rc)
+    length = np.where(own, 1, down + np.abs(c - cc) + 1)
+    run = np.repeat(np.arange(first.size), length)
+    hop = np.arange(run.size) - np.repeat(np.cumsum(length) - length, length)
+    # rows first: `down` hops along the column, then along the controller's row
+    row = r[run] + np.sign(rc - r)[run] * np.minimum(hop, down[run])
+    col = c[run] + np.sign(cc - c)[run] * np.maximum(hop - down[run], 0)
+    amounts = hop_amount[hop]
+    amounts[own[run]] = amount * np.array(degrees, dtype=float)
     lift = np.zeros(topology.n_nodes)
-    np.add.at(lift, np.array(nodes, dtype=np.intp), np.array(amounts))
+    np.add.at(lift, row * topology.cols + col, amounts)
     return lift
 
 
@@ -459,10 +454,44 @@ def detect_clustered(
     per-cluster alarms and that overhead count.
     """
     members = traces.topology.cluster_members()
-    stack = np.stack([traces.values[list(nodes)].sum(axis=0) for nodes in members.values()])
+    # each cluster's rows added in member order, as a sum over axis 0 adds them
+    stack = traces.values[[nodes[0] for nodes in members.values()]]
+    for row, nodes in zip(stack, members.values()):
+        for node in nodes[1:]:
+            row += traces.values[node]
     alarms = dict(zip(members, _first_alarms(stack[:, :, None], settings, critval)))
     overhead = sum(len(nodes) - 1 for nodes in members.values()) * traces.scenario.horizon
     return alarms, overhead
+
+
+def _suspect(traces: TraceSet, node: int, alarm: int) -> int | None:
+    """The most frequent sender among the last ten entries of ``node``'s log up to ``alarm``.
+
+    Ties go to the lowest id; None when there is no entry. A period logs
+    each sender's packets in sender order, the same number for each sender,
+    so those ten entries hold every sender's share of the newer periods they
+    cover plus the last senders' share of the oldest one. The shares are
+    tallied from the period counts, walking back from the alarm, without
+    building any entry.
+    """
+    senders = traces._attacking_neighbors.get(node)
+    if senders is None:
+        return None
+    start = traces.scenario.start
+    counts = traces._attack_periods[1]
+    tally = [0] * len(senders)
+    wanted = 10
+    period = min(alarm, traces.scenario.horizon)
+    while wanted and period >= start:
+        count = int(counts[period - start])
+        for i in reversed(range(len(senders))):
+            taken = min(count, wanted)
+            tally[i] += taken
+            wanted -= taken
+        period -= 1
+    if wanted == 10:
+        return None
+    return senders[tally.index(max(tally))]
 
 
 def identify_attackers(
@@ -476,18 +505,12 @@ def identify_attackers(
     accusation count equals its neighbour count.
     """
     accusations: Counter[int] = Counter()
-    attacked = traces._attacking_neighbors
-    for node in sorted(per_node_alarm):
-        alarm = per_node_alarm[node]
-        if alarm is None or node not in attacked:
-            continue
-        recent = traces.senders_up_to(node, alarm)
-        if recent.size == 0:
-            continue
-        counts = Counter(recent.tolist())
-        top = max(counts.values())
-        suspect = min(s for s, c in counts.items() if c == top)
-        accusations[suspect] += 1
+    for node in traces._attacking_neighbors:
+        alarm = per_node_alarm.get(node)
+        if alarm is not None:
+            suspect = _suspect(traces, node, alarm)
+            if suspect is not None:
+                accusations[suspect] += 1
     return frozenset(s for s, c in accusations.items() if c == traces.topology.degree(s))
 
 

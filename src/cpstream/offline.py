@@ -120,15 +120,36 @@ def cusum_path(s: SeriesLike) -> np.ndarray:
     return path
 
 
+def _sample_matrix(s: SeriesLike) -> np.ndarray:
+    """The (N, d) matrix of ``s``; ``ValueError`` naming the shape of any other array."""
+    mat = as_matrix(s)
+    if mat.ndim != 2:
+        raise ValueError(f"series must be an N x d matrix, got shape {mat.shape}")
+    return mat
+
+
+def _check_finite(mat: np.ndarray, total: float) -> None:
+    """``ValueError`` naming the first row (1-based) of ``mat`` with a non-finite sample.
+
+    ``total`` is the sum of ``mat``'s samples, which is finite when they all
+    are unless it overflows: the rows are scanned only when it is not.
+    """
+    if not math.isfinite(total):
+        bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+        if bad.size:
+            raise ValueError(f"series has a non-finite sample at row {bad[0] + 1}")
+
+
 def offline_test(s: SeriesLike, critval: CritVal) -> OfflineTestResult:
     """Test a window for a single mean change at the critical value's level.
 
     The level is ``critval.request.alpha``. The long-run covariance is
     re-estimated on the window with the default bandwidth and regularized if
     degenerate, so constant input yields M = 0 and no rejection rather than a
-    division by zero.
+    division by zero. An array that is not N x d, or that holds a NaN or an
+    infinity, raises ``ValueError`` naming its shape or the first such row.
     """
-    mat = as_matrix(s)
+    mat = _sample_matrix(s)
     n, d = mat.shape
     if n < 4:
         raise ValueError("offline test needs at least 4 samples")
@@ -141,7 +162,9 @@ def offline_test(s: SeriesLike, critval: CritVal) -> OfflineTestResult:
     if d == 1:
         # cusum_path's centring, on the 1-D column
         col = mat[:, 0]
-        centred = col - col.sum() / n
+        total = col.sum()
+        _check_finite(mat, total)
+        centred = col - total / n
         omega_inv = inverse(bartlett_lrv(mat, bartlett_bandwidth(n))).item()
         # the method: np.cumsum's dispatch to it costs as much as its sum
         path = centred.cumsum()
@@ -151,6 +174,7 @@ def offline_test(s: SeriesLike, critval: CritVal) -> OfflineTestResult:
         quad = path * omega_inv
         quad *= path
     else:
+        _check_finite(mat, mat.sum())
         path = cusum_path(mat)
         omega_inv = inverse(bartlett_lrv(mat, bartlett_bandwidth(n)))
         quad = np.einsum("nj,jk,nk->n", path, omega_inv, path)
@@ -194,10 +218,12 @@ def segment(
     :func:`offline_test` on the row view ``mat[w_lo - 1 : w_hi]`` of the
     sample matrix, at most once per call: every later request for that
     window, at either level, is decided from the stored statistic and
-    argmax. The change points are 1-based indices into ``s`` too.
+    argmax. The change points are 1-based indices into ``s`` too. A
+    malformed array is refused as by :func:`offline_test`.
     """
     _check_min_seg(min_seg)
-    mat = as_matrix(s)
+    mat = _sample_matrix(s)
+    _check_finite(mat, mat.sum())
     n, d = mat.shape
     if n < 2 * min_seg:
         raise ValueError(f"series of length {n} too short to segment (need {2 * min_seg})")

@@ -38,6 +38,9 @@ __all__ = [
     "trend_interval",
 ]
 
+# samples trend_interval turns into Python floats at a time
+_CHUNK = 4096
+
 
 class Direction(str, Enum):
     UP = "up"
@@ -167,9 +170,11 @@ def trend_interval(
     """Direction verdict from the indicator summed over [cp_index, cp_index + h].
 
     The window must fit inside the series; h = 0 reduces to the point form.
-    Only samples up to cp_index + h are read. ``memo`` carries the EMAs
-    from the last call's window end (see :class:`TrendMemo`), so its window
-    must start after that end; without one the call uses a fresh memo.
+    Only samples up to cp_index + h are read, at most 4 096 at a time, so a
+    label's memory does not grow with its distance from the memo's last
+    sample. ``memo`` carries the EMAs from the last call's window end (see
+    :class:`TrendMemo`), so its window must start after that end; without
+    one the call uses a fresh memo.
     """
     x = _as_1d(s, dim)
     n = x.shape[0]
@@ -188,5 +193,9 @@ def trend_interval(
     start = memo.size
     if cp_index <= start:
         raise ValueError(f"window starts at {cp_index}, not after the memo's {start} samples read")
-    ti = memo._extend(x[start:stop].tolist())
-    return TrendVerdict(float(np.sum(ti[cp_index - 1 - start :])), cp_index)
+    # the indicators of the window, out of each chunk of the gap
+    window: list[float] = []
+    for lo in range(start, stop, _CHUNK):
+        ti = memo._extend(x[lo : min(lo + _CHUNK, stop)].tolist())
+        window += ti[max(cp_index - 1 - lo, 0) :]
+    return TrendVerdict(float(np.sum(window)), cp_index)

@@ -46,6 +46,7 @@ DELETED_ATTRIBUTES = [
     ("cpstream.trend", "TrendVerdict", "mode"),
     ("cpstream.timeseries", "TimeSeries", "segment"),
     ("cpstream.trend", "TrendMemo", "indicator"),
+    ("cpstream.netsim", "TraceSet", "senders_up_to"),
 ]
 
 # parameters no caller set, or that restated another argument

@@ -3,6 +3,7 @@ import json
 import threading
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -542,17 +543,18 @@ class TestSharedVictim:
         assert log_senders[:10].tolist() == [6, 6, 8, 8, 6, 6, 6, 8, 8, 8]
 
     def test_last_ten_cut_inside_a_time_group(self):
-        # at 2.5 the groups hold 4 and 6 entries and tile ten exactly; at 3.0
-        # each holds 6, so the window up to t = 12 starts inside t = 11's group
+        # at 3.0 each period logs six entries: up to t = 12 the last ten are
+        # 6 8 8 8 6 6 6 8 8 8, four from the lower attacker and six from the
+        # higher, where the two whole periods hold six from each
         traces = self.traces(3.0)
-        assert traces.senders_up_to(self.victim, 10).tolist() == []
-        assert traces.senders_up_to(self.victim, 11).tolist() == [6, 6, 6, 8, 8, 8]
-        assert traces.senders_up_to(self.victim, 12).tolist() == [6, 8, 8, 8, 6, 6, 6, 8, 8, 8]
+        assert netsim._suspect(traces, self.victim, 10) is None
+        assert netsim._suspect(traces, self.victim, 11) == self.low  # 6 6 6 8 8 8: a tie
+        assert netsim._suspect(traces, self.victim, 12) == self.high
 
     def test_tie_accuses_the_lower_id(self):
         traces = self.traces(2.5)
         # up to t = 12 the victim logged five packets from each attacker
-        assert sorted(traces.senders_up_to(self.victim, 12).tolist()) == [6] * 5 + [8] * 5
+        assert netsim._suspect(traces, self.victim, 12) == self.low
         alarms = {node: None for node in range(self.topo.n_nodes)}
         for node in self.topo.neighbors(self.low):
             alarms[node] = 12
@@ -564,26 +566,95 @@ class TestSharedVictim:
         assert identify_attackers(traces, alarms) == frozenset()
 
     # 0.4: most periods send nothing; from 12.5 a period holds more than ten
-    # entries per sender, and the walk builds ten of them
+    # entries per sender, and the last ten come from one period
     @pytest.mark.parametrize("rate", [0.4, 1.0, 2.5, 3.0, 12.5, 40.0])
     def test_tail_matches_the_whole_log(self, rate):
+        # the suspect tallied from the period counts is the most frequent of
+        # the whole log's last ten entries up to t, the lowest id on ties
         traces = self.traces(rate)
         for node in range(self.topo.n_nodes):
             times, senders = traces.log(node)
             for t in range(1, traces.scenario.horizon + 1):
-                tail = traces.senders_up_to(node, t)
-                assert tail.dtype == senders.dtype
-                assert tail.tolist() == senders[times <= t][-10:].tolist(), (node, t)
+                tally = Counter(senders[times <= t][-10:].tolist())
+                expected = min(tally, key=lambda s: (-tally[s], s)) if tally else None
+                assert netsim._suspect(traces, node, t) == expected, (node, t)
 
     def test_walk_back_builds_only_the_tail(self):
-        # a million packets per period from each attacker: the walk builds
-        # ten entries per sender, where the whole period holds two million
+        # a million packets per period from each attacker: the walk back
+        # tallies counts and builds no entry, where a period holds two million
         traces = self.traces(1e6)
         tracemalloc.start()
         try:
-            tail = traces.senders_up_to(self.victim, 20)
+            suspect = netsim._suspect(traces, self.victim, 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tail.tolist() == [self.high] * 10
-        assert peak < 1_000_000
+        assert suspect == self.high
+        assert peak < 10_000
+
+
+def reference_lift(topology, scenario):
+    """The attack lift built one Python list entry per hop, in np.add.at's order."""
+    amount = scenario.injection_rate * scenario.ticks_per_packet
+    hop_amount = [
+        amount * scenario.hop_decay**hops for hops in range(topology.rows + topology.cols - 1)
+    ]
+    nodes, amounts = [], []
+    for attacker in scenario.attackers:
+        neighbors = topology.neighbors(attacker)
+        nodes.append(attacker)
+        amounts.append(amount * len(neighbors))
+        for victim in neighbors:
+            path = topology.path_to_controller(victim)
+            nodes += path
+            amounts += hop_amount[: len(path)]
+    lift = np.zeros(topology.n_nodes)
+    np.add.at(lift, np.array(nodes, dtype=np.intp), np.array(amounts))
+    return lift
+
+
+class TestArrayLift:
+    """The lift built from index arrays adds what the per-hop loop adds, in its order."""
+
+    # ragged grids, controllers away from node 0, and (separation 2) victims
+    # that two attackers flood
+    @pytest.mark.parametrize("rows, cols, controller", [
+        (10, 10, 0), (7, 9, 62), (5, 13, 32), (12, 8, 37), (1, 6, 3), (6, 1, 0), (2, 2, 3),
+    ])
+    @pytest.mark.parametrize("separation", [2, 3])
+    @pytest.mark.parametrize("rate", [0.4, 3.0, 12.5])
+    def test_bytes_equal_the_per_hop_loop(self, rows, cols, controller, separation, rate):
+        topo = grid_topology(rows, cols, controller=controller)
+        for seed in range(3):
+            scenario = random_scenario(
+                topo, n_attackers=max(1, topo.n_nodes // 8), seed=seed,
+                min_separation=separation, injection_rate=rate, hop_decay=0.7,
+            )
+            lift = attack_lift(topo, scenario)
+            assert lift.tobytes() == reference_lift(topo, scenario).tobytes()
+
+    def test_shared_victim_lift(self):
+        topo = TestSharedVictim.topo
+        scenario = AttackScenario(attackers=(6, 8), start=11, horizon=20, injection_rate=2.5)
+        assert attack_lift(topo, scenario).tobytes() == reference_lift(topo, scenario).tobytes()
+
+
+class TestClusterSeries:
+    """Each cluster's series adds its member rows in member order, as a sum over axis 0 does."""
+
+    @pytest.mark.parametrize("rows, cols, block", [(7, 9, 2), (7, 9, 3), (12, 8, 4), (10, 10, 5)])
+    def test_equal_the_per_cluster_sums(self, monkeypatch, rows, cols, block):
+        topo = grid_topology(rows, cols, cluster_block=block)
+        scenario = random_scenario(topo, n_attackers=3, seed=1, start=301, horizon=450)
+        traces = generate_traces(topo, scenario, seed=1)
+        stacks = []
+
+        def recorded(series, settings, critval):
+            stacks.append(series[:, :, 0])
+            return [None] * len(series)
+
+        monkeypatch.setattr(netsim, "_first_alarms", recorded)
+        detect_clustered(traces, SETTINGS, None)
+        members = topo.cluster_members()
+        expected = np.stack([traces.values[list(nodes)].sum(axis=0) for nodes in members.values()])
+        assert stacks[0].tobytes() == expected.tobytes()

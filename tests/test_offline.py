@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -317,3 +318,33 @@ class TestSegment:
     def test_changepointset_invariants(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             ChangePointSet(cps=(5, 5), per_cp_stats=(None, None), alpha=0.05)
+
+
+class TestMalformedArrays:
+    """offline_test and segment refuse an array that is not N x d or holds a non-finite sample."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", [1, 51, 200])
+    def test_non_finite_row_named(self, cheap_provider, cv_offline_d1, bad, row):
+        # a NaN at row 51 once gave segment no change point and offline_test a nan statistic
+        x = substream(4, 30).standard_normal(200)
+        x[row - 1] = bad
+        x[row + 10 :] = bad  # a later bad row is not the one named
+        for run in (lambda: offline_test(x, cv_offline_d1), lambda: segment(x, 0.05, cheap_provider)):
+            with pytest.raises(ValueError, match=rf"^series has a non-finite sample at row {row}$"):
+                run()
+
+    def test_non_finite_row_named_at_d2(self, cv_offline_d2):
+        x = substream(4, 31).standard_normal((200, 2))
+        x[50, 1] = math.nan
+        with pytest.raises(ValueError, match=r"^series has a non-finite sample at row 51$"):
+            offline_test(x, cv_offline_d2)
+
+    @pytest.mark.parametrize("shape", [(200, 2, 2), ()])
+    def test_shape_named(self, cheap_provider, cv_offline_d1, shape):
+        x = np.zeros(shape)
+        message = rf"^series must be an N x d matrix, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            offline_test(x, cv_offline_d1)
+        with pytest.raises(ValueError, match=message):
+            segment(x, 0.05, cheap_provider)

@@ -238,6 +238,28 @@ class TestTrendMemo:
         assert memo.size == n
         assert retained < 64 * 1024
 
+    def test_label_far_along_a_stream_peaks_in_bounded_memory(self):
+        # the gap reaches the EMAs in chunks: a label at sample 10**6 once
+        # held a Python float and an indicator for every sample (61.5 MiB)
+        n = 10**6
+        x = substream(8, 25).standard_normal(n + PARAMS.h)
+        tracemalloc.start()
+        try:
+            trend_interval(x, n, PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    # windows inside one chunk, across the boundary at 4 096 samples, and
+    # longer than a chunk
+    @pytest.mark.parametrize("cp, h", [(4000, 10), (4090, 10), (4096, 0), (4097, 10), (100, 9000)])
+    def test_chunked_gap_matches_the_indicator_series(self, cp, h):
+        params = MacdParams(9, 12, 26, h=h)
+        x = multi_step(cp + h + 5)
+        window = trend_series(x, params)[cp - 1 : cp + h].tolist()
+        assert repr(trend_interval(x, cp, params).value) == repr(float(np.sum(window)))
+
     def test_memo_reads_only_up_to_the_window_end(self):
         x = multi_step(1000)
         memo = TrendMemo(PARAMS)
